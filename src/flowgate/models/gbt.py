@@ -79,11 +79,19 @@ def _leaf_value(g_sum: float, h_sum: float, lam: float) -> float:
     return -g_sum / denom
 
 
-def _split_gain_terms(g_sum: float, h_sum: float, lam: float) -> float:
+def _split_gain_terms(
+    g_sum: float | np.ndarray, h_sum: float | np.ndarray, lam: float
+) -> float | np.ndarray:
+    """g^2 / (h + lambda), elementwise; a non-positive denominator scores 0.
+
+    Hessians are non-negative, so only lambda = 0 can zero a denominator;
+    lambda > 0 keeps the plain quotient, which costs half the masked one.
+    """
     denom = h_sum + lam
-    if denom <= 0.0:
-        return 0.0
-    return (g_sum * g_sum) / denom
+    if lam > 0.0:
+        return g_sum * g_sum / denom
+    denom = np.asarray(denom, dtype=np.float64)
+    return np.divide(g_sum * g_sum, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 def _grow_regression(
@@ -122,7 +130,9 @@ def _grow_regression(
             gr = g_total - gl
             hr = h_total - hl
             gains = (
-                gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term
+                _split_gain_terms(gl, hl, lam)
+                + _split_gain_terms(gr, hr, lam)
+                - parent_term
             ) * 0.5
             j = int(np.argmax(gains))
             gain = float(gains[j])

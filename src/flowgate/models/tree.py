@@ -407,18 +407,37 @@ def fit_tree(
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
-def _route_and_assign(root: TreeNode, X: np.ndarray, out: np.ndarray) -> None:
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
+def _route_and_assign(
+    root: TreeNode,
+    X: np.ndarray,
+    out: np.ndarray,
+    max_depth: int | None = None,
+    min_samples_split: int | None = None,
+) -> None:
+    """Write each row's predicted class into ``out``.
+
+    A row stops at the first leaf, or at the first node at depth >= max_depth
+    or holding fewer than min_samples_split training rows; None cuts nothing.
+    Split choice depends only on a node's rows and min_samples_leaf, so an
+    unpruned tree grown with no depth limit and a split gate no larger than
+    min_samples_split, cut this way, predicts exactly like the tree grown with
+    these limits and the same min_samples_leaf.
+    """
+    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
     while stack:
-        node, rows = stack.pop()
+        node, rows, depth = stack.pop()
         if rows.size == 0:
             continue
-        if node.is_leaf:
+        if (
+            node.is_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or (min_samples_split is not None and node.n_rows < min_samples_split)
+        ):
             out[rows] = node.prediction
             continue
         mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        stack.append((node.left, rows[mask], depth + 1))
+        stack.append((node.right, rows[~mask], depth + 1))
 
 
 def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:

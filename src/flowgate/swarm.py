@@ -10,6 +10,7 @@ objective that raises scores that point as -inf.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import TreeHyperparams, fit_tree, predict_tree
+from .models.tree import TreeHyperparams, TreeNode, _route_and_assign, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -46,13 +47,6 @@ class SearchSpace:
     @property
     def n_dims(self) -> int:
         return len(self.names)
-
-    @property
-    def n_points(self) -> int:
-        total = 1
-        for lo, hi in zip(self.lowers, self.uppers):
-            total *= hi - lo + 1
-        return total
 
     def contains(self, point: Sequence[int]) -> bool:
         return len(point) == self.n_dims and all(
@@ -99,15 +93,6 @@ class EpsoConfig:
 
 
 @dataclass(frozen=True)
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_point: tuple[int, ...]
-    pbest_fitness: float
-
-
-@dataclass(frozen=True)
 class TraceEntry:
     iteration: int
     fitness: float
@@ -132,19 +117,6 @@ class SwarmState:
     trace: list[TraceEntry] = field(default_factory=list)
     failures: list[tuple[int, ...]] = field(default_factory=list)
     evaluations: int = 0
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(
-                position=self.positions[i].copy(),
-                velocity=self.velocities[i].copy(),
-                pbest_position=self.pbest_positions[i].copy(),
-                pbest_point=self.pbest_points[i],
-                pbest_fitness=float(self.pbest_fitness[i]),
-            )
-            for i in range(self.config.n_particles)
-        ]
 
 
 def _round_point(space: SearchSpace, position: np.ndarray) -> tuple[int, ...]:
@@ -293,6 +265,12 @@ def dt_objective(
     A stratified holdout is carved out of the training side once; the test
     side is never touched. Points encoding invalid hyperparameters raise and
     are scored as -inf by the swarm machinery.
+
+    The objective grows one tree per distinct min_samples_leaf, with no depth
+    limit and the smallest split gate, and scores every (max_depth,
+    min_samples_split) by routing the holdout through that tree cut at those
+    limits. The score is exactly that of a tree fitted with the point's
+    hyperparameters, at the cost of one fit per leaf size.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -302,20 +280,36 @@ def dt_objective(
             if count == 0:
                 raise DataError(f"class {name!r} vanished from the {side} side")
     fit_table = inner.train
-    holdout = inner.test
-    holdout_labels = holdout.labels
-    n_classes = holdout.n_classes
+    holdout_X = inner.test.feature_matrix()
+    holdout_labels = inner.test.labels
+    n_classes = inner.test.n_classes
+
+    grown: dict[int, TreeNode] = {}
+    leaf_locks: dict[int, threading.Lock] = {}
+    locks_guard = threading.Lock()
+
+    def grown_tree(min_leaf: int) -> TreeNode:
+        # one lock per leaf size: concurrent workers never grow a tree twice,
+        # while trees for different leaf sizes still grow in parallel
+        with locks_guard:
+            lock = leaf_locks.setdefault(min_leaf, threading.Lock())
+        with lock:
+            if min_leaf not in grown:
+                params = TreeHyperparams(
+                    min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
+                )
+                grown[min_leaf] = fit_tree(fit_table, params).root
+            return grown[min_leaf]
 
     def objective(point: tuple[int, ...]) -> float:
         depth, min_split, min_leaf = (int(v) for v in point)
-        params = TreeHyperparams(
+        TreeHyperparams(  # raises on an invalid point
             max_depth=depth,
             min_samples_split=min_split,
             min_samples_leaf=min_leaf,
-            seed=seed,
         )
-        model = fit_tree(fit_table, params)
-        predicted = predict_tree(model, holdout)
+        predicted = np.empty(holdout_X.shape[0], dtype=np.int64)
+        _route_and_assign(grown_tree(min_leaf), holdout_X, predicted, depth, min_split)
         return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
 
     return objective

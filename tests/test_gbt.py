@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from flowgate.errors import DataError
-from flowgate.models.gbt import GbtParams, fit_gbt, predict_gbt, predict_scores
+from flowgate.models.gbt import (
+    GbtParams,
+    _grow_regression,
+    fit_gbt,
+    predict_gbt,
+    predict_scores,
+)
 
 from conftest import conflict_free_table, make_table
 
@@ -54,6 +60,26 @@ def test_more_rounds_do_not_hurt_training_accuracy_much():
     acc_many = float(np.mean(predict_gbt(many, table) == table.labels))
     assert acc_many >= acc_few - 1e-12
     assert acc_many >= 0.97
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_lambda_saturated_boosting_raises_no_warning():
+    # learning rate 1 without regularization drives hessians to exactly 0
+    rng = np.random.default_rng(0)
+    table = _two_blob_table(40, rng)
+    model = fit_gbt(table, GbtParams(n_rounds=30, learning_rate=1.0, l2_lambda=0.0))
+    assert predict_gbt(model, table).tolist() == table.labels.tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_hessian_side_scores_zero_and_keeps_the_best_split():
+    # the first boundary leaves a zero-hessian row alone on the left (0/0);
+    # its term scores 0, so the best split at 2.5 is still found
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    g = np.array([0.0, -1.0, -1.0, 1.0])
+    h = np.array([0.0, 1.0, 1.0, 1.0])
+    root = _grow_regression(X, g, h, max_depth=1, lam=0.0)
+    assert (root.feature, root.threshold) == (0, 2.5)
 
 
 def test_feature_shift_leaves_predictions_unchanged():

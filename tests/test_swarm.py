@@ -1,10 +1,17 @@
 """Integer-lattice particle swarm: convergence, caching, failure handling."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import flowgate.swarm
 from flowgate.errors import DataError
-from flowgate.prep import PrepOptions, preprocess_pipeline
+from flowgate.metrics import accuracy, confusion_matrix
+from flowgate.models.tree import TreeHyperparams, fit_tree, predict_tree
+from flowgate.prep import PrepOptions, preprocess_pipeline, stratified_split
 from flowgate.swarm import (
     DT_DEFAULT_POINT,
     EpsoConfig,
@@ -203,13 +210,13 @@ def test_config_validation():
 # -- the tree-tuning objective -----------------------------------------------------
 
 
-def _toy_split(seed=0, n=400):
+def _toy_split(seed=0, n=400, separation=6.0):
     spec = SynthSpec(
         n_rows=n,
         class_names=("calm", "burst", "probe"),
         class_ratios=(0.6, 0.25, 0.15),
         n_features=4,
-        cluster_separation=6.0,
+        cluster_separation=separation,
         seed=seed,
     )
     raw, _ = corrupt(generate_flows(spec), 0.0, 0.0, 0.0, 0, seed=seed)
@@ -278,3 +285,95 @@ def test_tuning_beats_or_matches_the_default_point():
     )
     _, fitness, _ = optimize(dt_search_space(), config, objective)
     assert fitness >= objective(DT_DEFAULT_POINT)
+
+
+def test_dt_objective_matches_a_fresh_fit_on_every_lattice_point():
+    # oracle: fit the tree with the point's own hyperparameters and score it;
+    # overlapping classes grow deep trees with many small nodes to cut
+    split = _toy_split(seed=4, n=250, separation=1.5)
+    objective = dt_objective(split, holdout_fraction=0.25, seed=4)
+    inner = stratified_split(split.train, 0.75, 4)
+    holdout = inner.test
+    for leaf in (1, 2, 5):
+        unbounded = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+        grown = fit_tree(inner.train, unbounded)
+        depths = list(range(1, grown.root.depth() + 2)) + [64]
+        for depth in depths:
+            for min_split in range(2, 51):
+                point = (depth, min_split, leaf)
+                if min_split < leaf:
+                    with pytest.raises(DataError):
+                        objective(point)
+                    continue
+                params = TreeHyperparams(
+                    max_depth=depth, min_samples_split=min_split, min_samples_leaf=leaf
+                )
+                predicted = predict_tree(fit_tree(inner.train, params), holdout)
+                expected = accuracy(
+                    confusion_matrix(holdout.labels, predicted, holdout.n_classes)
+                )
+                assert objective(point) == expected, point
+
+
+def _count_fits(monkeypatch):
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        model = fit_tree(*args, **kwargs)
+        fits.append(model.params.min_samples_leaf)
+        return model
+
+    monkeypatch.setattr(flowgate.swarm, "fit_tree", counting_fit)
+    return fits
+
+
+def _tracking(objective):
+    leaf_sizes = []
+
+    def tracked(point):
+        value = objective(point)  # an invalid point raises before any fit
+        leaf_sizes.append(point[2])
+        return value
+
+    return tracked, leaf_sizes
+
+
+def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
+    split = _toy_split(seed=5)
+    config = EpsoConfig(n_particles=10, n_iterations=8, seed=5, seed_point=DT_DEFAULT_POINT)
+    fits = _count_fits(monkeypatch)
+    runs = {}
+    for threads in ("4", "1"):
+        monkeypatch.setenv("FLOWGATE_THREADS", threads)
+        fits.clear()
+        objective, leaf_sizes = _tracking(dt_objective(split, seed=5))
+        runs[threads] = optimize(dt_search_space(), config, objective)
+        assert sorted(fits) == sorted(set(leaf_sizes))
+    # best point, best fitness and trace
+    assert runs["4"] == runs["1"]
+
+
+def test_dt_objective_grows_each_tree_once_under_contention(monkeypatch):
+    split = _toy_split(seed=6)
+    points = [(d, s, l) for l in (1, 3, 8) for s in (8, 20) for d in (2, 5, 64)]
+    expected = [dt_objective(split, seed=6)(p) for p in points]
+    fits = _count_fits(monkeypatch)
+    objective = dt_objective(split, seed=6)
+    start = threading.Barrier(8)
+
+    def worker(shift):
+        start.wait(timeout=30)
+        order = points[shift:] + points[:shift]
+        return dict(zip(order, (objective(p) for p in order)))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, shift) for shift in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert sorted(fits) == [1, 3, 8]
+    for scores in results:
+        assert [scores[p] for p in points] == expected
