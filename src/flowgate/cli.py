@@ -231,31 +231,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     manifest, paths = run_and_emit(config)
     _print_metric_rows(manifest)
     if args.save_models:
-        paths = paths + _refit_and_save(config)
+        for result in manifest.models:
+            target = Path(config.output_dir) / f"model_{result.model_type}.json"
+            save_model(result.model, target)
+            paths.append(target)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def _refit_and_save(config: ExperimentConfig) -> list[Path]:
-    # Refit outside the harness to keep RunManifest lean; training is
-    # deterministic, so the saved models match the evaluated ones.
-    from .harness import build_source, fit_model
-
-    source, profile, _ = build_source(config)
-    options = PrepOptions(
-        split_ratio=config.split_ratio, seed=config.seed + 2, fit_scope=config.fit_scope
-    )
-    split, _ = preprocess_pipeline(source, profile, options)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for spec in config.models:
-        model, _ = fit_model(spec, split.train, config.seed)
-        target = out / f"model_{spec.type}.json"
-        save_model(model, target)
-        written.append(target)
-    return written
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

@@ -73,12 +73,6 @@ class LabelEncoding:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.class_names.index(name)
-        except ValueError:
-            raise DataError(f"unknown class name {name!r}") from None
-
     @classmethod
     def from_labels(cls, class_names: Sequence[str], labels: np.ndarray) -> "LabelEncoding":
         counts = np.bincount(labels, minlength=len(class_names)) if labels.size else np.zeros(

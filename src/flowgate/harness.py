@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -59,13 +59,14 @@ METRIC_COLUMNS = ("Accuracy", "Precision", "Recall", "F1-Score")
 
 @dataclass(frozen=True)
 class ModelResult:
-    """One evaluated classifier row."""
+    """One evaluated classifier row and the fitted model it scores."""
 
     name: str
     model_type: str
     hyperparams: dict
     report: EvalReport
     seconds: float
+    model: Any
 
     def metric_dict(self) -> dict:
         doc: dict[str, Any] = {"classifier": self.name, "model_type": self.model_type}
@@ -235,6 +236,7 @@ def _fit_and_eval(
         hyperparams=resolved,
         report=report,
         seconds=time.perf_counter() - start,
+        model=model,
     )
 
 
@@ -346,13 +348,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 ),
             )
             result = _fit_and_eval(spec, split, config.metric_mode, config.seed)
-            return ModelResult(
-                name=TUNED_DT_NAME,
-                model_type=result.model_type,
-                hyperparams=result.hyperparams,
-                report=result.report,
-                seconds=result.seconds,
-            )
+            return replace(result, name=TUNED_DT_NAME)
 
         manifest.models.append(run_stage(f"model:{TUNED_DT_NAME}", do_tuned_fit))
 

@@ -10,7 +10,7 @@ import numpy as np
 from ..dataset import ColumnarTable
 from ..errors import DataError
 from ..parallel import parallel_map
-from .tree import DecisionTreeModel, TreeHyperparams, TreeNode, _as_matrix, _grow, predict_tree
+from .tree import DecisionTreeModel, TreeHyperparams, _as_matrix, _grow_gini, predict_tree
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def fit_forest(
             y_fit = y[rows]
         else:
             X_fit, y_fit = X, y
-        root: TreeNode = _grow(
-            X_fit, y_fit, n_classes, params, rng=rng, features_per_split=m
-        )
+        root = _grow_gini(X_fit, y_fit, n_classes, params, rng=rng, features_per_split=m)
         return DecisionTreeModel(root, params, n_classes, d)
 
     trees = parallel_map(build, children)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
-from .tree import _as_matrix
+from .tree import TreeNode, _as_matrix, _as_training_set, _grow, _route
 
 
 @dataclass(frozen=True)
@@ -36,34 +36,10 @@ class GbtParams:
             raise DataError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
 
-class RegressionNode:
-    """Node of a gradient-fitting tree; leaves carry an additive weight."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(
-        self,
-        value: float = 0.0,
-        feature: int | None = None,
-        threshold: float | None = None,
-        left: "RegressionNode | None" = None,
-        right: "RegressionNode | None" = None,
-    ) -> None:
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
 @dataclass(frozen=True)
 class GbtModel:
     base_score: np.ndarray
-    trees: tuple[tuple[RegressionNode, ...], ...]  # [round][class]
+    trees: tuple[tuple[TreeNode, ...], ...]  # [round][class]; value = leaf weight
     params: GbtParams
     n_classes: int
     n_features: int
@@ -94,91 +70,66 @@ def _split_gain_terms(
     return np.divide(g_sum * g_sum, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
-def _grow_regression(
+def _gradient_split(
+    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, lam: float
+) -> tuple[int, float] | None:
+    """(feature, threshold) of the best positive-gain split of ``rows``, or
+    None; ties keep the lowest feature, then the lowest threshold."""
+    g_node = g[rows]
+    h_node = h[rows]
+    g_total = float(g_node.sum())
+    h_total = float(h_node.sum())
+    parent_term = _split_gain_terms(g_total, h_total, lam)
+
+    best_gain = 0.0
+    best: tuple[int, float] | None = None
+    for feature in range(X.shape[1]):
+        values = X[rows, feature]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        if vs[0] == vs[-1]:
+            continue
+        g_cum = np.cumsum(g_node[order])[:-1]
+        h_cum = np.cumsum(h_node[order])[:-1]
+        boundary = vs[1:] != vs[:-1]
+        if not boundary.any():
+            continue
+        gl = g_cum[boundary]
+        hl = h_cum[boundary]
+        gr = g_total - gl
+        hr = h_total - hl
+        gains = (
+            _split_gain_terms(gl, hl, lam)
+            + _split_gain_terms(gr, hr, lam)
+            - parent_term
+        ) * 0.5
+        j = int(np.argmax(gains))
+        gain = float(gains[j])
+        if gain > best_gain:
+            pos = np.flatnonzero(boundary)[j]
+            lo = float(vs[pos])
+            hi = float(vs[pos + 1])
+            mid = (lo + hi) / 2.0
+            if mid < hi:
+                best_gain = gain
+                best = (feature, mid)
+    return best
+
+
+def _grow_gradient(
     X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
-) -> RegressionNode:
-    root = RegressionNode(value=_leaf_value(float(g.sum()), float(h.sum()), lam))
-    stack: list[tuple[RegressionNode, np.ndarray, int]] = [
-        (root, np.arange(X.shape[0], dtype=np.int64), 0)
-    ]
-    n_features = X.shape[1]
-    while stack:
-        node, rows, depth = stack.pop()
+) -> TreeNode:
+    """Grow one boosting tree on per-row gradients g and hessians h."""
+
+    def leaf_weight(rows: np.ndarray) -> float:
+        return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), lam)
+
+    def find_split(node: TreeNode, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
         if depth >= max_depth or rows.size < 2:
-            continue
-        g_node = g[rows]
-        h_node = h[rows]
-        g_total = float(g_node.sum())
-        h_total = float(h_node.sum())
-        parent_term = _split_gain_terms(g_total, h_total, lam)
+            return None
+        return _gradient_split(X, g, h, rows, lam)
 
-        best_gain = 0.0
-        best: tuple[int, float] | None = None
-        for feature in range(n_features):
-            values = X[rows, feature]
-            order = np.argsort(values, kind="stable")
-            vs = values[order]
-            if vs[0] == vs[-1]:
-                continue
-            g_cum = np.cumsum(g_node[order])[:-1]
-            h_cum = np.cumsum(h_node[order])[:-1]
-            boundary = vs[1:] != vs[:-1]
-            if not boundary.any():
-                continue
-            gl = g_cum[boundary]
-            hl = h_cum[boundary]
-            gr = g_total - gl
-            hr = h_total - hl
-            gains = (
-                _split_gain_terms(gl, hl, lam)
-                + _split_gain_terms(gr, hr, lam)
-                - parent_term
-            ) * 0.5
-            j = int(np.argmax(gains))
-            gain = float(gains[j])
-            if gain > best_gain:
-                pos = np.flatnonzero(boundary)[j]
-                lo = float(vs[pos])
-                hi = float(vs[pos + 1])
-                mid = (lo + hi) / 2.0
-                if mid < hi:
-                    best_gain = gain
-                    best = (feature, mid)
-        if best is None:
-            continue
-        feature, threshold = best
-        mask = X[rows, feature] <= threshold
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = RegressionNode(
-            value=_leaf_value(float(g[left_rows].sum()), float(h[left_rows].sum()), lam)
-        )
-        node.right = RegressionNode(
-            value=_leaf_value(float(g[right_rows].sum()), float(h[right_rows].sum()), lam)
-        )
-        stack.append((node.right, right_rows, depth + 1))
-        stack.append((node.left, left_rows, depth + 1))
-    return root
-
-
-def _tree_output(root: RegressionNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[RegressionNode, np.ndarray]] = [
-        (root, np.arange(X.shape[0], dtype=np.int64))
-    ]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node.is_leaf:
-            out[rows] = node.value
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
-    return out
+    return _grow(X, leaf_weight, find_split)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -193,15 +144,7 @@ def fit_gbt(
     labels: np.ndarray | None = None,
 ) -> GbtModel:
     """Boost n_rounds rounds, one regression tree per class per round."""
-    X = _as_matrix(train)
-    if labels is None:
-        if isinstance(train, np.ndarray):
-            raise DataError("labels are required when passing a bare matrix")
-        y = train.labels
-        n_classes = train.n_classes
-    else:
-        y = np.asarray(labels, dtype=np.int64)
-        n_classes = int(y.max()) + 1 if y.size else 1
+    X, y, n_classes = _as_training_set(train, labels)
     n = X.shape[0]
     if n == 0:
         raise DataError("cannot fit on zero rows")
@@ -213,16 +156,17 @@ def fit_gbt(
     onehot[np.arange(n), y] = 1.0
 
     scores = np.tile(base, (n, 1))
-    rounds: list[tuple[RegressionNode, ...]] = []
+    rounds: list[tuple[TreeNode, ...]] = []
     for _ in range(params.n_rounds):
         probs = _softmax(scores)
-        round_trees: list[RegressionNode] = []
+        round_trees: list[TreeNode] = []
         for k in range(n_classes):
             g = probs[:, k] - onehot[:, k]
             h = probs[:, k] * (1.0 - probs[:, k])
-            tree = _grow_regression(X, g, h, params.max_depth, params.l2_lambda)
+            tree = _grow_gradient(X, g, h, params.max_depth, params.l2_lambda)
             round_trees.append(tree)
-            scores[:, k] += params.learning_rate * _tree_output(tree, X)
+            for node, rows in _route(tree, X):
+                scores[rows, k] += params.learning_rate * node.value
         rounds.append(tuple(round_trees))
     return GbtModel(
         base_score=base,
@@ -241,7 +185,8 @@ def predict_scores(model: GbtModel, data: "ColumnarTable | np.ndarray") -> np.nd
     scores = np.tile(model.base_score, (X.shape[0], 1))
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += model.params.learning_rate * _tree_output(tree, X)
+            for node, rows in _route(tree, X):
+                scores[rows, k] += model.params.learning_rate * node.value
     return scores
 
 

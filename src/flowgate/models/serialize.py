@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DataError
 from .baseline import BaselineModel
 from .forest import ForestModel
-from .gbt import GbtModel, GbtParams, RegressionNode
+from .gbt import GbtModel, GbtParams
 from .tree import DecisionTreeModel, TreeHyperparams, TreeNode
 
 FORMAT_NAME = "flowgate-model"
@@ -36,26 +36,34 @@ def _unhex(text: str) -> float:
     return float.fromhex(text)
 
 
-def _tree_node_to_dict(node: TreeNode) -> dict:
-    doc: dict = {"counts": [int(c) for c in node.counts]}
+# A node's payload is stored under its own key: the class counts of a gini
+# tree as integers, the leaf weight of a boosting tree as a hex float.
+_COUNTS = ("counts", lambda v: [int(c) for c in v], lambda d: np.asarray(d, dtype=np.int64))
+_WEIGHT = ("value", _hex, _unhex)
+
+
+def _node_to_dict(node: TreeNode, payload: tuple) -> dict:
+    key, write, _ = payload
+    doc: dict = {key: write(node.value)}
     if not node.is_leaf:
         doc["feature"] = int(node.feature)
         doc["threshold"] = _hex(node.threshold)
-        doc["left"] = _tree_node_to_dict(node.left)
-        doc["right"] = _tree_node_to_dict(node.right)
+        doc["left"] = _node_to_dict(node.left, payload)
+        doc["right"] = _node_to_dict(node.right, payload)
     return doc
 
 
-def _tree_node_from_dict(doc: dict) -> TreeNode:
-    counts = np.asarray(doc["counts"], dtype=np.int64)
+def _node_from_dict(doc: dict, payload: tuple) -> TreeNode:
+    key, _, read = payload
+    value = read(doc[key])
     if "feature" not in doc:
-        return TreeNode(counts)
+        return TreeNode(value)
     return TreeNode(
-        counts,
+        value,
         feature=int(doc["feature"]),
         threshold=_unhex(doc["threshold"]),
-        left=_tree_node_from_dict(doc["left"]),
-        right=_tree_node_from_dict(doc["right"]),
+        left=_node_from_dict(doc["left"], payload),
+        right=_node_from_dict(doc["right"], payload),
     )
 
 
@@ -65,43 +73,16 @@ def _params_to_dict(params: TreeHyperparams) -> dict:
         "min_samples_split": params.min_samples_split,
         "min_samples_leaf": params.min_samples_leaf,
         "ccp_alpha": _hex(params.ccp_alpha),
-        "criterion": params.criterion,
-        "seed": params.seed,
     }
 
 
 def _params_from_dict(doc: dict) -> TreeHyperparams:
+    # older v1 files also carry "criterion" and "seed", which growth never read
     return TreeHyperparams(
         max_depth=doc["max_depth"],
         min_samples_split=int(doc["min_samples_split"]),
         min_samples_leaf=int(doc["min_samples_leaf"]),
         ccp_alpha=_unhex(doc["ccp_alpha"]),
-        criterion=str(doc["criterion"]),
-        seed=int(doc["seed"]),
-    )
-
-
-def _regression_node_to_dict(node: RegressionNode) -> dict:
-    if node.is_leaf:
-        return {"value": _hex(node.value)}
-    return {
-        "value": _hex(node.value),
-        "feature": int(node.feature),
-        "threshold": _hex(node.threshold),
-        "left": _regression_node_to_dict(node.left),
-        "right": _regression_node_to_dict(node.right),
-    }
-
-
-def _regression_node_from_dict(doc: dict) -> RegressionNode:
-    if "feature" not in doc:
-        return RegressionNode(value=_unhex(doc["value"]))
-    return RegressionNode(
-        value=_unhex(doc["value"]),
-        feature=int(doc["feature"]),
-        threshold=_unhex(doc["threshold"]),
-        left=_regression_node_from_dict(doc["left"]),
-        right=_regression_node_from_dict(doc["right"]),
     )
 
 
@@ -113,7 +94,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "n_classes": model.n_classes,
             "n_features": model.n_features,
             "params": _params_to_dict(model.params),
-            "root": _tree_node_to_dict(model.root),
+            "root": _node_to_dict(model.root, _COUNTS),
         }
     if isinstance(model, ForestModel):
         return header | {
@@ -124,7 +105,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "bootstrap": model.bootstrap,
             "seed": model.seed,
             "params": _params_to_dict(model.params),
-            "trees": [_tree_node_to_dict(t.root) for t in model.trees],
+            "trees": [_node_to_dict(t.root, _COUNTS) for t in model.trees],
         }
     if isinstance(model, GbtModel):
         return header | {
@@ -139,7 +120,7 @@ def model_to_dict(model: AnyModel) -> dict:
             },
             "base_score": [_hex(v) for v in model.base_score],
             "trees": [
-                [_regression_node_to_dict(t) for t in round_trees]
+                [_node_to_dict(t, _WEIGHT) for t in round_trees]
                 for round_trees in model.trees
             ],
         }
@@ -161,7 +142,7 @@ def model_from_dict(doc: dict) -> AnyModel:
     kind = doc.get("kind")
     if kind == KIND_TREE:
         return DecisionTreeModel(
-            root=_tree_node_from_dict(doc["root"]),
+            root=_node_from_dict(doc["root"], _COUNTS),
             params=_params_from_dict(doc["params"]),
             n_classes=int(doc["n_classes"]),
             n_features=int(doc["n_features"]),
@@ -172,7 +153,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         n_features = int(doc["n_features"])
         trees = tuple(
             DecisionTreeModel(
-                root=_tree_node_from_dict(t),
+                root=_node_from_dict(t, _COUNTS),
                 params=params,
                 n_classes=n_classes,
                 n_features=n_features,
@@ -197,7 +178,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         )
         base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
         trees = tuple(
-            tuple(_regression_node_from_dict(t) for t in round_trees)
+            tuple(_node_from_dict(t, _WEIGHT) for t in round_trees)
             for round_trees in doc["trees"]
         )
         return GbtModel(

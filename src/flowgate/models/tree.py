@@ -1,4 +1,5 @@
-"""Classification tree grown by exhaustive gini split search.
+"""Binary threshold trees: the one node class, grow loop and router shared by
+the classification tree, the forest and boosting, plus the gini split search.
 
 Split candidates are the midpoints of consecutive distinct sorted feature
 values; rows with value <= threshold route left. The candidate maximizing the
@@ -11,14 +12,12 @@ bit for bit at any sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
-
-CRITERION_GINI = "gini"
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,8 @@ class TreeHyperparams:
     min_samples_split: int = 2
     min_samples_leaf: int = 1
     ccp_alpha: float = 0.0
-    criterion: str = CRITERION_GINI
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.criterion != CRITERION_GINI:
-            raise DataError(f"unsupported criterion {self.criterion!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise DataError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_samples_split < 2:
@@ -55,19 +50,24 @@ class TreeHyperparams:
 
 
 class TreeNode:
-    """Binary tree node; every node keeps its class-count vector."""
+    """Binary threshold-tree node; rows with value <= threshold route left.
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
+    ``value`` is the node's payload: its class-count vector in a gini tree,
+    its additive leaf weight in a boosting tree. ``prediction`` and
+    ``n_rows`` read class counts, so they apply to gini trees only.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(
         self,
-        counts: np.ndarray,
+        value: Any,
         feature: int | None = None,
         threshold: float | None = None,
         left: "TreeNode | None" = None,
         right: "TreeNode | None" = None,
     ) -> None:
-        self.counts = np.asarray(counts, dtype=np.int64)
+        self.value = value
         self.feature = feature
         self.threshold = threshold
         self.left = left
@@ -80,11 +80,11 @@ class TreeNode:
     @property
     def prediction(self) -> int:
         # argmax returns the first maximum, i.e. the lowest class id on ties
-        return int(np.argmax(self.counts))
+        return int(np.argmax(self.value))
 
     @property
     def n_rows(self) -> int:
-        return int(self.counts.sum())
+        return int(self.value.sum())
 
     def depth(self) -> int:
         if self.is_leaf:
@@ -128,6 +128,20 @@ def _as_matrix(data: "ColumnarTable | np.ndarray") -> np.ndarray:
             raise DataError("feature matrix must be 2-D")
         return np.ascontiguousarray(data, dtype=np.float64)
     return data.feature_matrix()
+
+
+def _as_training_set(
+    data: "ColumnarTable | np.ndarray", labels: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(feature matrix, labels, class count) of a table, or of a bare matrix
+    with ``labels`` given separately."""
+    X = _as_matrix(data)
+    if labels is None:
+        if isinstance(data, np.ndarray):
+            raise DataError("labels are required when passing a bare matrix")
+        return X, data.labels, data.n_classes
+    y = np.asarray(labels, dtype=np.int64)
+    return X, y, int(y.max()) + 1 if y.size else 1
 
 
 @dataclass(frozen=True)
@@ -266,15 +280,7 @@ def best_split(
     ``table`` is a ColumnarTable, or a feature matrix with ``labels`` given
     separately. Returns None when no legal split strictly improves impurity.
     """
-    X = _as_matrix(table)
-    if labels is None:
-        if isinstance(table, np.ndarray):
-            raise DataError("labels are required when passing a bare matrix")
-        y = table.labels
-        n_classes = table.n_classes
-    else:
-        y = np.asarray(labels, dtype=np.int64)
-        n_classes = int(y.max()) + 1 if y.size else 1
+    X, y, n_classes = _as_training_set(table, labels)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise DataError("cannot split an empty row set")
@@ -285,28 +291,63 @@ def best_split(
 
 def _grow(
     X: np.ndarray,
+    payload: Callable[[np.ndarray], Any],
+    find_split: Callable[[TreeNode, np.ndarray, int], tuple[int, float] | None],
+) -> TreeNode:
+    """Grow a threshold tree over all rows of ``X``.
+
+    ``payload(rows)`` gives a node's value; ``find_split(node, rows, depth)``
+    gives the node's (feature, threshold), or None to leave it a leaf. Nodes
+    are split in preorder, left child first, which pins down the order of
+    any random draws ``find_split`` makes.
+    """
+    root_rows = np.arange(X.shape[0], dtype=np.int64)
+    root = TreeNode(payload(root_rows))
+    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, root_rows, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        found = find_split(node, rows, depth)
+        if found is None:
+            continue
+        feature, threshold = found
+        mask = X[rows, feature] <= threshold
+        left_rows = rows[mask]
+        right_rows = rows[~mask]
+        node.feature = feature
+        node.threshold = threshold
+        node.left = TreeNode(payload(left_rows))
+        node.right = TreeNode(payload(right_rows))
+        # LIFO: push right first so the left child is split first
+        stack.append((node.right, right_rows, depth + 1))
+        stack.append((node.left, left_rows, depth + 1))
+    return root
+
+
+def _grow_gini(
+    X: np.ndarray,
     y: np.ndarray,
     n_classes: int,
     params: TreeHyperparams,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
 ) -> TreeNode:
+    """Grow a classification tree; with ``features_per_split`` below the
+    feature count, each split searches a fresh ``rng`` sample of features."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
     )
-    root_rows = np.arange(X.shape[0], dtype=np.int64)
-    root = TreeNode(np.bincount(y, minlength=n_classes))
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, root_rows, 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        counts = node.counts
+
+    def class_counts(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(y[rows], minlength=n_classes)
+
+    def find_split(node: TreeNode, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
         if (
-            int(np.count_nonzero(counts)) <= 1
+            int(np.count_nonzero(node.value)) <= 1
             or (params.max_depth is not None and depth >= params.max_depth)
             or rows.size < params.min_samples_split
         ):
-            continue
+            return None
         if sample_features:
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
         else:
@@ -314,21 +355,9 @@ def _grow(
         found = _node_split(
             X, y, rows, n_classes, params.min_samples_leaf, feature_ids
         )
-        if found is None:
-            continue
-        feature, threshold, _ = found
-        mask = X[rows, feature] <= threshold
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode(np.bincount(y[left_rows], minlength=n_classes))
-        node.right = TreeNode(np.bincount(y[right_rows], minlength=n_classes))
-        # LIFO: push right first so the left child is grown first (preorder),
-        # which pins down the rng stream used for feature sampling.
-        stack.append((node.right, right_rows, depth + 1))
-        stack.append((node.left, left_rows, depth + 1))
-    return root
+        return None if found is None else found[:2]
+
+    return _grow(X, class_counts, find_split)
 
 
 def _collect_internal(root: TreeNode) -> list[TreeNode]:
@@ -346,7 +375,7 @@ def _collect_internal(root: TreeNode) -> list[TreeNode]:
 def _subtree_leaf_stats(node: TreeNode, n_total: int) -> tuple[float, int]:
     """(sum of leaf gini * weight, leaf count) under `node`."""
     if node.is_leaf:
-        return gini_impurity(node.counts) * (node.n_rows / n_total), 1
+        return gini_impurity(node.value) * (node.n_rows / n_total), 1
     left_r, left_l = _subtree_leaf_stats(node.left, n_total)
     right_r, right_l = _subtree_leaf_stats(node.right, n_total)
     return left_r + right_r, left_l + right_l
@@ -361,7 +390,7 @@ def _prune(root: TreeNode, ccp_alpha: float) -> None:
         weakest_g = np.inf
         for node in _collect_internal(root):
             r_subtree, leaves = _subtree_leaf_stats(node, n_total)
-            r_node = gini_impurity(node.counts) * (node.n_rows / n_total)
+            r_node = gini_impurity(node.value) * (node.n_rows / n_total)
             g = (r_node - r_subtree) / (leaves - 1)
             if g < weakest_g:
                 weakest_g = g
@@ -388,40 +417,31 @@ def fit_tree(
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned.
     """
-    X = _as_matrix(train)
-    if labels is None:
-        if isinstance(train, np.ndarray):
-            raise DataError("labels are required when passing a bare matrix")
-        y = train.labels
-        n_classes = train.n_classes
-    else:
-        y = np.asarray(labels, dtype=np.int64)
-        n_classes = int(y.max()) + 1 if y.size else 1
+    X, y, n_classes = _as_training_set(train, labels)
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    root = _grow(X, y, n_classes, params)
+    root = _grow_gini(X, y, n_classes, params)
     if params.ccp_alpha > 0.0:
         _prune(root, params.ccp_alpha)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
-def _route_and_assign(
+def _route(
     root: TreeNode,
     X: np.ndarray,
-    out: np.ndarray,
     max_depth: int | None = None,
     min_samples_split: int | None = None,
-) -> None:
-    """Write each row's predicted class into ``out``.
+) -> Iterator[tuple[TreeNode, np.ndarray]]:
+    """Yield (stop node, ids of the rows of ``X`` that stop there).
 
     A row stops at the first leaf, or at the first node at depth >= max_depth
     or holding fewer than min_samples_split training rows; None cuts nothing.
     Split choice depends only on a node's rows and min_samples_leaf, so an
-    unpruned tree grown with no depth limit and a split gate no larger than
-    min_samples_split, cut this way, predicts exactly like the tree grown with
-    these limits and the same min_samples_leaf.
+    unpruned gini tree grown with no depth limit and a split gate no larger
+    than min_samples_split, cut this way, predicts exactly like the tree grown
+    with these limits and the same min_samples_leaf.
     """
     stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
     while stack:
@@ -433,7 +453,7 @@ def _route_and_assign(
             or (max_depth is not None and depth >= max_depth)
             or (min_samples_split is not None and node.n_rows < min_samples_split)
         ):
-            out[rows] = node.prediction
+            yield node, rows
             continue
         mask = X[rows, node.feature] <= node.threshold
         stack.append((node.left, rows[mask], depth + 1))
@@ -449,5 +469,6 @@ def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
     out = np.empty(X.shape[0], dtype=np.int64)
-    _route_and_assign(model.root, X, out)
+    for node, rows in _route(model.root, X):
+        out[rows] = node.prediction
     return out

@@ -150,14 +150,6 @@ class PrepReport:
                 return entry
         raise DataError(f"no report entry for stage {name!r}")
 
-    def rows_removed(self, name: str) -> int:
-        entry = self.stage(name)
-        return entry.rows_before - entry.rows_after
-
-    def columns_removed(self, name: str) -> int:
-        entry = self.stage(name)
-        return entry.columns_before - entry.columns_after
-
     def to_dicts(self) -> list[dict]:
         return [e.to_dict() for e in self.entries]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import TreeHyperparams, TreeNode, _route_and_assign, fit_tree
+from .models.tree import TreeHyperparams, TreeNode, _route, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -309,7 +309,8 @@ def dt_objective(
             min_samples_leaf=min_leaf,
         )
         predicted = np.empty(holdout_X.shape[0], dtype=np.int64)
-        _route_and_assign(grown_tree(min_leaf), holdout_X, predicted, depth, min_split)
+        for node, rows in _route(grown_tree(min_leaf), holdout_X, depth, min_split):
+            predicted[rows] = node.prediction
         return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
 
     return objective

@@ -195,6 +195,44 @@ def test_train_saves_models_and_eval_scores_them(tmp_path, capsys):
     assert [e["class"] for e in doc["per_class"]] == ["calm", "burst", "probe"]
 
 
+def test_train_fits_each_model_once_and_saves_the_evaluated_ones(
+    tmp_path, capsys, monkeypatch
+):
+    import flowgate.harness as harness
+    from flowgate.models import load_model, model_to_dict
+
+    fitted = {}
+
+    def counting(name):
+        fit = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            fitted.setdefault(name, []).append(model)
+            return model
+
+        return wrapper
+
+    for name in ("majority_baseline", "fit_tree", "fit_forest", "fit_gbt"):
+        monkeypatch.setattr(harness, name, counting(name))
+    config = _write_config(
+        tmp_path,
+        models=["baseline", "dt", {"type": "rf", "n_trees": 2}, {"type": "gbt", "n_rounds": 1}],
+    )
+    code, out, err = _run(capsys, "train", "--config", str(config), "--save-models")
+    assert code == 0, err
+    assert {name: len(models) for name, models in fitted.items()} == {
+        "majority_baseline": 1, "fit_tree": 1, "fit_forest": 1, "fit_gbt": 1,
+    }
+    for kind, name in (
+        ("baseline", "majority_baseline"), ("dt", "fit_tree"),
+        ("rf", "fit_forest"), ("gbt", "fit_gbt"),
+    ):
+        path = tmp_path / "out" / f"model_{kind}.json"
+        assert f"wrote {path}" in out
+        assert model_to_dict(load_model(path)) == model_to_dict(fitted[name][0])
+
+
 def test_tune_prints_best_point(tmp_path, capsys):
     config = _write_config(
         tmp_path,

@@ -6,7 +6,7 @@ import pytest
 from flowgate.errors import DataError
 from flowgate.models.gbt import (
     GbtParams,
-    _grow_regression,
+    _gradient_split,
     fit_gbt,
     predict_gbt,
     predict_scores,
@@ -78,8 +78,7 @@ def test_zero_hessian_side_scores_zero_and_keeps_the_best_split():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.array([0.0, -1.0, -1.0, 1.0])
     h = np.array([0.0, 1.0, 1.0, 1.0])
-    root = _grow_regression(X, g, h, max_depth=1, lam=0.0)
-    assert (root.feature, root.threshold) == (0, 2.5)
+    assert _gradient_split(X, g, h, np.arange(4), lam=0.0) == (0, 2.5)
 
 
 def test_feature_shift_leaves_predictions_unchanged():

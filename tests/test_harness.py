@@ -145,12 +145,22 @@ def test_fit_model_resolves_hyperparameters():
     )
     assert resolved["n_trees"] == 3
     assert len(model.trees) == 3
-    with pytest.raises(ConfigError):
-        fit_model(
-            ModelSpec.from_value({"type": "dt", "bogus": 1}, "models[0]"),
-            split.train,
-            config.seed,
-        )
+    # "criterion" and "seed" were tree hyperparameters that growth never read
+    for bad in (
+        {"type": "dt", "bogus": 1},
+        {"type": "dt", "criterion": "entropy"},
+        {"type": "rf", "criterion": "gini"},
+        {"type": "dt", "seed": 3},
+    ):
+        with pytest.raises(ConfigError, match="unknown hyperparameters"):
+            fit_model(ModelSpec.from_value(bad, "models[0]"), split.train, config.seed)
+
+
+def test_forest_reports_the_config_seed():
+    manifest = run_experiment(_config(seed=5, models=[{"type": "rf", "n_trees": 2}]))
+    hyperparams = manifest.metrics_document()["models"][0]["hyperparams"]
+    assert hyperparams["seed"] == 5
+    assert manifest.model_named("RF").model.seed == 5
 
 
 # -- formatting and artifacts ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Model persistence: bit-exact round trips and format guards."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from flowgate.models.serialize import (
 )
 from flowgate.models.tree import TreeHyperparams, fit_tree, predict_tree
 
-from conftest import conflict_free_table
+from conftest import conflict_free_table, make_table
+
+PINNED = Path(__file__).parent / "data"
 
 
 def _table():
@@ -111,3 +114,68 @@ def test_saved_file_is_plain_json(tmp_path):
     # learned thresholds are stored as hex strings, not lossy decimals
     text = path.read_text(encoding="utf-8")
     assert "0x1." in text
+
+
+# -- pinned v1 files ----------------------------------------------------------
+# tests/data/model_v1_<kind>.json were fitted on _pinned_table() with the
+# hyperparameters in _pinned_fit, by the writer that still stored the unused
+# "criterion" and "seed" tree hyperparameters.
+
+
+def _pinned_table():
+    rng = np.random.default_rng(404)
+    X = rng.normal(size=(48, 3)).round(2)
+    y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] + X[:, 2] > 0.5)
+    return make_table(X, y)
+
+
+def _pinned_probe():
+    return np.random.default_rng(405).normal(size=(12, 3)).round(2)
+
+
+def _pinned_fit(kind, table):
+    if kind == "baseline":
+        return majority_baseline(table)
+    if kind == "dt":
+        return fit_tree(table, TreeHyperparams(max_depth=4, ccp_alpha=0.01))
+    if kind == "rf":
+        return fit_forest(table, n_trees=3, params=TreeHyperparams(max_depth=3), seed=7)
+    return fit_gbt(table, GbtParams(n_rounds=2, max_depth=2, learning_rate=0.5))
+
+
+PINNED_PREDICTIONS = {
+    "baseline": [1] * 12,
+    "dt": [1, 0, 1, 2, 2, 1, 2, 1, 1, 1, 1, 1],
+    "rf": [1, 1, 1, 2, 2, 1, 2, 1, 1, 1, 1, 1],
+    "gbt": [1, 0, 1, 1, 2, 1, 2, 1, 2, 1, 1, 1],
+}
+
+
+def _current_v1_text(doc):
+    """The pinned document as written today: dt and rf no longer store the
+    unused "criterion" and "seed" tree hyperparameters."""
+    doc = json.loads(json.dumps(doc))
+    if doc["kind"] in ("decision_tree", "random_forest"):
+        del doc["params"]["criterion"], doc["params"]["seed"]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
+def test_pinned_v1_file_loads_and_predicts(kind):
+    model = load_model(PINNED / f"model_v1_{kind}.json")
+    probe = _pinned_probe()
+    predicted = model.predict(probe.shape[0] if kind == "baseline" else probe)
+    assert predicted.tolist() == PINNED_PREDICTIONS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
+def test_pinned_v1_file_is_reproduced_byte_for_byte(kind, tmp_path):
+    pinned = (PINNED / f"model_v1_{kind}.json").read_text(encoding="utf-8")
+    expected = _current_v1_text(json.loads(pinned))
+    if kind in ("baseline", "gbt"):
+        assert expected == pinned
+    # a load/save round trip and a fresh fit both write the same bytes
+    save_model(load_model(PINNED / f"model_v1_{kind}.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == expected
+    save_model(_pinned_fit(kind, _pinned_table()), tmp_path / "refit.json")
+    assert (tmp_path / "refit.json").read_text(encoding="utf-8") == expected

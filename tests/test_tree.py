@@ -198,7 +198,7 @@ def test_node_counts_sum_to_children():
         node = stack.pop()
         if node.is_leaf:
             continue
-        assert np.array_equal(node.counts, node.left.counts + node.right.counts)
+        assert np.array_equal(node.value, node.left.value + node.right.value)
         stack.extend([node.left, node.right])
 
 
@@ -213,8 +213,6 @@ def test_hyperparameter_validation():
         TreeHyperparams(min_samples_leaf=5, min_samples_split=4)
     with pytest.raises(DataError):
         TreeHyperparams(ccp_alpha=-0.1)
-    with pytest.raises(DataError):
-        TreeHyperparams(criterion="entropy")
 
 
 def test_fit_rejects_empty_inputs():
