@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, TuningConfig
+from .config import ExperimentConfig
 from .dataset import class_distribution, column_stats
 from .errors import ConfigError, DataError, FlowgateError
 from .harness import (
@@ -225,7 +225,9 @@ def _print_metric_rows(manifest: RunManifest) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if config.tuning.enabled:
-        config = dataclasses.replace(config, tuning=TuningConfig(enabled=False))
+        config = dataclasses.replace(
+            config, tuning=dataclasses.replace(config.tuning, enabled=False)
+        )
     if not config.models:
         raise ConfigError("train needs at least one model in the config")
     manifest, paths = run_and_emit(config)

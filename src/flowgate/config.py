@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .prep import FIT_FULL_DATASET, PrepOptions
 from .profiles import BUILTIN_PROFILES, DatasetProfile, builtin_profile
+from .swarm import DT_DEFAULT_POINT, EpsoConfig
 from .synth import SynthSpec
 
 MODEL_BASELINE = "baseline"
@@ -290,18 +291,45 @@ class TuningConfig:
     seed_default_point: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_particles < 1:
-            raise ConfigError("tuning.n_particles must be >= 1")
-        if self.n_iterations < 0:
-            raise ConfigError("tuning.n_iterations must be >= 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("tuning.holdout_fraction must be in (0, 1)")
+        try:
+            self.epso_config(seed=0)
+        except DataError as exc:
+            raise ConfigError(f"tuning settings give an invalid swarm: {exc}") from None
+
+    def epso_config(self, seed: int) -> EpsoConfig:
+        """The swarm these settings describe, seeded with ``seed``."""
+        return EpsoConfig(
+            n_particles=self.n_particles,
+            n_iterations=self.n_iterations,
+            w_start=self.inertia_start,
+            w_end=self.inertia_end,
+            c1=self.cognitive,
+            c2=self.social,
+            v_max_fraction=self.velocity_fraction,
+            seed=seed,
+            memoize=self.memoize,
+            inertia_decay=self.inertia_decay,
+            velocity_clamp=self.velocity_clamp,
+            seed_point=DT_DEFAULT_POINT if self.seed_default_point else None,
+        )
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "TuningConfig":
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"tuning has unknown keys {sorted(unknown)}")
+        # type checks only: a converted value would change the config hash
+        for key, value in doc.items():
+            where = f"tuning.{key}"
+            kind = type(cls.__dataclass_fields__[key].default)
+            if kind is bool and not isinstance(value, bool):
+                raise ConfigError(f"{where} must be true or false, got {value!r}")
+            if kind is int:
+                _as_int(value, where)
+            if kind is float:
+                _as_float(value, where)
         return cls(**dict(doc))
 
     def to_dict(self) -> dict:

@@ -42,14 +42,7 @@ from .models import (
     majority_baseline,
 )
 from .prep import PrepOptions, PrepReport, SplitPair, preprocess_pipeline
-from .swarm import (
-    DT_DEFAULT_POINT,
-    EpsoConfig,
-    TraceEntry,
-    dt_objective,
-    dt_search_space,
-    optimize,
-)
+from .swarm import DT_DEFAULT_POINT, TraceEntry, dt_objective, dt_search_space, optimize
 from .synth import CorruptionLedger, corrupt, generate_flows
 
 TUNED_DT_NAME = "EPSO DT"
@@ -65,7 +58,6 @@ class ModelResult:
     model_type: str
     hyperparams: dict
     report: EvalReport
-    seconds: float
     model: Any
 
     def metric_dict(self) -> dict:
@@ -82,7 +74,6 @@ class TuningOutcome:
     default_point: tuple[int, ...]
     default_fitness: float
     trace: tuple[TraceEntry, ...]
-    seconds: float
 
     def metric_dict(self) -> dict:
         return {
@@ -220,7 +211,6 @@ def fit_model(spec: ModelSpec, train: ColumnarTable, master_seed: int):
 def _fit_and_eval(
     spec: ModelSpec, split: SplitPair, mode: str, master_seed: int
 ) -> ModelResult:
-    start = time.perf_counter()
     model, resolved = fit_model(spec, split.train, master_seed)
     predicted = model.predict(split.test)
     matrix = confusion_matrix(
@@ -235,7 +225,6 @@ def _fit_and_eval(
         model_type=spec.type,
         hyperparams=resolved,
         report=report,
-        seconds=time.perf_counter() - start,
         model=model,
     )
 
@@ -305,26 +294,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         tuning = config.tuning
 
         def do_tune() -> TuningOutcome:
-            start = time.perf_counter()
             objective = dt_objective(
                 split, holdout_fraction=tuning.holdout_fraction, seed=config.seed + 3
             )
-            space = dt_search_space()
-            epso = EpsoConfig(
-                n_particles=tuning.n_particles,
-                n_iterations=tuning.n_iterations,
-                w_start=tuning.inertia_start,
-                w_end=tuning.inertia_end,
-                c1=tuning.cognitive,
-                c2=tuning.social,
-                v_max_fraction=tuning.velocity_fraction,
-                seed=config.seed + 3,
-                memoize=tuning.memoize,
-                inertia_decay=tuning.inertia_decay,
-                velocity_clamp=tuning.velocity_clamp,
-                seed_point=DT_DEFAULT_POINT if tuning.seed_default_point else None,
-            )
-            best_point, best_fitness, trace = optimize(space, epso, objective)
+            epso = tuning.epso_config(seed=config.seed + 3)
+            best_point, best_fitness, trace = optimize(dt_search_space(), epso, objective)
             default_fitness = objective(DT_DEFAULT_POINT)
             return TuningOutcome(
                 best_point=best_point,
@@ -332,7 +306,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 default_point=DT_DEFAULT_POINT,
                 default_fitness=default_fitness,
                 trace=tuple(trace),
-                seconds=time.perf_counter() - start,
             )
 
         manifest.tuning = run_stage("tune", do_tune)

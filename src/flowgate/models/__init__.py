@@ -6,8 +6,8 @@ from .gbt import GbtModel, GbtParams, fit_gbt, predict_gbt
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .tree import (
     DecisionTreeModel,
+    Tree,
     TreeHyperparams,
-    TreeNode,
     best_split,
     fit_tree,
     gini_impurity,
@@ -20,8 +20,8 @@ __all__ = [
     "ForestModel",
     "GbtModel",
     "GbtParams",
+    "Tree",
     "TreeHyperparams",
-    "TreeNode",
     "best_split",
     "fit_forest",
     "fit_gbt",

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
-from .tree import TreeNode, _as_matrix, _as_training_set, _grow, _route
+from .tree import Tree, _as_matrix, _as_training_set, _grow, _route
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class GbtParams:
 @dataclass(frozen=True)
 class GbtModel:
     base_score: np.ndarray
-    trees: tuple[tuple[TreeNode, ...], ...]  # [round][class]; value = leaf weight
+    trees: tuple[tuple[Tree, ...], ...]  # [round][class]; value = leaf weights
     params: GbtParams
     n_classes: int
     n_features: int
@@ -118,13 +118,13 @@ def _gradient_split(
 
 def _grow_gradient(
     X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
-) -> TreeNode:
+) -> Tree:
     """Grow one boosting tree on per-row gradients g and hessians h."""
 
     def leaf_weight(rows: np.ndarray) -> float:
         return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), lam)
 
-    def find_split(node: TreeNode, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
+    def find_split(weight: float, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
         if depth >= max_depth or rows.size < 2:
             return None
         return _gradient_split(X, g, h, rows, lam)
@@ -156,17 +156,16 @@ def fit_gbt(
     onehot[np.arange(n), y] = 1.0
 
     scores = np.tile(base, (n, 1))
-    rounds: list[tuple[TreeNode, ...]] = []
+    rounds: list[tuple[Tree, ...]] = []
     for _ in range(params.n_rounds):
         probs = _softmax(scores)
-        round_trees: list[TreeNode] = []
+        round_trees: list[Tree] = []
         for k in range(n_classes):
             g = probs[:, k] - onehot[:, k]
             h = probs[:, k] * (1.0 - probs[:, k])
             tree = _grow_gradient(X, g, h, params.max_depth, params.l2_lambda)
             round_trees.append(tree)
-            for node, rows in _route(tree, X):
-                scores[rows, k] += params.learning_rate * node.value
+            scores[:, k] += params.learning_rate * tree.value[_route(tree, X)]
         rounds.append(tuple(round_trees))
     return GbtModel(
         base_score=base,
@@ -185,8 +184,7 @@ def predict_scores(model: GbtModel, data: "ColumnarTable | np.ndarray") -> np.nd
     scores = np.tile(model.base_score, (X.shape[0], 1))
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):
-            for node, rows in _route(tree, X):
-                scores[rows, k] += model.params.learning_rate * node.value
+            scores[:, k] += model.params.learning_rate * tree.value[_route(tree, X)]
     return scores
 
 

@@ -15,7 +15,7 @@ from ..errors import DataError
 from .baseline import BaselineModel
 from .forest import ForestModel
 from .gbt import GbtModel, GbtParams
-from .tree import DecisionTreeModel, TreeHyperparams, TreeNode
+from .tree import DecisionTreeModel, Tree, TreeHyperparams
 
 FORMAT_NAME = "flowgate-model"
 FORMAT_VERSION = 1
@@ -42,29 +42,30 @@ _COUNTS = ("counts", lambda v: [int(c) for c in v], lambda d: np.asarray(d, dtyp
 _WEIGHT = ("value", _hex, _unhex)
 
 
-def _node_to_dict(node: TreeNode, payload: tuple) -> dict:
+def _tree_to_dict(tree: Tree, payload: tuple, node: int = 0) -> dict:
     key, write, _ = payload
-    doc: dict = {key: write(node.value)}
-    if not node.is_leaf:
-        doc["feature"] = int(node.feature)
-        doc["threshold"] = _hex(node.threshold)
-        doc["left"] = _node_to_dict(node.left, payload)
-        doc["right"] = _node_to_dict(node.right, payload)
+    doc: dict = {key: write(tree.value[node])}
+    if tree.feature[node] >= 0:
+        doc["feature"] = int(tree.feature[node])
+        doc["threshold"] = _hex(tree.threshold[node])
+        doc["left"] = _tree_to_dict(tree, payload, node + 1)
+        doc["right"] = _tree_to_dict(tree, payload, int(tree.right[node]))
     return doc
 
 
-def _node_from_dict(doc: dict, payload: tuple) -> TreeNode:
+def _tree_from_dict(doc: dict, payload: tuple) -> Tree:
     key, _, read = payload
-    value = read(doc[key])
-    if "feature" not in doc:
-        return TreeNode(value)
-    return TreeNode(
-        value,
-        feature=int(doc["feature"]),
-        threshold=_unhex(doc["threshold"]),
-        left=_node_from_dict(doc["left"], payload),
-        right=_node_from_dict(doc["right"], payload),
-    )
+    nodes = []
+    stack = [doc]
+    while stack:  # preorder, left child first
+        node = stack.pop()
+        if "feature" in node:
+            nodes.append((read(node[key]), int(node["feature"]), _unhex(node["threshold"])))
+            stack += [node["right"], node["left"]]
+        else:
+            nodes.append((read(node[key]), -1, np.nan))
+    values, features, thresholds = zip(*nodes)
+    return Tree(np.asarray(values), features, thresholds)
 
 
 def _params_to_dict(params: TreeHyperparams) -> dict:
@@ -94,7 +95,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "n_classes": model.n_classes,
             "n_features": model.n_features,
             "params": _params_to_dict(model.params),
-            "root": _node_to_dict(model.root, _COUNTS),
+            "root": _tree_to_dict(model.root, _COUNTS),
         }
     if isinstance(model, ForestModel):
         return header | {
@@ -105,7 +106,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "bootstrap": model.bootstrap,
             "seed": model.seed,
             "params": _params_to_dict(model.params),
-            "trees": [_node_to_dict(t.root, _COUNTS) for t in model.trees],
+            "trees": [_tree_to_dict(t.root, _COUNTS) for t in model.trees],
         }
     if isinstance(model, GbtModel):
         return header | {
@@ -120,7 +121,7 @@ def model_to_dict(model: AnyModel) -> dict:
             },
             "base_score": [_hex(v) for v in model.base_score],
             "trees": [
-                [_node_to_dict(t, _WEIGHT) for t in round_trees]
+                [_tree_to_dict(t, _WEIGHT) for t in round_trees]
                 for round_trees in model.trees
             ],
         }
@@ -142,7 +143,7 @@ def model_from_dict(doc: dict) -> AnyModel:
     kind = doc.get("kind")
     if kind == KIND_TREE:
         return DecisionTreeModel(
-            root=_node_from_dict(doc["root"], _COUNTS),
+            root=_tree_from_dict(doc["root"], _COUNTS),
             params=_params_from_dict(doc["params"]),
             n_classes=int(doc["n_classes"]),
             n_features=int(doc["n_features"]),
@@ -153,7 +154,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         n_features = int(doc["n_features"])
         trees = tuple(
             DecisionTreeModel(
-                root=_node_from_dict(t, _COUNTS),
+                root=_tree_from_dict(t, _COUNTS),
                 params=params,
                 n_classes=n_classes,
                 n_features=n_features,
@@ -178,7 +179,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         )
         base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
         trees = tuple(
-            tuple(_node_from_dict(t, _WEIGHT) for t in round_trees)
+            tuple(_tree_from_dict(t, _WEIGHT) for t in round_trees)
             for round_trees in doc["trees"]
         )
         return GbtModel(

@@ -12,7 +12,7 @@ bit for bit at any sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -49,57 +49,52 @@ class TreeHyperparams:
             raise DataError(f"ccp_alpha must be >= 0, got {self.ccp_alpha}")
 
 
-class TreeNode:
-    """Binary threshold-tree node; rows with value <= threshold route left.
+class Tree:
+    """Binary threshold tree as node arrays in preorder.
 
-    ``value`` is the node's payload: its class-count vector in a gini tree,
-    its additive leaf weight in a boosting tree. ``prediction`` and
-    ``n_rows`` read class counts, so they apply to gini trees only.
+    ``value[i]`` is node i's payload: its class-count vector in a gini tree
+    (a row of an int matrix), its additive leaf weight in a boosting tree.
+    ``feature[i]`` is the split feature, -1 at a leaf; rows with value <=
+    ``threshold[i]`` route left. Node 0 is the root, an internal node's left
+    child is the next node and its right child follows the left subtree.
+    ``right`` (-1 at a leaf) and ``node_depth`` are derived from that layout.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("value", "feature", "threshold", "right", "node_depth")
 
-    def __init__(
-        self,
-        value: Any,
-        feature: int | None = None,
-        threshold: float | None = None,
-        left: "TreeNode | None" = None,
-        right: "TreeNode | None" = None,
-    ) -> None:
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def prediction(self) -> int:
-        # argmax returns the first maximum, i.e. the lowest class id on ties
-        return int(np.argmax(self.value))
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.value.sum())
+    def __init__(self, value: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> None:
+        self.value = np.asarray(value)
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        n = self.feature.size
+        self.right = np.full(n, -1, dtype=np.int64)
+        self.node_depth = np.zeros(n, dtype=np.int64)
+        # open child slots (parent of a right child or -1, depth); the next
+        # preorder node fills the top one
+        slots: list[tuple[int, int]] = [(-1, 0)]
+        for node in range(n):
+            if not slots:
+                raise DataError("tree arrays are not one preorder tree")
+            parent, depth = slots.pop()
+            if parent >= 0:
+                self.right[parent] = node
+            self.node_depth[node] = depth
+            if self.feature[node] >= 0:
+                slots.append((node, depth + 1))
+                slots.append((-1, depth + 1))  # the left child is the next node
+        if slots or len(self.value) != n or self.threshold.size != n:
+            raise DataError("tree arrays are not one preorder tree")
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        return int(self.node_depth.max())
 
     def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
+        return int(np.count_nonzero(self.feature < 0))
 
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
-    root: TreeNode
+    root: Tree
     params: TreeHyperparams
     n_classes: int
     n_features: int
@@ -292,35 +287,30 @@ def best_split(
 def _grow(
     X: np.ndarray,
     payload: Callable[[np.ndarray], Any],
-    find_split: Callable[[TreeNode, np.ndarray, int], tuple[int, float] | None],
-) -> TreeNode:
+    find_split: Callable[[Any, np.ndarray, int], tuple[int, float] | None],
+) -> Tree:
     """Grow a threshold tree over all rows of ``X``.
 
-    ``payload(rows)`` gives a node's value; ``find_split(node, rows, depth)``
+    ``payload(rows)`` gives a node's value; ``find_split(value, rows, depth)``
     gives the node's (feature, threshold), or None to leave it a leaf. Nodes
-    are split in preorder, left child first, which pins down the order of
-    any random draws ``find_split`` makes.
+    are appended and split in preorder, left child first, which pins down
+    the order of any random draws ``find_split`` makes.
     """
-    root_rows = np.arange(X.shape[0], dtype=np.int64)
-    root = TreeNode(payload(root_rows))
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, root_rows, 0)]
+    nodes: list[tuple[Any, int, float]] = []
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(X.shape[0], dtype=np.int64), 0)]
     while stack:
-        node, rows, depth = stack.pop()
-        found = find_split(node, rows, depth)
-        if found is None:
-            continue
-        feature, threshold = found
-        mask = X[rows, feature] <= threshold
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode(payload(left_rows))
-        node.right = TreeNode(payload(right_rows))
-        # LIFO: push right first so the left child is split first
-        stack.append((node.right, right_rows, depth + 1))
-        stack.append((node.left, left_rows, depth + 1))
-    return root
+        rows, depth = stack.pop()
+        value = payload(rows)
+        found = find_split(value, rows, depth)
+        feature, threshold = (-1, np.nan) if found is None else found
+        nodes.append((value, feature, threshold))
+        if found is not None:
+            mask = X[rows, feature] <= threshold
+            # LIFO: push right first so the left child is split first
+            stack.append((rows[~mask], depth + 1))
+            stack.append((rows[mask], depth + 1))
+    values, features, thresholds = zip(*nodes)
+    return Tree(np.asarray(values), features, thresholds)
 
 
 def _grow_gini(
@@ -330,7 +320,7 @@ def _grow_gini(
     params: TreeHyperparams,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow a classification tree; with ``features_per_split`` below the
     feature count, each split searches a fresh ``rng`` sample of features."""
     n_features = X.shape[1]
@@ -341,9 +331,9 @@ def _grow_gini(
     def class_counts(rows: np.ndarray) -> np.ndarray:
         return np.bincount(y[rows], minlength=n_classes)
 
-    def find_split(node: TreeNode, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
+    def find_split(counts: np.ndarray, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
         if (
-            int(np.count_nonzero(node.value)) <= 1
+            int(np.count_nonzero(counts)) <= 1
             or (params.max_depth is not None and depth >= params.max_depth)
             or rows.size < params.min_samples_split
         ):
@@ -360,50 +350,40 @@ def _grow_gini(
     return _grow(X, class_counts, find_split)
 
 
-def _collect_internal(root: TreeNode) -> list[TreeNode]:
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            out.append(node)
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
-
-
-def _subtree_leaf_stats(node: TreeNode, n_total: int) -> tuple[float, int]:
-    """(sum of leaf gini * weight, leaf count) under `node`."""
-    if node.is_leaf:
-        return gini_impurity(node.value) * (node.n_rows / n_total), 1
-    left_r, left_l = _subtree_leaf_stats(node.left, n_total)
-    right_r, right_l = _subtree_leaf_stats(node.right, n_total)
-    return left_r + right_r, left_l + right_l
-
-
-def _prune(root: TreeNode, ccp_alpha: float) -> None:
-    """Minimal cost-complexity pruning: repeatedly collapse the weakest link
-    while its impurity improvement per removed leaf is <= ccp_alpha."""
-    n_total = root.n_rows
-    while not root.is_leaf:
-        weakest: list[TreeNode] = []
-        weakest_g = np.inf
-        for node in _collect_internal(root):
-            r_subtree, leaves = _subtree_leaf_stats(node, n_total)
-            r_node = gini_impurity(node.value) * (node.n_rows / n_total)
-            g = (r_node - r_subtree) / (leaves - 1)
-            if g < weakest_g:
-                weakest_g = g
-                weakest = [node]
-            elif g == weakest_g:
-                weakest.append(node)
+def _prune(tree: Tree, ccp_alpha: float) -> Tree:
+    """Minimal cost-complexity pruning: repeatedly collapse the weakest links
+    (every internal node tied at the lowest impurity improvement per removed
+    leaf) while that improvement is <= ccp_alpha."""
+    n = tree.feature.size
+    n_total = int(tree.value[0].sum())
+    # risk of node i as a leaf: its gini weighted by its share of the rows
+    risk = [gini_impurity(v) * (int(v.sum()) / n_total) for v in tree.value]
+    feature = tree.feature.copy()
+    right = tree.right
+    end = np.arange(1, n + 1)  # one past the last node of each subtree
+    for node in range(n - 1, -1, -1):
+        if feature[node] >= 0:
+            end[node] = end[right[node]]
+    live = np.ones(n, dtype=bool)
+    while feature[0] >= 0:
+        # leaf risk sums and leaf counts of every live subtree, leaves up
+        subtree_risk = list(risk)
+        leaves = [1] * n
+        g = np.full(n, np.inf)
+        for node in range(n - 1, -1, -1):
+            if live[node] and feature[node] >= 0:
+                left, other = node + 1, right[node]
+                subtree_risk[node] = subtree_risk[left] + subtree_risk[other]
+                leaves[node] = leaves[left] + leaves[other]
+                g[node] = (risk[node] - subtree_risk[node]) / (leaves[node] - 1)
+        weakest_g = g.min()
         if weakest_g > ccp_alpha:
             break
-        for node in weakest:
-            node.feature = None
-            node.threshold = None
-            node.left = None
-            node.right = None
+        for node in np.flatnonzero(g == weakest_g):
+            feature[node] = -1
+            live[node + 1 : end[node]] = False
+    threshold = np.where(feature < 0, np.nan, tree.threshold)
+    return Tree(tree.value[live], feature[live], threshold[live])
 
 
 def fit_tree(
@@ -424,17 +404,17 @@ def fit_tree(
         raise DataError("cannot fit a tree without features")
     root = _grow_gini(X, y, n_classes, params)
     if params.ccp_alpha > 0.0:
-        _prune(root, params.ccp_alpha)
+        root = _prune(root, params.ccp_alpha)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
 def _route(
-    root: TreeNode,
+    tree: Tree,
     X: np.ndarray,
     max_depth: int | None = None,
     min_samples_split: int | None = None,
-) -> Iterator[tuple[TreeNode, np.ndarray]]:
-    """Yield (stop node, ids of the rows of ``X`` that stop there).
+) -> np.ndarray:
+    """Id of the node where each row of ``X`` stops.
 
     A row stops at the first leaf, or at the first node at depth >= max_depth
     or holding fewer than min_samples_split training rows; None cuts nothing.
@@ -443,21 +423,20 @@ def _route(
     than min_samples_split, cut this way, predicts exactly like the tree grown
     with these limits and the same min_samples_leaf.
     """
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        if rows.size == 0:
-            continue
-        if (
-            node.is_leaf
-            or (max_depth is not None and depth >= max_depth)
-            or (min_samples_split is not None and node.n_rows < min_samples_split)
-        ):
-            yield node, rows
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask], depth + 1))
-        stack.append((node.right, rows[~mask], depth + 1))
+    stop = tree.feature < 0
+    if max_depth is not None:
+        stop |= tree.node_depth >= max_depth
+    if min_samples_split is not None:
+        stop |= tree.value.sum(axis=1) < min_samples_split
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    moving = np.flatnonzero(~stop[node])
+    while moving.size:
+        # advance every row still moving one level down
+        at = node[moving]
+        go_left = X[moving, tree.feature[at]] <= tree.threshold[at]
+        node[moving] = np.where(go_left, at + 1, tree.right[at])
+        moving = moving[~stop[node[moving]]]
+    return node
 
 
 def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:
@@ -468,7 +447,4 @@ def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -
         raise DataError(
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for node, rows in _route(model.root, X):
-        out[rows] = node.prediction
-    return out
+    return np.argmax(model.root.value, axis=1)[_route(model.root, X)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import TreeHyperparams, TreeNode, _route, fit_tree
+from .models.tree import Tree, TreeHyperparams, _route, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -284,11 +284,11 @@ def dt_objective(
     holdout_labels = inner.test.labels
     n_classes = inner.test.n_classes
 
-    grown: dict[int, TreeNode] = {}
+    grown: dict[int, Tree] = {}
     leaf_locks: dict[int, threading.Lock] = {}
     locks_guard = threading.Lock()
 
-    def grown_tree(min_leaf: int) -> TreeNode:
+    def grown_tree(min_leaf: int) -> Tree:
         # one lock per leaf size: concurrent workers never grow a tree twice,
         # while trees for different leaf sizes still grow in parallel
         with locks_guard:
@@ -308,9 +308,8 @@ def dt_objective(
             min_samples_split=min_split,
             min_samples_leaf=min_leaf,
         )
-        predicted = np.empty(holdout_X.shape[0], dtype=np.int64)
-        for node, rows in _route(grown_tree(min_leaf), holdout_X, depth, min_split):
-            predicted[rows] = node.prediction
+        tree = grown_tree(min_leaf)
+        predicted = np.argmax(tree.value, axis=1)[_route(tree, holdout_X, depth, min_split)]
         return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
 
     return objective

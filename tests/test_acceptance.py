@@ -145,15 +145,16 @@ def test_gate_tree_memorizes_and_respects_limits():
         bounded = fit_tree(table, limits)
         assert bounded.root.depth() <= limits.max_depth
         X = table.feature_matrix()
-        stack = [(bounded.root, np.arange(n))]
+        tree = bounded.root
+        stack = [(0, np.arange(n))]
         while stack:
             node, rows = stack.pop()
-            if node.is_leaf:
+            if tree.feature[node] < 0:
                 assert rows.size >= limits.min_samples_leaf
                 continue
-            mask = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
+            mask = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack.append((node + 1, rows[mask]))
+            stack.append((tree.right[node], rows[~mask]))
     elapsed = time.perf_counter() - start
     _verdict(
         "gate 4 (tree memorization + structure)",

@@ -233,6 +233,46 @@ def test_train_fits_each_model_once_and_saves_the_evaluated_ones(
         assert model_to_dict(load_model(path)) == model_to_dict(fitted[name][0])
 
 
+def test_train_records_the_tuning_block_as_written(tmp_path, capsys):
+    from flowgate.config import ExperimentConfig
+
+    tuning = {"enabled": True, "n_particles": 5, "holdout_fraction": 0.4}
+    config = _write_config(tmp_path, tuning=tuning)
+    code, _, err = _run(capsys, "train", "--config", str(config))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    recorded = manifest["config"]["tuning"]
+    assert recorded["enabled"] is False
+    assert (recorded["n_particles"], recorded["holdout_fraction"]) == (5, 0.4)
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    doc["tuning"]["enabled"] = False
+    expected = ExperimentConfig.from_dict(doc).config_hash()
+    assert manifest["metrics"]["config_hash"] == expected
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"velocity_fraction": 0},
+        {"n_particles": "20"},
+        {"inertia_start": "0.9"},
+        {"inertia_decay": "no"},
+    ],
+)
+def test_bad_tuning_setting_fails_at_config_load(tmp_path, capsys, monkeypatch, setting):
+    import flowgate.harness as harness
+
+    def no_dataset(config):
+        raise AssertionError("the dataset stage ran")
+
+    monkeypatch.setattr(harness, "build_source", no_dataset)
+    config = _write_config(tmp_path, tuning={"enabled": True, **setting})
+    code, _, err = _run(capsys, "report", "--config", str(config))
+    assert code == 1
+    assert "configuration error" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tune_prints_best_point(tmp_path, capsys):
     config = _write_config(
         tmp_path,

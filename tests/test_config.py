@@ -175,6 +175,32 @@ def test_tuning_defaults():
     assert tuning.seed_default_point
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"n_particles": 0},
+        {"n_iterations": -1},
+        {"velocity_fraction": 0.0},
+        {"n_particles": 20.0},
+        {"n_iterations": True},
+        {"cognitive": "2"},
+        {"memoize": 1},
+    ],
+)
+def test_bad_tuning_settings_rejected(setting):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(_doc(tuning={"enabled": True, **setting}))
+
+
+def test_tuning_values_are_kept_as_written():
+    # an int where a float is expected stays an int, so the hash is unchanged
+    config = ExperimentConfig.from_dict(_doc(tuning={"cognitive": 2, "social": 2.5}))
+    assert config.to_dict()["tuning"]["cognitive"] == 2
+    assert isinstance(config.tuning.cognitive, int)
+    epso = config.tuning.epso_config(seed=7)
+    assert (epso.c1, epso.c2, epso.seed, epso.seed_point) == (2, 2.5, 7, (64, 2, 1))
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError, match="yaml"):
         ExperimentConfig.from_dict(_doc(formats=["yaml"]))

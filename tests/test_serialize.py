@@ -38,14 +38,10 @@ def test_tree_round_trip_is_bit_exact(tmp_path):
     assert again.params == model.params
     assert np.array_equal(predict_tree(again, table), predict_tree(model, table))
 
-    def thresholds(node, out):
-        if node.feature is not None:
-            out.append(node.threshold)
-            thresholds(node.left, out)
-            thresholds(node.right, out)
-        return out
+    def thresholds(tree):
+        return tree.threshold[tree.feature >= 0].tolist()
 
-    assert thresholds(again.root, []) == thresholds(model.root, [])
+    assert thresholds(again.root) == thresholds(model.root)
 
 
 def test_forest_round_trip(tmp_path):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from flowgate.errors import DataError
 from flowgate.models.tree import (
     DecisionTreeModel,
+    Tree,
     TreeHyperparams,
-    TreeNode,
+    _prune,
+    _route,
     best_split,
     fit_tree,
     gini_impurity,
@@ -143,7 +145,7 @@ def test_memorizes_conflict_free_data():
 def test_single_class_gives_single_leaf():
     table = make_table(np.random.default_rng(0).normal(size=(30, 2)), np.zeros(30, dtype=np.int64))
     model = fit_tree(table)
-    assert model.root.is_leaf
+    assert model.root.feature.tolist() == [-1]
     assert predict_tree(model, table).tolist() == [0] * 30
 
 
@@ -157,12 +159,17 @@ def test_max_depth_one_is_a_stump():
 def test_min_samples_split_stops_growth():
     table = conflict_free_table(40, 2, 2, seed=8)
     model = fit_tree(table, TreeHyperparams(min_samples_split=41))
-    assert model.root.is_leaf
+    assert model.root.feature.tolist() == [-1]
 
 
 def test_leaf_prediction_majority_and_ties():
-    assert TreeNode(np.array([0, 7])).prediction == 1
-    assert TreeNode(np.array([3, 3])).prediction == 0
+    def one_leaf(counts):
+        tree = Tree(np.array([counts]), [-1], [np.nan])
+        return DecisionTreeModel(tree, TreeHyperparams(), len(counts), 1)
+
+    X = np.zeros((3, 1))
+    assert predict_tree(one_leaf([0, 7]), X).tolist() == [1, 1, 1]
+    assert predict_tree(one_leaf([3, 3]), X).tolist() == [0, 0, 0]
 
 
 def test_structural_limits_hold():
@@ -177,29 +184,31 @@ def test_structural_limits_hold():
         assert model.root.depth() <= 4
         # leaves reached by routing the training rows hold >= min_samples_leaf
         X = table.feature_matrix()
-        stack = [(model.root, np.arange(X.shape[0]))]
+        tree = model.root
+        stack = [(0, np.arange(X.shape[0]))]
         while stack:
             node, rows = stack.pop()
-            if node.is_leaf:
+            if tree.feature[node] < 0:
                 assert rows.size >= params.min_samples_leaf
                 continue
-            mask = X[rows, node.feature] <= node.threshold
+            mask = X[rows, tree.feature[node]] <= tree.threshold[node]
             assert rows[mask].size >= params.min_samples_leaf
             assert rows[~mask].size >= params.min_samples_leaf
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
+            stack.append((node + 1, rows[mask]))
+            stack.append((tree.right[node], rows[~mask]))
 
 
 def test_node_counts_sum_to_children():
     table = conflict_free_table(120, 2, 3, seed=13)
-    model = fit_tree(table)
-    stack = [model.root]
+    tree = fit_tree(table).root
+    stack = [0]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if tree.feature[node] < 0:
             continue
-        assert np.array_equal(node.value, node.left.value + node.right.value)
-        stack.extend([node.left, node.right])
+        left, right = node + 1, tree.right[node]
+        assert np.array_equal(tree.value[node], tree.value[left] + tree.value[right])
+        stack.extend([left, right])
 
 
 def test_hyperparameter_validation():
@@ -224,13 +233,78 @@ def test_fit_rejects_empty_inputs():
         best_split(np.array([], dtype=np.int64), np.zeros((3, 1)), labels=np.zeros(3, dtype=np.int64))
 
 
+# -- array layout and routing -------------------------------------------------------
+
+
+def _subtree_end(tree, node):
+    """One past the last preorder node under ``node``, found by recursion."""
+    if tree.feature[node] < 0:
+        return node + 1
+    return _subtree_end(tree, _subtree_end(tree, node + 1))
+
+
+def _walk(tree, x, max_depth=None, min_samples_split=None):
+    """Reference router: one row, one node at a time."""
+    node = depth = 0
+    while not (
+        tree.feature[node] < 0
+        or (max_depth is not None and depth >= max_depth)
+        or (min_samples_split is not None and tree.value[node].sum() < min_samples_split)
+    ):
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node += 1
+        else:
+            node = _subtree_end(tree, node + 1)
+        depth += 1
+    return node
+
+
+def test_tree_derives_right_children_and_depths():
+    #        0
+    #      1    4
+    #     2 3  5 6
+    feature = [0, 1, -1, -1, 1, -1, -1]
+    tree = Tree(np.ones((7, 2), dtype=np.int64), feature, np.zeros(7))
+    assert tree.right.tolist() == [4, 3, -1, -1, 6, -1, -1]
+    assert tree.node_depth.tolist() == [0, 1, 2, 2, 1, 2, 2]
+    assert (tree.depth(), tree.n_leaves()) == (2, 4)
+
+
+def test_tree_rejects_arrays_that_are_not_one_preorder_tree():
+    with pytest.raises(DataError):
+        Tree(np.ones((1, 2)), [0], [0.5])  # a split without children
+    with pytest.raises(DataError):
+        Tree(np.ones((2, 2)), [-1, -1], [np.nan, np.nan])  # two roots
+    with pytest.raises(DataError):
+        Tree(np.ones((2, 2)), [-1], [np.nan])  # one value too many
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_route_matches_a_scalar_walk(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    d = int(rng.integers(1, 4))
+    X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, int(rng.integers(2, 4)), size=n)
+    tree = fit_tree(X, labels=y).root
+    # half-integer probes land exactly on the midpoint thresholds too
+    probe = rng.integers(-2, 14, size=(60, d)) / 2.0
+    for max_depth in (None, 1, int(rng.integers(1, 8))):
+        for min_split in (None, 2, int(rng.integers(2, n + 2))):
+            want = [_walk(tree, x, max_depth, min_split) for x in probe]
+            assert _route(tree, probe, max_depth, min_split).tolist() == want
+    empty = _route(tree, np.zeros((0, d)), 3, 5)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 # -- pruning -----------------------------------------------------------------------
 
 
 def test_huge_alpha_collapses_to_root_leaf():
     table = conflict_free_table(80, 2, 2, seed=3)
     model = fit_tree(table, TreeHyperparams(ccp_alpha=10.0))
-    assert model.root.is_leaf
+    assert model.root.feature.tolist() == [-1]
 
 
 def test_pruning_never_grows_the_tree():
@@ -263,3 +337,77 @@ def test_model_predict_method_matches_function():
     model = fit_tree(table)
     assert isinstance(model, DecisionTreeModel)
     assert np.array_equal(model.predict(table), predict_tree(model, table))
+
+
+def _reference_prune(tree, ccp_alpha):
+    """Weakest-link pruning by recursion over node ids: the kept node ids and
+    the set of nodes collapsed into leaves."""
+    n_total = int(tree.value[0].sum())
+    collapsed = set()
+
+    def risk(i):
+        return gini_impurity(tree.value[i]) * (int(tree.value[i].sum()) / n_total)
+
+    def children(i):
+        if tree.feature[i] < 0 or i in collapsed:
+            return ()
+        return i + 1, _subtree_end(tree, i + 1)
+
+    def stats(i):
+        if not children(i):
+            return risk(i), 1
+        (left_r, left_l), (right_r, right_l) = (stats(c) for c in children(i))
+        return left_r + right_r, left_l + right_l
+
+    def preorder(i):
+        return [i] + [j for c in children(i) for j in preorder(c)]
+
+    while children(0):
+        g = {}
+        for i in preorder(0):
+            if children(i):
+                r_subtree, leaves = stats(i)
+                g[i] = (risk(i) - r_subtree) / (leaves - 1)
+        weakest = min(g.values())
+        if weakest > ccp_alpha:
+            break
+        collapsed |= {i for i, v in g.items() if v == weakest}
+    return preorder(0), collapsed
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_prune_matches_recursive_weakest_link_pruning(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 150))
+    d = int(rng.integers(1, 4))
+    X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, int(rng.integers(2, 4)), size=n)
+    tree = fit_tree(X, labels=y).root
+    for ccp_alpha in (0.0, 0.002, float(rng.uniform(0.0, 0.05)), 1.0):
+        pruned = _prune(tree, ccp_alpha)
+        keep, collapsed = _reference_prune(tree, ccp_alpha)
+        feature = [-1 if i in collapsed else int(tree.feature[i]) for i in keep]
+        assert pruned.feature.tolist() == feature
+        assert np.array_equal(pruned.value, tree.value[keep])
+        internal = pruned.feature >= 0
+        assert pruned.threshold[internal].tolist() == tree.threshold[keep][internal].tolist()
+
+
+def test_prune_collapses_tied_weakest_links_together():
+    # two mirror-image subtrees under the root: their weakest-link g is equal
+    #          0 [8,8]
+    #    1 [6,2]      4 [2,6]
+    # 2 [5,0] 3 [1,2]  5 [2,1] 6 [0,5]
+    value = np.array([[8, 8], [6, 2], [5, 0], [1, 2], [2, 6], [2, 1], [0, 5]])
+    tree = Tree(value, [0, 1, -1, -1, 1, -1, -1], [0.5, 0.25, np.nan, np.nan, 0.75, np.nan, np.nan])
+    g = gini_impurity([6, 2]) * (8 / 16) - (0.0 + gini_impurity([1, 2]) * (3 / 16))
+    assert g == gini_impurity([2, 6]) * (8 / 16) - (gini_impurity([2, 1]) * (3 / 16) + 0.0)
+
+    untouched = _prune(tree, np.nextafter(g, 0.0))
+    assert untouched.feature.tolist() == tree.feature.tolist()
+    pruned = _prune(tree, g)
+    assert pruned.feature.tolist() == [0, -1, -1]
+    assert pruned.value.tolist() == [[8, 8], [6, 2], [2, 6]]
+    assert pruned.threshold[0] == 0.5
+    assert np.isnan(pruned.threshold[1:]).all()
