@@ -1,11 +1,15 @@
 """Ingestion and cleaning pipeline: each stage alone, then the fixed order."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate.dataset import KIND_CATEGORICAL, KIND_LABEL, KIND_NUMERIC, ColumnSchema
+from flowgate import prep
 from flowgate.errors import DataError
 from flowgate.prep import (
     FIT_FULL_DATASET,
@@ -442,3 +446,85 @@ def test_write_csv_round_trip(tmp_path):
     again = load_csv(path, PROFILE)
     assert again.column("c0").tolist() == [1.5, 3.25]
     assert again.column("Label").tolist() == ["A", "B"]
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+# tests/data/prep_pinned_*: one CSV with timestamp component columns, a
+# categorical column, an absent drop column, NaN, infinities, duplicate rows
+# and a constant column, run through both fit scopes. The expected files were
+# recorded before the stages stopped building report entries themselves and
+# must not change.
+PINNED = Path(__file__).parent / "data"
+_COMPONENTS = ("year", "month", "day", "hour", "minute", "second")
+PINNED_PROFILE = DatasetProfile(
+    name="pinned",
+    label_column="Label",
+    class_names=("A", "B", "C"),
+    drop_columns=("ID", "ghost"),
+    timestamp_merge=TimestampMerge(
+        tuple(f"s_{c}" for c in _COMPONENTS), tuple(f"e_{c}" for c in _COMPONENTS)
+    ),
+)
+
+
+def _pinned_run(fit_scope):
+    return preprocess_pipeline(
+        Path("prep_pinned_input.csv"),
+        PINNED_PROFILE,
+        PrepOptions(split_ratio=0.75, seed=7, fit_scope=fit_scope),
+    )
+
+
+def test_pinned_reports_are_unchanged(monkeypatch):
+    monkeypatch.chdir(PINNED)  # the load entry names its source path
+    doc = {}
+    for scope in (FIT_FULL_DATASET, FIT_TRAIN_ONLY):
+        _, report = _pinned_run(scope)
+        doc[scope] = {"dicts": report.to_dicts(), "lines": report.to_lines()}
+    expected = (PINNED / "prep_pinned_report.json").read_text(encoding="utf-8")
+    assert json.dumps(doc, indent=2) + "\n" == expected
+
+
+def test_pinned_csv_bytes_are_unchanged(monkeypatch, tmp_path):
+    monkeypatch.chdir(PINNED)
+    write_csv(load_csv("prep_pinned_input.csv", PINNED_PROFILE), tmp_path / "raw.csv")
+    split, _ = _pinned_run(FIT_FULL_DATASET)
+    write_csv(split.train, tmp_path / "encoded.csv")
+    for name in ("raw", "encoded"):
+        expected = (PINNED / f"prep_pinned_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected
+
+
+# -- stage lookup ----------------------------------------------------------------
+
+TRACED_STAGES = (
+    "load_csv",
+    "merge_timestamps",
+    "drop_columns_by_name",
+    "drop_invalid_rows",
+    "drop_duplicate_rows",
+    "drop_zero_variance_columns",
+    "encode_categoricals",
+    "minmax_normalize",
+    "stratified_split",
+)
+
+
+def test_pipeline_calls_each_stage_by_its_module_name(monkeypatch):
+    # per-stage timers wrap these module attributes, so the pipeline must look
+    # each stage up by name when it runs
+    calls = dict.fromkeys(TRACED_STAGES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED_STAGES:
+        monkeypatch.setattr(prep, name, counting(name, getattr(prep, name)))
+    monkeypatch.chdir(PINNED)
+    _pinned_run(FIT_FULL_DATASET)
+    assert calls == dict.fromkeys(TRACED_STAGES, 1)
