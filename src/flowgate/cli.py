@@ -38,7 +38,7 @@ from .prep import (
     preprocess_pipeline,
     write_csv,
 )
-from .profiles import BUILTIN_PROFILES, DatasetProfile, builtin_profile
+from .profiles import resolve_profile
 from .synth import SynthSpec, corrupt, generate_flows
 
 EXIT_OK = 0
@@ -55,24 +55,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract wants 1
     def error(self, message: str) -> None:
         raise _UsageError(message)
-
-
-def _resolve_profile(value: str) -> DatasetProfile:
-    if value in BUILTIN_PROFILES:
-        return builtin_profile(value)
-    path = Path(value)
-    if path.suffix == ".json" or path.exists():
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"profile file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profile file {path} is not valid JSON: {exc}") from None
-        return DatasetProfile.from_dict(doc)
-    raise ConfigError(
-        f"unknown profile {value!r}; expected one of {sorted(BUILTIN_PROFILES)} "
-        "or a JSON profile file"
-    )
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -145,7 +127,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    profile = _resolve_profile(args.profile)
+    profile = resolve_profile(args.profile)
     options = PrepOptions(split_ratio=args.split_ratio, seed=args.seed, fit_scope=args.fit_scope)
     split, report = preprocess_pipeline(args.csv, profile, options)
     for line in report.to_lines():
@@ -162,7 +144,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    profile = _resolve_profile(args.profile)
+    profile = resolve_profile(args.profile)
     raw = load_csv(args.csv, profile)
     table, _ = encode_categoricals(raw, profile)
     summary = column_stats(table)
@@ -263,7 +245,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    profile = _resolve_profile(args.profile)
+    profile = resolve_profile(args.profile)
     model = load_model(args.model)
     raw = load_csv(args.csv, profile)
     table, _ = encode_categoricals(raw, profile)

@@ -9,14 +9,16 @@ can be compared by configuration identity.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError, DataError
+from .models import GbtParams, TreeHyperparams, fit_forest
 from .prep import FIT_FULL_DATASET, PrepOptions
-from .profiles import BUILTIN_PROFILES, DatasetProfile, builtin_profile
+from .profiles import BUILTIN_PROFILES, DatasetProfile, builtin_profile, resolve_profile
 from .swarm import DT_DEFAULT_POINT, EpsoConfig
 from .synth import SynthSpec
 
@@ -56,9 +58,43 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
+def _check_type(value: Any, default: Any, where: str) -> None:
+    """Check that ``value`` has the JSON type of ``default``, converting
+    nothing (a converted value would change the config hash). A None default
+    admits an integer or null."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+    elif isinstance(default, int) or (default is None and value is not None):
+        _as_int(value, where)
+    elif isinstance(default, float):
+        _as_float(value, where)
+
+
+def _defaults(cls) -> dict[str, Any]:
+    return {f.name: f.default for f in fields(cls)}
+
+
+# fit_forest's signature holds the forest settings' only defaults
+_FOREST_KEYS = ("n_trees", "features_per_split", "bootstrap")
+_FOREST_DEFAULTS = {
+    key: inspect.signature(fit_forest).parameters[key].default for key in _FOREST_KEYS
+}
+_MODEL_SETTINGS: dict[str, dict[str, Any]] = {
+    MODEL_BASELINE: {},
+    MODEL_DT: _defaults(TreeHyperparams),
+    MODEL_RF: {**_defaults(TreeHyperparams), **_FOREST_DEFAULTS},
+    MODEL_GBT: _defaults(GbtParams),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """One classifier to train: a type tag plus keyword overrides."""
+    """One classifier to train: a type tag plus keyword overrides.
+
+    Keys, JSON types and ranges are checked when the spec is built, so a bad
+    hyperparameter fails when the config loads, before any dataset work.
+    """
 
     type: str
     params: tuple[tuple[str, Any], ...] = ()
@@ -68,6 +104,20 @@ class ModelSpec:
             raise ConfigError(
                 f"unknown model type {self.type!r}; expected one of {list(MODEL_TYPES)}"
             )
+        settings = _MODEL_SETTINGS[self.type]
+        unknown = sorted(set(self.params_dict()) - set(settings))
+        if unknown:
+            raise ConfigError(f"{self.type} has unknown hyperparameters {unknown}")
+        for key, value in self.params:
+            _check_type(value, settings[key], f"{self.type}.{key}")
+        forest = self.forest_args()
+        for key in ("n_trees", "features_per_split"):
+            if forest.get(key) is not None and forest[key] < 1:
+                raise ConfigError(f"{self.type}.{key} must be >= 1, got {forest[key]}")
+        try:
+            self.hyperparams()
+        except DataError as exc:
+            raise ConfigError(f"{self.type} hyperparameters are invalid: {exc}") from None
 
     @property
     def display_name(self) -> str:
@@ -75,6 +125,20 @@ class ModelSpec:
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
+
+    def hyperparams(self) -> TreeHyperparams | GbtParams | None:
+        """The tree (dt, rf) or boosting (gbt) settings, defaults filled in."""
+        if self.type == MODEL_GBT:
+            return GbtParams(**self.params_dict())
+        if self.type in (MODEL_DT, MODEL_RF):
+            return TreeHyperparams(
+                **{k: v for k, v in self.params if k not in _FOREST_KEYS}
+            )
+        return None
+
+    def forest_args(self) -> dict[str, Any]:
+        """The forest settings given for an rf spec, as fit_forest keywords."""
+        return {k: v for k, v in self.params if k in _FOREST_KEYS}
 
     @classmethod
     def from_value(cls, value: Any, where: str) -> "ModelSpec":
@@ -181,31 +245,19 @@ class DatasetConfig:
             )
         if kind == "csv":
             profile_value = _require(doc, "profile", "dataset")
-            profile_name: str | None = None
-            profile: DatasetProfile | None = None
-            if isinstance(profile_value, str) and profile_value in BUILTIN_PROFILES:
-                profile_name = profile_value
-            elif isinstance(profile_value, str):
-                profile_path = base_dir / profile_value
-                try:
-                    loaded = json.loads(profile_path.read_text(encoding="utf-8"))
-                except FileNotFoundError:
-                    raise ConfigError(
-                        f"dataset.profile {profile_value!r} is neither a builtin name "
-                        f"({sorted(BUILTIN_PROFILES)}) nor a readable JSON file"
-                    ) from None
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"profile file {profile_path}: {exc}") from None
-                profile = DatasetProfile.from_dict(loaded)
-            elif isinstance(profile_value, Mapping):
-                profile = DatasetProfile.from_dict(profile_value)
-            else:
-                raise ConfigError("dataset.profile must be a name, path, or object")
+            profile = resolve_profile(profile_value, base_dir)
+            # a builtin is echoed by name, any other profile as its document
+            builtin = isinstance(profile_value, str) and profile_value in BUILTIN_PROFILES
             path = str(_require(doc, "path", "dataset"))
             resolved = Path(path)
             if not resolved.is_absolute():
                 resolved = base_dir / resolved
-            return cls(kind=kind, path=str(resolved), profile_name=profile_name, profile=profile)
+            return cls(
+                kind=kind,
+                path=str(resolved),
+                profile_name=profile_value if builtin else None,
+                profile=profile,
+            )
         raise ConfigError(f"dataset.kind must be one of {list(_DATASET_KINDS)}, got {kind!r}")
 
     def to_dict(self) -> dict:
@@ -320,16 +372,8 @@ class TuningConfig:
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"tuning has unknown keys {sorted(unknown)}")
-        # type checks only: a converted value would change the config hash
         for key, value in doc.items():
-            where = f"tuning.{key}"
-            kind = type(cls.__dataclass_fields__[key].default)
-            if kind is bool and not isinstance(value, bool):
-                raise ConfigError(f"{where} must be true or false, got {value!r}")
-            if kind is int:
-                _as_int(value, where)
-            if kind is float:
-                _as_float(value, where)
+            _check_type(value, cls.__dataclass_fields__[key].default, f"tuning.{key}")
         return cls(**dict(doc))
 
     def to_dict(self) -> dict:

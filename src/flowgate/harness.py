@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -33,14 +33,7 @@ from .config import (
 from .dataset import ColumnarTable
 from .errors import ConfigError, DataError, FlowgateError
 from .metrics import EvalReport, confusion_matrix, evaluate
-from .models import (
-    GbtParams,
-    TreeHyperparams,
-    fit_forest,
-    fit_gbt,
-    fit_tree,
-    majority_baseline,
-)
+from .models import fit_forest, fit_gbt, fit_tree, majority_baseline
 from .prep import PrepOptions, PrepReport, SplitPair, preprocess_pipeline
 from .swarm import DT_DEFAULT_POINT, TraceEntry, dt_objective, dt_search_space, optimize
 from .synth import CorruptionLedger, corrupt, generate_flows
@@ -152,59 +145,26 @@ class StageFailure(FlowgateError):
         self.manifest = manifest
 
 
-def _tree_params(spec_params: dict, where: str) -> TreeHyperparams:
-    allowed = set(TreeHyperparams.__dataclass_fields__)
-    unknown = set(spec_params) - allowed
-    if unknown:
-        raise ConfigError(f"{where} has unknown hyperparameters {sorted(unknown)}")
-    return TreeHyperparams(**spec_params)
-
-
 def fit_model(spec: ModelSpec, train: ColumnarTable, master_seed: int):
     """Fit one configured classifier; returns (model, resolved hyperparameters)."""
-    params = spec.params_dict()
+    params = spec.hyperparams()
     if spec.type == MODEL_BASELINE:
-        if params:
-            raise ConfigError(f"baseline takes no hyperparameters, got {sorted(params)}")
         model = majority_baseline(train)
-        resolved: dict[str, Any] = {"majority_class": model.majority_class}
-        return model, resolved
+        return model, {"majority_class": model.majority_class}
     if spec.type == MODEL_DT:
-        tree_params = _tree_params(params, "dt")
-        model = fit_tree(train, tree_params)
-        resolved = {k: getattr(tree_params, k) for k in TreeHyperparams.__dataclass_fields__}
-        return model, resolved
+        return fit_tree(train, params), asdict(params)
     if spec.type == MODEL_RF:
-        forest_keys = {"n_trees", "features_per_split", "bootstrap"}
-        tree_part = {k: v for k, v in params.items() if k not in forest_keys}
-        tree_params = _tree_params(tree_part, "rf")
-        model = fit_forest(
-            train,
-            n_trees=params.get("n_trees", 25),
-            params=tree_params,
-            features_per_split=params.get("features_per_split"),
-            bootstrap=params.get("bootstrap", True),
-            seed=master_seed,
-        )
+        model = fit_forest(train, params=params, seed=master_seed, **spec.forest_args())
         resolved = {
             "n_trees": len(model.trees),
             "features_per_split": model.features_per_split,
             "bootstrap": model.bootstrap,
             "seed": model.seed,
         }
-        resolved.update(
-            {k: getattr(tree_params, k) for k in TreeHyperparams.__dataclass_fields__}
-        )
+        resolved.update(asdict(params))
         return model, resolved
     if spec.type == MODEL_GBT:
-        allowed = set(GbtParams.__dataclass_fields__)
-        unknown = set(params) - allowed
-        if unknown:
-            raise ConfigError(f"gbt has unknown hyperparameters {sorted(unknown)}")
-        gbt_params = GbtParams(**params)
-        model = fit_gbt(train, gbt_params)
-        resolved = {k: getattr(gbt_params, k) for k in GbtParams.__dataclass_fields__}
-        return model, resolved
+        return fit_gbt(train, params), asdict(params)
     raise ConfigError(f"unknown model type {spec.type!r}")  # pragma: no cover
 
 

@@ -3,15 +3,17 @@
 Stage order is fixed: load -> merge_timestamps -> drop_columns_by_name ->
 drop_invalid_rows -> drop_duplicate_rows -> drop_zero_variance_columns ->
 encode_categoricals -> minmax_normalize -> stratified_split. Each stage is
-also usable on its own; the pipeline accumulates a PrepReport entry per stage
-so zero-effect stages remain visible.
+also usable on its own and only returns its output; the four filters also
+return a details string saying what they removed. The pipeline records one
+PrepReport entry per stage through PrepReport.add, so zero-effect stages
+remain visible.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Sequence
@@ -126,32 +128,32 @@ class PrepEntry:
     columns_after: int
     details: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "rows_before": self.rows_before,
-            "rows_after": self.rows_after,
-            "columns_before": self.columns_before,
-            "columns_after": self.columns_after,
-            "details": self.details,
-        }
-
 
 @dataclass
 class PrepReport:
     entries: list[PrepEntry] = field(default_factory=list)
 
-    def add(self, entry: PrepEntry) -> None:
-        self.entries.append(entry)
-
-    def stage(self, name: str) -> PrepEntry:
-        for entry in self.entries:
-            if entry.stage == name:
-                return entry
-        raise DataError(f"no report entry for stage {name!r}")
+    def add(
+        self,
+        stage: str,
+        before: RawTable | ColumnarTable,
+        after: RawTable | ColumnarTable,
+        details: str,
+    ) -> None:
+        """Record one stage from the tables it read and returned."""
+        self.entries.append(
+            PrepEntry(
+                stage,
+                before.n_rows,
+                after.n_rows,
+                len(before.schema),
+                len(after.schema),
+                details,
+            )
+        )
 
     def to_dicts(self) -> list[dict]:
-        return [e.to_dict() for e in self.entries]
+        return [asdict(e) for e in self.entries]
 
     def to_lines(self) -> list[str]:
         lines = []
@@ -171,7 +173,6 @@ class NormalizationStats:
     feature_names: tuple[str, ...]
     minimums: np.ndarray
     maximums: np.ndarray
-    fit_scope: str
 
     def __post_init__(self) -> None:
         mins = np.ascontiguousarray(self.minimums, dtype=np.float64)
@@ -343,9 +344,7 @@ def merge_timestamps(raw: RawTable, profile: DatasetProfile) -> RawTable:
 # -- column drops -------------------------------------------------------------
 
 
-def drop_columns_by_name(
-    raw: RawTable, names: Sequence[str]
-) -> tuple[RawTable, PrepEntry]:
+def drop_columns_by_name(raw: RawTable, names: Sequence[str]) -> tuple[RawTable, str]:
     """Drop the named columns; absent names are noted, the label is protected."""
     requested = list(dict.fromkeys(names))
     present = set(raw.column_names)
@@ -358,21 +357,13 @@ def drop_columns_by_name(
     details = f"dropped {sorted(to_drop)}" if to_drop else "dropped []"
     if absent:
         details += f"; absent (ignored): {absent}"
-    entry = PrepEntry(
-        STAGE_DROP_COLUMNS,
-        raw.n_rows,
-        out.n_rows,
-        raw.n_columns,
-        out.n_columns,
-        details,
-    )
-    return out, entry
+    return out, details
 
 
 # -- row filters ---------------------------------------------------------------
 
 
-def drop_invalid_rows(raw: RawTable) -> tuple[RawTable, PrepEntry]:
+def drop_invalid_rows(raw: RawTable) -> tuple[RawTable, str]:
     """Remove every row holding NaN or an infinity in any numeric column."""
     mask = np.ones(raw.n_rows, dtype=bool)
     for col, arr in zip(raw.schema, raw.cells):
@@ -380,15 +371,7 @@ def drop_invalid_rows(raw: RawTable) -> tuple[RawTable, PrepEntry]:
             mask &= np.isfinite(arr)
     out = raw if mask.all() else raw.take_rows(np.flatnonzero(mask))
     removed = raw.n_rows - out.n_rows
-    entry = PrepEntry(
-        STAGE_DROP_INVALID,
-        raw.n_rows,
-        out.n_rows,
-        raw.n_columns,
-        out.n_columns,
-        f"removed {removed} rows with NaN or infinite values",
-    )
-    return out, entry
+    return out, f"removed {removed} rows with NaN or infinite values"
 
 
 def _raw_row_codes(raw: RawTable) -> np.ndarray:
@@ -407,7 +390,7 @@ def _raw_row_codes(raw: RawTable) -> np.ndarray:
     return np.column_stack(parts)
 
 
-def drop_duplicate_rows(raw: RawTable) -> tuple[RawTable, PrepEntry]:
+def drop_duplicate_rows(raw: RawTable) -> tuple[RawTable, str]:
     """Remove repeated rows, keeping the first occurrence in original order."""
     if raw.n_rows == 0:
         out = raw
@@ -417,18 +400,10 @@ def drop_duplicate_rows(raw: RawTable) -> tuple[RawTable, PrepEntry]:
         keep = np.sort(first_indices)
         out = raw if keep.size == raw.n_rows else raw.take_rows(keep)
     removed = raw.n_rows - out.n_rows
-    entry = PrepEntry(
-        STAGE_DROP_DUPLICATES,
-        raw.n_rows,
-        out.n_rows,
-        raw.n_columns,
-        out.n_columns,
-        f"removed {removed} duplicate rows (first occurrence kept)",
-    )
-    return out, entry
+    return out, f"removed {removed} duplicate rows (first occurrence kept)"
 
 
-def drop_zero_variance_columns(raw: RawTable) -> tuple[RawTable, PrepEntry]:
+def drop_zero_variance_columns(raw: RawTable) -> tuple[RawTable, str]:
     """Remove feature columns whose values are all identical (label excluded)."""
     constant: list[str] = []
     if raw.n_rows > 0:
@@ -443,15 +418,7 @@ def drop_zero_variance_columns(raw: RawTable) -> tuple[RawTable, PrepEntry]:
                 if bool(np.all(arr == arr[0])):
                     constant.append(col.name)
     out = raw.without_columns(set(constant)) if constant else raw
-    entry = PrepEntry(
-        STAGE_DROP_ZERO_VARIANCE,
-        raw.n_rows,
-        out.n_rows,
-        raw.n_columns,
-        out.n_columns,
-        f"removed constant columns {sorted(constant)}",
-    )
-    return out, entry
+    return out, f"removed constant columns {sorted(constant)}"
 
 
 # -- encoding -----------------------------------------------------------------
@@ -518,9 +485,7 @@ def encode_categoricals(
 
 
 def minmax_normalize(
-    table: ColumnarTable,
-    stats: NormalizationStats | None = None,
-    fit_scope: str = FIT_FULL_DATASET,
+    table: ColumnarTable, stats: NormalizationStats | None = None
 ) -> tuple[ColumnarTable, NormalizationStats]:
     """Scale every feature to [0, 1] via (x - min) / (max - min).
 
@@ -533,7 +498,7 @@ def minmax_normalize(
             raise DataError("cannot fit normalization on an empty table")
         mins = np.array([col.min() for col in table.columns], dtype=np.float64)
         maxs = np.array([col.max() for col in table.columns], dtype=np.float64)
-        stats = NormalizationStats(table.feature_names, mins, maxs, fit_scope)
+        stats = NormalizationStats(table.feature_names, mins, maxs)
     elif stats.feature_names != table.feature_names:
         raise DataError(
             "normalization stats were fitted on different features: "
@@ -604,75 +569,56 @@ def preprocess_pipeline(
     """
     report = PrepReport()
     if isinstance(source, RawTable):
-        raw = source
-        origin = "memory"
+        raw, origin = source, "memory"
     else:
-        raw = load_csv(source, profile)
-        origin = str(source)
-    report.add(
-        PrepEntry(STAGE_LOAD, raw.n_rows, raw.n_rows, raw.n_columns, raw.n_columns,
-                  f"source={origin}")
-    )
+        raw, origin = load_csv(source, profile), str(source)
+    report.add(STAGE_LOAD, raw, raw, f"source={origin}")
 
     merged = merge_timestamps(raw, profile)
-    merge_note = (
+    report.add(
+        STAGE_MERGE,
+        raw,
+        merged,
         "merged 12 component columns into stimestamp/etimestamp"
         if profile.timestamp_merge is not None
-        else "no timestamp merge configured"
+        else "no timestamp merge configured",
     )
+
+    dropped, details = drop_columns_by_name(merged, profile.drop_columns)
+    report.add(STAGE_DROP_COLUMNS, merged, dropped, details)
+    valid, details = drop_invalid_rows(dropped)
+    report.add(STAGE_DROP_INVALID, dropped, valid, details)
+    unique, details = drop_duplicate_rows(valid)
+    report.add(STAGE_DROP_DUPLICATES, valid, unique, details)
+    pruned, details = drop_zero_variance_columns(unique)
+    report.add(STAGE_DROP_ZERO_VARIANCE, unique, pruned, details)
+
+    table, _ = encode_categoricals(pruned, profile)
+    n_categorical = sum(1 for c in table.feature_schema if c.kind == KIND_CATEGORICAL)
     report.add(
-        PrepEntry(STAGE_MERGE, raw.n_rows, merged.n_rows, raw.n_columns,
-                  merged.n_columns, merge_note)
+        STAGE_ENCODE,
+        pruned,
+        table,
+        f"encoded {n_categorical} categorical columns; {table.n_classes} classes",
     )
 
-    dropped, entry = drop_columns_by_name(merged, profile.drop_columns)
-    report.add(entry)
-    valid, entry = drop_invalid_rows(dropped)
-    report.add(entry)
-    unique, entry = drop_duplicate_rows(valid)
-    report.add(entry)
-    pruned, entry = drop_zero_variance_columns(unique)
-    report.add(entry)
-
-    table, encodings = encode_categoricals(pruned, profile)
-    n_categorical = sum(
-        1 for c in table.feature_schema if c.kind == KIND_CATEGORICAL
-    )
-    report.add(
-        PrepEntry(
-            STAGE_ENCODE,
-            pruned.n_rows,
-            table.n_rows,
-            pruned.n_columns,
-            len(table.schema),
-            f"encoded {n_categorical} categorical columns; {table.n_classes} classes",
-        )
-    )
-
+    scope = f"fit_scope={options.fit_scope}"
     if options.fit_scope == FIT_FULL_DATASET:
-        normalized, stats = minmax_normalize(table, fit_scope=FIT_FULL_DATASET)
-        report.add(
-            PrepEntry(STAGE_NORMALIZE, table.n_rows, normalized.n_rows,
-                      len(table.schema), len(normalized.schema),
-                      f"fit_scope={FIT_FULL_DATASET}")
-        )
+        normalized, _ = minmax_normalize(table)
+        report.add(STAGE_NORMALIZE, table, normalized, scope)
         split = stratified_split(normalized, options.split_ratio, options.seed)
-        report.add(_split_entry(normalized, split))
+        report.add(STAGE_SPLIT, normalized, normalized, _split_details(normalized, split))
     else:
         split_raw = stratified_split(table, options.split_ratio, options.seed)
-        report.add(_split_entry(table, split_raw))
-        train_norm, stats = minmax_normalize(split_raw.train, fit_scope=FIT_TRAIN_ONLY)
+        report.add(STAGE_SPLIT, table, table, _split_details(table, split_raw))
+        train_norm, stats = minmax_normalize(split_raw.train)
         test_norm, _ = minmax_normalize(split_raw.test, stats=stats)
         split = SplitPair(train_norm, test_norm, split_raw.ratio, split_raw.seed)
-        report.add(
-            PrepEntry(STAGE_NORMALIZE, table.n_rows, table.n_rows,
-                      len(table.schema), len(table.schema),
-                      f"fit_scope={FIT_TRAIN_ONLY}")
-        )
+        report.add(STAGE_NORMALIZE, table, table, scope)
     return split, report
 
 
-def _split_entry(table: ColumnarTable, split: SplitPair) -> PrepEntry:
+def _split_details(table: ColumnarTable, split: SplitPair) -> str:
     per_class = ", ".join(
         f"{name}:{tr}/{te}"
         for name, tr, te in zip(
@@ -680,14 +626,7 @@ def _split_entry(table: ColumnarTable, split: SplitPair) -> PrepEntry:
             split.test.encoding.counts
         )
     )
-    return PrepEntry(
-        STAGE_SPLIT,
-        table.n_rows,
-        table.n_rows,
-        len(table.schema),
-        len(table.schema),
-        f"ratio={split.ratio} seed={split.seed} train/test per class: {per_class}",
-    )
+    return f"ratio={split.ratio} seed={split.seed} train/test per class: {per_class}"
 
 
 # -- CSV emission -----------------------------------------------------------------
@@ -695,27 +634,19 @@ def _split_entry(table: ColumnarTable, split: SplitPair) -> PrepEntry:
 
 def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     """Serialize a table as CSV; reals carry 17 significant digits so they
-    re-parse to the same 64-bit values."""
-    path = Path(path)
+    re-parse to the same 64-bit values, tokens are written as they are.
+
+    An encoded table is written as its feature columns followed by the
+    label's class names; a raw table as its cells.
+    """
     if isinstance(table, ColumnarTable):
-        names = list(table.feature_names) + [table.label_name]
-        label_tokens = [table.encoding.class_names[i] for i in table.labels]
-        value_columns = list(table.columns)
-        kinds = [c.kind for c in table.feature_schema]
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(names)
-            for row in range(table.n_rows):
-                out = [f"{col[row]:.17g}" for col in value_columns]
-                out.append(label_tokens[row])
-                writer.writerow(out)
-        return
-    with path.open("w", encoding="utf-8", newline="") as handle:
+        names = (*table.feature_names, table.label_name)
+        class_names = np.array(table.encoding.class_names, dtype=object)
+        columns = (*table.columns, class_names[table.labels])
+    else:
+        names, columns = table.column_names, table.cells
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(table.column_names)
-        numeric = [c.kind in (KIND_NUMERIC, KIND_TIMESTAMP) for c in table.schema]
-        for row in range(table.n_rows):
-            out = []
-            for is_num, arr in zip(numeric, table.cells):
-                out.append(f"{arr[row]:.17g}" if is_num else str(arr[row]))
-            writer.writerow(out)
+        writer.writerow(names)
+        for row in zip(*(column.tolist() for column in columns)):
+            writer.writerow([f"{v:.17g}" if type(v) is float else str(v) for v in row])

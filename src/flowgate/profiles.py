@@ -10,8 +10,10 @@ spellings can be handled with an inline or file-based profile instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Mapping
 
 from .errors import ConfigError
 
@@ -30,6 +32,13 @@ class TimestampMerge:
     def __post_init__(self) -> None:
         if len(self.start_columns) != 6 or len(self.end_columns) != 6:
             raise ConfigError("timestamp merge needs 6 start and 6 end component columns")
+
+
+def _names(value: Any, key: str) -> tuple[str, ...]:
+    # a bare string would otherwise be taken as a list of its characters
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"profile {key} must be a list of names, got {value!r}")
+    return tuple(str(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -58,25 +67,31 @@ class DatasetProfile:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "DatasetProfile":
+        if not isinstance(doc, Mapping):
+            raise ConfigError(
+                f"a profile document must be a JSON object, got {type(doc).__name__}"
+            )
         try:
             merge = None
             if doc.get("timestamp_merge") is not None:
                 merge = TimestampMerge(
-                    tuple(doc["timestamp_merge"]["start_columns"]),
-                    tuple(doc["timestamp_merge"]["end_columns"]),
+                    _names(doc["timestamp_merge"]["start_columns"], "start_columns"),
+                    _names(doc["timestamp_merge"]["end_columns"], "end_columns"),
                 )
             return cls(
                 name=str(doc["name"]),
                 label_column=str(doc["label_column"]),
-                class_names=tuple(str(c) for c in doc["class_names"]),
-                drop_columns=tuple(str(c) for c in doc.get("drop_columns", ())),
-                zero_columns_expected=tuple(
-                    str(c) for c in doc.get("zero_columns_expected", ())
+                class_names=_names(doc["class_names"], "class_names"),
+                drop_columns=_names(doc.get("drop_columns", ()), "drop_columns"),
+                zero_columns_expected=_names(
+                    doc.get("zero_columns_expected", ()), "zero_columns_expected"
                 ),
                 timestamp_merge=merge,
             )
         except KeyError as exc:
             raise ConfigError(f"profile document missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"malformed profile document: {exc}") from None
 
 
 # -- built-in profiles ------------------------------------------------------
@@ -193,6 +208,26 @@ def builtin_profile(name: str) -> DatasetProfile:
     except KeyError:
         known = ", ".join(sorted(BUILTIN_PROFILES))
         raise ConfigError(f"unknown profile {name!r} (built in: {known})") from None
+
+
+def resolve_profile(value: Any, base_dir: Path = Path(".")) -> DatasetProfile:
+    """A builtin profile name, a JSON profile file (relative paths resolve
+    against ``base_dir``) or an inline profile document."""
+    if not isinstance(value, str):
+        return DatasetProfile.from_dict(value)
+    if value in BUILTIN_PROFILES:
+        return BUILTIN_PROFILES[value]
+    path = base_dir / value
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError:
+        raise ConfigError(
+            f"profile {value!r} is neither a builtin name ({sorted(BUILTIN_PROFILES)}) "
+            "nor a readable JSON file"
+        ) from None
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ConfigError(f"profile file {path} is not valid JSON: {exc}") from None
+    return DatasetProfile.from_dict(doc)
 
 
 def builtin_class_ratios(name: str) -> dict[str, float]:

@@ -273,6 +273,41 @@ def test_bad_tuning_setting_fails_at_config_load(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "rf", "bootstrap": "no"},
+        {"type": "dt", "max_depth": "3"},
+        {"type": "gbt", "n_rounds": 1.5},
+        {"type": "rf", "features_per_split": True},
+        {"type": "dt", "max_depht": 3},
+    ],
+)
+def test_bad_model_spec_fails_at_config_load(tmp_path, capsys, monkeypatch, spec):
+    import flowgate.harness as harness
+
+    def no_dataset(config):
+        raise AssertionError("the dataset stage ran")
+
+    monkeypatch.setattr(harness, "build_source", no_dataset)
+    config = _write_config(tmp_path, models=["baseline", spec])
+    code, _, err = _run(capsys, "train", "--config", str(config), "--save-models")
+    assert code == 1
+    assert "configuration error" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "mini.csv"
+    csv_path.write_text("a,Label\n1,A\n2,B\n", encoding="utf-8")
+    profile = tmp_path / "p.json"
+    profile.write_text("[1, 2]", encoding="utf-8")
+    code, out, err = _run(capsys, "ingest", "--csv", str(csv_path), "--profile", str(profile))
+    assert code == 1
+    assert "configuration error" in err and "JSON object" in err
+    assert out == ""
+
+
 def test_tune_prints_best_point(tmp_path, capsys):
     config = _write_config(
         tmp_path,

@@ -113,6 +113,7 @@ def test_csv_dataset_with_builtin_profile(tmp_path):
     )
     assert config.dataset.path == str(tmp_path / "rows.csv")
     assert config.dataset.resolve_profile().name == "litnet2020"
+    assert config.to_dict()["dataset"]["profile"] == "litnet2020"
 
 
 def test_csv_dataset_with_profile_file(tmp_path):
@@ -241,6 +242,47 @@ def test_from_file(tmp_path):
     (tmp_path / "broken.json").write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         ExperimentConfig.from_file(tmp_path / "broken.json")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "rf", "bootstrap": "no"}, "true or false"),
+        ({"type": "dt", "max_depth": "3"}, "integer"),
+        ({"type": "dt", "max_depth": True}, "integer"),
+        ({"type": "gbt", "n_rounds": 1.5}, "integer"),
+        ({"type": "gbt", "max_depth": None}, "integer"),
+        ({"type": "rf", "features_per_split": True}, "integer"),
+        ({"type": "dt", "ccp_alpha": "0.1"}, "number"),
+        ({"type": "dt", "max_depht": 3}, "unknown hyperparameters"),
+        ({"type": "gbt", "n_trees": 3}, "unknown hyperparameters"),
+        ({"type": "baseline", "max_depth": 3}, "unknown hyperparameters"),
+        ({"type": "dt", "max_depth": 0}, "max_depth must be >= 1"),
+        ({"type": "rf", "min_samples_leaf": 5}, "must not exceed"),
+        ({"type": "gbt", "learning_rate": 2}, "learning_rate"),
+        ({"type": "rf", "n_trees": 0}, "n_trees must be >= 1"),
+        ({"type": "rf", "features_per_split": 0}, "features_per_split must be >= 1"),
+    ],
+)
+def test_bad_model_specs_rejected(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(_doc(models=[spec]))
+
+
+def test_model_spec_values_are_kept_as_written():
+    # no conversion: an int where a float is expected stays an int
+    specs = [
+        {"type": "dt", "max_depth": None, "ccp_alpha": 0},
+        {"type": "rf", "n_trees": 3, "features_per_split": None, "bootstrap": False},
+        {"type": "gbt", "learning_rate": 1, "l2_lambda": 0.5},
+    ]
+    config = ExperimentConfig.from_dict(_doc(models=specs))
+    assert config.to_dict()["models"] == specs
+    assert isinstance(config.models[0].hyperparams().ccp_alpha, int)
+    assert config.models[1].forest_args() == {
+        "n_trees": 3, "features_per_split": None, "bootstrap": False
+    }
+    assert config.models[1].hyperparams().max_depth is None
 
 
 def test_model_spec_display_names():

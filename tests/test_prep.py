@@ -24,6 +24,7 @@ from flowgate.prep import (
     STAGE_NORMALIZE,
     STAGE_SPLIT,
     PrepOptions,
+    PrepReport,
     RawTable,
     drop_duplicate_rows,
     drop_invalid_rows,
@@ -158,12 +159,16 @@ def _numeric_raw(matrix, labels=None):
 
 def test_drop_invalid_rows_removes_nan_and_inf():
     raw = _numeric_raw([[1, 2], [np.nan, 3], [4, np.inf]])
-    out, entry = drop_invalid_rows(raw)
+    out, details = drop_invalid_rows(raw)
     assert out.n_rows == 1
     assert out.column("c0").tolist() == [1.0]
+    report = PrepReport()
+    report.add(STAGE_DROP_INVALID, raw, out, details)
+    (entry,) = report.entries
     assert entry.rows_before == 3
     assert entry.rows_after == 1
     assert entry.stage == STAGE_DROP_INVALID
+    assert entry.details == "removed 2 rows with NaN or infinite values"
 
 
 def test_drop_invalid_rows_ignores_token_columns():
@@ -177,9 +182,10 @@ def test_drop_invalid_rows_ignores_token_columns():
 
 def test_drop_duplicates_keeps_first_occurrence_order():
     raw = _numeric_raw([[1, 1], [2, 2], [1, 1], [3, 3]], ["A", "B", "A", "A"])
-    out, entry = drop_duplicate_rows(raw)
+    out, details = drop_duplicate_rows(raw)
     assert out.column("c0").tolist() == [1.0, 2.0, 3.0]
-    assert entry.rows_before - entry.rows_after == 1
+    assert raw.n_rows - out.n_rows == 1
+    assert details == "removed 1 duplicate rows (first occurrence kept)"
 
 
 def test_duplicate_rows_differing_only_in_label_are_kept():
@@ -190,10 +196,10 @@ def test_duplicate_rows_differing_only_in_label_are_kept():
 
 def test_drop_zero_variance_is_exact():
     raw = _numeric_raw([[0, 0, 5], [0, 0, 5], [0, 1, 5]])
-    out, entry = drop_zero_variance_columns(raw)
+    out, details = drop_zero_variance_columns(raw)
     # c0 and c2 are constant; c1 has two values and stays
     assert out.column_names == ("c1", "Label")
-    assert "c0" in entry.details and "c2" in entry.details
+    assert "c0" in details and "c2" in details
 
 
 def test_drop_zero_variance_never_touches_label():

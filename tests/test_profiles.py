@@ -1,5 +1,7 @@
 """Built-in dataset profiles: class vocabularies, counts, round-trips."""
 
+import json
+
 import pytest
 
 from flowgate.errors import ConfigError
@@ -9,6 +11,7 @@ from flowgate.profiles import (
     TimestampMerge,
     builtin_class_ratios,
     builtin_profile,
+    resolve_profile,
 )
 
 CSE_CLASSES = (
@@ -91,3 +94,39 @@ def test_profile_document_missing_key():
 def test_timestamp_merge_needs_six_per_side():
     with pytest.raises(ConfigError):
         TimestampMerge(("a", "b"), ("c", "d"))
+
+
+def test_resolve_profile_by_name_file_or_document(tmp_path):
+    assert resolve_profile("cse2018") is builtin_profile("cse2018")
+    doc = {"name": "x", "label_column": "y", "class_names": ["a"]}
+    (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert resolve_profile("p.json", tmp_path) == DatasetProfile.from_dict(doc)
+    assert resolve_profile(str(tmp_path / "p.json")).name == "x"
+    assert resolve_profile(doc).name == "x"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "neither a builtin name"),
+        ("{", "not valid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        ('"cse2018"', "must be a JSON object"),
+        ('{"name": "x", "label_column": "y", "class_names": 5}', "list of names"),
+        ('{"name": "x", "label_column": "y", "class_names": ["a"], '
+         '"drop_columns": "Timestamp"}', "list of names"),
+        ('{"name": "x", "label_column": "y", "class_names": ["a"], '
+         '"timestamp_merge": [1]}', "malformed"),
+    ],
+)
+def test_resolve_profile_rejects_bad_files(tmp_path, text, message):
+    if text is not None:
+        (tmp_path / "p.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        resolve_profile("p.json", tmp_path)
+
+
+def test_resolve_profile_rejects_documents_that_are_not_objects():
+    for value in ([1, 2], 5, None):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            resolve_profile(value)
