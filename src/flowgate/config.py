@@ -18,7 +18,13 @@ from typing import Any, Mapping
 from .errors import ConfigError, DataError
 from .models import GbtParams, TreeHyperparams, fit_forest
 from .prep import FIT_FULL_DATASET, PrepOptions
-from .profiles import BUILTIN_PROFILES, DatasetProfile, builtin_profile, resolve_profile
+from .profiles import (
+    BUILTIN_PROFILES,
+    DatasetProfile,
+    as_list,
+    builtin_profile,
+    resolve_profile,
+)
 from .swarm import DT_DEFAULT_POINT, EpsoConfig
 from .synth import SynthSpec
 
@@ -230,14 +236,18 @@ class DatasetConfig:
                 raise ConfigError("dataset.profile must be a builtin profile name")
             if (ratios is None) != (names is None):
                 raise ConfigError("class_names and class_ratios must be given together")
+            if names is not None:
+                names = tuple(str(n) for n in as_list(names, "dataset.class_names", "names"))
+                ratios = tuple(
+                    _as_float(r, "dataset.class_ratios")
+                    for r in as_list(ratios, "dataset.class_ratios", "numbers")
+                )
             return cls(
                 kind=kind,
                 n_rows=_as_int(_require(doc, "n_rows", "dataset"), "dataset.n_rows"),
                 profile_name=profile_name,
-                class_names=tuple(str(n) for n in names) if names else (),
-                class_ratios=tuple(_as_float(r, "dataset.class_ratios") for r in ratios)
-                if ratios
-                else (),
+                class_names=names or (),
+                class_ratios=ratios or (),
                 n_features=_as_int(doc.get("n_features", 6), "dataset.n_features"),
                 cluster_separation=_as_float(
                     doc.get("cluster_separation", 8.0), "dataset.cluster_separation"
@@ -425,11 +435,9 @@ class ExperimentConfig:
             raise ConfigError(f"config has unknown keys {sorted(unknown)}")
         seed = _as_int(_require(doc, "seed", "config"), "seed")
         dataset = DatasetConfig.from_dict(_require(doc, "dataset", "config"), base)
-        models_value = doc.get("models", [])
-        if not isinstance(models_value, (list, tuple)):
-            raise ConfigError("models must be a list")
         models = tuple(
-            ModelSpec.from_value(v, f"models[{i}]") for i, v in enumerate(models_value)
+            ModelSpec.from_value(v, f"models[{i}]")
+            for i, v in enumerate(as_list(doc.get("models", []), "models", "model specs"))
         )
         corruption = CorruptionConfig.from_dict(doc.get("corruption", {}))
         prep_doc = doc.get("preprocess", {})
@@ -451,7 +459,10 @@ class ExperimentConfig:
             tuning=TuningConfig.from_dict(tuning_doc),
             metric_mode=str(doc.get("metric_mode", "weighted")),
             output_dir=str(doc.get("output_dir", "out")),
-            formats=tuple(str(f) for f in doc.get("formats", ["csv", "md", "json"])),
+            formats=tuple(
+                str(f)
+                for f in as_list(doc.get("formats", list(_FORMATS)), "formats", "format names")
+            ),
         )
 
     @classmethod

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
-from .tree import Tree, _as_matrix, _as_training_set, _grow, _route
+from .tree import Tree, _as_matrix, _as_training_set, _grow, _presort, _route
 
 
 @dataclass(frozen=True)
@@ -71,31 +71,36 @@ def _split_gain_terms(
 
 
 def _gradient_split(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, lam: float
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    lam: float,
 ) -> tuple[int, float] | None:
-    """(feature, threshold) of the best positive-gain split of ``rows``, or
-    None; ties keep the lowest feature, then the lowest threshold."""
-    g_node = g[rows]
-    h_node = h[rows]
-    g_total = float(g_node.sum())
-    h_total = float(h_node.sum())
+    """(feature, threshold) of the best positive-gain split of a node, or
+    None; ties keep the lowest feature, then the lowest threshold.
+
+    ``rows`` are the node's rows in row-id order, ``order[f]`` the same rows
+    sorted by (value of feature f, row id).
+    """
+    g_total = float(g[rows].sum())
+    h_total = float(h[rows].sum())
     parent_term = _split_gain_terms(g_total, h_total, lam)
 
     best_gain = 0.0
     best: tuple[int, float] | None = None
     for feature in range(X.shape[1]):
-        values = X[rows, feature]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        if vs[0] == vs[-1]:
-            continue
-        g_cum = np.cumsum(g_node[order])[:-1]
-        h_cum = np.cumsum(h_node[order])[:-1]
-        boundary = vs[1:] != vs[:-1]
+        o = order[feature]
+        vs = X[o, feature]
+        # a boundary is realizable when the midpoint of its two values lies
+        # below the upper one (equal values and adjacent doubles are not)
+        mid = (vs[:-1] + vs[1:]) / 2.0
+        boundary = mid < vs[1:]
         if not boundary.any():
             continue
-        gl = g_cum[boundary]
-        hl = h_cum[boundary]
+        gl = np.cumsum(g[o])[:-1][boundary]
+        hl = np.cumsum(h[o])[:-1][boundary]
         gr = g_total - gl
         hr = h_total - hl
         gains = (
@@ -106,30 +111,33 @@ def _gradient_split(
         j = int(np.argmax(gains))
         gain = float(gains[j])
         if gain > best_gain:
-            pos = np.flatnonzero(boundary)[j]
-            lo = float(vs[pos])
-            hi = float(vs[pos + 1])
-            mid = (lo + hi) / 2.0
-            if mid < hi:
-                best_gain = gain
-                best = (feature, mid)
+            best_gain = gain
+            best = (feature, float(mid[boundary][j]))
     return best
 
 
 def _grow_gradient(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
+    X: np.ndarray,
+    order: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    max_depth: int,
+    lam: float,
 ) -> Tree:
-    """Grow one boosting tree on per-row gradients g and hessians h."""
+    """Grow one boosting tree on per-row gradients g and hessians h, given
+    ``_presort(X)``."""
 
     def leaf_weight(rows: np.ndarray) -> float:
         return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), lam)
 
-    def find_split(weight: float, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
+    def find_split(
+        weight: float, rows: np.ndarray, order: np.ndarray, depth: int
+    ) -> tuple[int, float] | None:
         if depth >= max_depth or rows.size < 2:
             return None
-        return _gradient_split(X, g, h, rows, lam)
+        return _gradient_split(X, g, h, rows, order, lam)
 
-    return _grow(X, leaf_weight, find_split)
+    return _grow(X, order, leaf_weight, find_split)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -152,18 +160,17 @@ def fit_gbt(
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     # log prior; a zero-count class is floored at one count to stay finite
     base = np.log(np.maximum(counts, 1.0) / n)
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
 
     scores = np.tile(base, (n, 1))
+    order = _presort(X)  # shared by every tree
     rounds: list[tuple[Tree, ...]] = []
     for _ in range(params.n_rounds):
         probs = _softmax(scores)
         round_trees: list[Tree] = []
         for k in range(n_classes):
-            g = probs[:, k] - onehot[:, k]
+            g = probs[:, k] - (y == k)
             h = probs[:, k] * (1.0 - probs[:, k])
-            tree = _grow_gradient(X, g, h, params.max_depth, params.l2_lambda)
+            tree = _grow_gradient(X, order, g, h, params.max_depth, params.l2_lambda)
             round_trees.append(tree)
             scores[:, k] += params.learning_rate * tree.value[_route(tree, X)]
         rounds.append(tuple(round_trees))

@@ -1,12 +1,26 @@
-"""Binary threshold trees: the one node class, grow loop and router shared by
+"""Binary threshold trees: the one tree class, grow loop and router shared by
 the classification tree, the forest and boosting, plus the gini split search.
 
 Split candidates are the midpoints of consecutive distinct sorted feature
-values; rows with value <= threshold route left. The candidate maximizing the
-weighted impurity decrease wins; ties break to the lowest feature index, then
-the lowest threshold. The winner among near-tied candidates is decided with
-exact integer arithmetic so the choice matches a brute-force enumeration
-bit for bit at any sample size.
+values; rows with value <= threshold route left. A midpoint that rounds up
+onto the upper value (two adjacent doubles) cannot split and is no candidate.
+The candidate maximizing the weighted impurity decrease wins; ties break to
+the lowest feature index, then the lowest threshold. The winner among
+near-tied candidates is decided with exact integer arithmetic so the choice
+matches a brute-force enumeration bit for bit at any sample size.
+
+Cost: a fit sorts each feature once, with one stable argsort per feature.
+Each node then holds, per feature, its rows in (value, row id) order, and a
+split partitions those lists stably with one go-left mask, so a node costs a
+stable partition and one O(n) scan per feature and never sorts values. The
+gini scan keeps each side's sum of squared class counts as running int64
+sums: a row whose class already has r rows on the left adds 2r + 1 to the
+left sum, and the right sum follows from the left one and a running sum of
+the rows' class totals (r comes from a stable sort of the small class ids,
+a linear-time radix sort). While below 2**53, which holds for any node of
+fewer than about 9e7 rows, these integers equal the float square sums a
+per-class count matrix gives, so the near-tie window and the exact
+comparison see the same numbers and the search stays exact.
 """
 
 from __future__ import annotations
@@ -139,6 +153,18 @@ def _as_training_set(
     return X, y, int(y.max()) + 1 if y.size else 1
 
 
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Row ids of each feature column in (value, row id) order, as an
+    (n_features, n_rows) array: the one sort a fit makes."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _class_ids(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Labels in the smallest unsigned dtype holding every class id, on which
+    numpy's stable sort is a linear-time radix sort."""
+    return y.astype(np.min_scalar_type(max(n_classes - 1, 0)))
+
+
 @dataclass(frozen=True)
 class _Candidate:
     feature: int
@@ -148,78 +174,103 @@ class _Candidate:
     sum_right_sq: int
 
 
+# A node scans its features together, up to about this many sorted values per
+# scan: a small node takes one set of numpy calls for all of its features,
+# while a big node's scan temporaries stay the size of a few feature columns.
+_SCAN_CELLS = 1 << 18
+
+
+def _gini_scan(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    sum_sq: int,
+    order: np.ndarray,
+    features: np.ndarray,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score, midpoint and left/right square sums of the class counts at the
+    boundaries after sorted rows lo..hi-1 of each feature in ``features``
+    (one row per feature); the score is -inf where the boundary cannot split.
+    ``sum_sq`` is the square sum of the node's class ``counts``.
+    """
+    n = order.shape[1]
+    sorted_rows = order[features]
+    values = X[sorted_rows, features[:, np.newaxis]]
+    upper = values[:, lo + 1 : hi + 1]
+    mid = (values[:, lo:hi] + upper) / 2.0
+    # Square sums in exact integers. Adding a row whose class already has r
+    # rows on the left raises the left sum by 2r + 1; r is the row's place
+    # among its class in a stable class sort. The right sum is
+    # sum_c (N_c - L_c)^2 = sum N^2 - 2 sum_c N_c L_c + sum L^2, where
+    # sum_c N_c L_c runs over the rows as a sum of N of each class.
+    classes = y[sorted_rows]
+    class_rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    steps = np.empty_like(sorted_rows)
+    np.put_along_axis(
+        steps, np.argsort(classes, axis=1, kind="stable"), 2 * class_rank + 1, axis=1
+    )
+    sum_left_sq = np.cumsum(steps, axis=1)[:, lo:hi]
+    sum_right_sq = (
+        sum_sq - 2 * np.cumsum(counts[classes], axis=1)[:, lo:hi] + sum_left_sq
+    )
+    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    # a boundary can split when the midpoint of its two values lies below
+    # the upper one: equal values and adjacent doubles cannot
+    scores = np.where(
+        mid < upper, sum_left_sq / nl + sum_right_sq / (float(n) - nl), -np.inf
+    )
+    return scores, mid, sum_left_sq, sum_right_sq
+
+
 def _node_split(
     X: np.ndarray,
     y: np.ndarray,
-    rows: np.ndarray,
-    n_classes: int,
+    counts: np.ndarray,
+    order: np.ndarray,
     min_samples_leaf: int,
     feature_ids: np.ndarray,
 ) -> tuple[int, float, float] | None:
-    """Best legal split of `rows`, or None when no split strictly improves.
+    """Best legal split of a node, or None when no split strictly improves.
 
-    Returns (feature index, threshold, impurity decrease).
+    ``counts`` is the node's class-count vector and ``order[f]`` its rows
+    sorted by (value of feature f, row id); ``y`` holds class ids as
+    ``_class_ids`` gives them. Returns (feature index, threshold, impurity
+    decrease).
     """
-    n = int(rows.size)
-    y_node = y[rows]
-    counts = np.bincount(y_node, minlength=n_classes)
-    sum_sq_parent = int((counts.astype(np.int64) ** 2).sum())
-
-    best_score = -np.inf
+    n = int(order.shape[1])
+    # a boundary after sorted row i splits off rows 0..i; rows lo..hi-1 end
+    # a left side of legal size
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if lo >= hi:
+        return None
+    counts = counts.astype(np.int64)
+    sum_sq_parent = int((counts**2).sum())
+    features = np.sort(feature_ids)
+    per_scan = max(1, _SCAN_CELLS // n)
     candidates: list[_Candidate] = []
-
-    def consider(feature: int, values: np.ndarray) -> None:
-        nonlocal best_score
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = y_node[order]
-        if vs[0] == vs[-1]:
-            return
-        boundary = vs[1:] != vs[:-1]
-        n_left = np.arange(1, n)
-        legal = boundary & (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-        if not legal.any():
-            return
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), ys] = 1
-        cum = np.cumsum(onehot, axis=0)
-        idx = np.flatnonzero(legal)
-        cum_left = cum[idx]
-        nl = (idx + 1).astype(np.float64)
-        nr = float(n) - nl
-        sum_left_sq = (cum_left.astype(np.float64) ** 2).sum(axis=1)
-        right = counts[np.newaxis, :] - cum_left
-        sum_right_sq = (right.astype(np.float64) ** 2).sum(axis=1)
-        scores = sum_left_sq / nl + sum_right_sq / nr
-        feature_best = float(scores.max())
-        if feature_best > best_score:
-            best_score = feature_best
-        tol = 1e-9 * max(1.0, feature_best)
-        near = np.flatnonzero(scores >= feature_best - tol)
-        for j in near:
-            i = int(idx[j])
-            lo = float(vs[i])
-            hi = float(vs[i + 1])
-            mid = (lo + hi) / 2.0
-            if not mid < hi:
-                # adjacent representable values: the midpoint cannot separate
-                continue
-            left_counts = cum[i]
+    for first in range(0, features.size, per_scan):
+        scanned = features[first : first + per_scan]
+        scores, mid, sum_left_sq, sum_right_sq = _gini_scan(
+            X, y, counts, sum_sq_parent, order, scanned, lo, hi
+        )
+        scan_best = float(scores.max())
+        if scan_best == -np.inf:
+            continue
+        # float scores round the exact ones, so every boundary that may be
+        # exactly best lies within this window of the float best
+        near = scores >= scan_best - 1e-9 * max(1.0, scan_best)
+        for f, j in zip(*np.nonzero(near)):
             candidates.append(
                 _Candidate(
-                    feature=feature,
-                    threshold=mid,
-                    n_left=i + 1,
-                    sum_left_sq=int((left_counts.astype(object) ** 2).sum()),
-                    sum_right_sq=int(
-                        ((counts - left_counts).astype(object) ** 2).sum()
-                    ),
+                    feature=int(scanned[f]),
+                    threshold=float(mid[f, j]),
+                    n_left=lo + int(j) + 1,
+                    sum_left_sq=int(sum_left_sq[f, j]),
+                    sum_right_sq=int(sum_right_sq[f, j]),
                 )
             )
-
-    for feature in np.sort(feature_ids):
-        consider(int(feature), X[rows, feature])
-
     if not candidates:
         return None
 
@@ -232,12 +283,8 @@ def _node_split(
 
     best: _Candidate | None = None
     best_num = best_den = 0
-    window = 1e-9 * max(1.0, best_score)
     for cand in candidates:
         num, den = exact_key(cand)
-        approx = (cand.sum_left_sq / (cand.n_left) + cand.sum_right_sq / (n - cand.n_left))
-        if approx < best_score - window:
-            continue
         if best is None:
             best, best_num, best_den = cand, num, den
             continue
@@ -248,8 +295,6 @@ def _node_split(
         elif lhs == rhs:
             if (cand.feature, cand.threshold) < (best.feature, best.threshold):
                 best, best_num, best_den = cand, num, den
-    if best is None:
-        return None
 
     # Strict improvement: score > sum_sq_parent / n, exactly.
     if best_num * n <= sum_sq_parent * best_den:
@@ -279,36 +324,57 @@ def best_split(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise DataError("cannot split an empty row set")
+    X_node = X[rows]
+    y_node = y[rows]
     return _node_split(
-        X, y, rows, n_classes, params.min_samples_leaf, np.arange(X.shape[1])
+        X_node,
+        _class_ids(y_node, n_classes),
+        np.bincount(y_node, minlength=n_classes),
+        _presort(X_node),
+        params.min_samples_leaf,
+        np.arange(X.shape[1]),
     )
 
 
 def _grow(
     X: np.ndarray,
+    order: np.ndarray,
     payload: Callable[[np.ndarray], Any],
-    find_split: Callable[[Any, np.ndarray, int], tuple[int, float] | None],
+    find_split: Callable[[Any, np.ndarray, np.ndarray, int], tuple[int, float] | None],
 ) -> Tree:
-    """Grow a threshold tree over all rows of ``X``.
+    """Grow a threshold tree over all rows of ``X``, given ``_presort(X)``.
 
-    ``payload(rows)`` gives a node's value; ``find_split(value, rows, depth)``
-    gives the node's (feature, threshold), or None to leave it a leaf. Nodes
-    are appended and split in preorder, left child first, which pins down
-    the order of any random draws ``find_split`` makes.
+    Each node holds its rows in row-id order and, for every feature f, the
+    segment ``order[f]`` of its rows, sorted by (value, row id). A split
+    partitions both stably with one go-left mask over row ids, so every
+    segment stays sorted and no node sorts again. ``payload(rows)`` gives a
+    node's value; ``find_split(value, rows, order, depth)`` gives the node's
+    (feature, threshold), or None to leave it a leaf. Nodes are appended and
+    split in preorder, left child first, which pins down the order of any
+    random draws ``find_split`` makes.
     """
+    n_features = X.shape[1]
+    go_left = np.zeros(X.shape[0], dtype=bool)
     nodes: list[tuple[Any, int, float]] = []
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(X.shape[0], dtype=np.int64), 0)]
+    stack = [(np.arange(X.shape[0], dtype=np.int64), order, 0)]
     while stack:
-        rows, depth = stack.pop()
+        rows, order, depth = stack.pop()
         value = payload(rows)
-        found = find_split(value, rows, depth)
+        found = find_split(value, rows, order, depth)
         feature, threshold = (-1, np.nan) if found is None else found
         nodes.append((value, feature, threshold))
         if found is not None:
-            mask = X[rows, feature] <= threshold
+            left = X[rows, feature] <= threshold
+            go_left[rows] = left
+            in_left = go_left[order].ravel()
+            flat = order.ravel()
             # LIFO: push right first so the left child is split first
-            stack.append((rows[~mask], depth + 1))
-            stack.append((rows[mask], depth + 1))
+            stack.append(
+                (rows[~left], np.compress(~in_left, flat).reshape(n_features, -1), depth + 1)
+            )
+            stack.append(
+                (rows[left], np.compress(in_left, flat).reshape(n_features, -1), depth + 1)
+            )
     values, features, thresholds = zip(*nodes)
     return Tree(np.asarray(values), features, thresholds)
 
@@ -320,18 +386,23 @@ def _grow_gini(
     params: TreeHyperparams,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
+    order: np.ndarray | None = None,
 ) -> Tree:
     """Grow a classification tree; with ``features_per_split`` below the
-    feature count, each split searches a fresh ``rng`` sample of features."""
+    feature count, each split searches a fresh ``rng`` sample of features.
+    ``order`` is ``_presort(X)`` when the caller already has it."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
     )
+    class_ids = _class_ids(y, n_classes)
 
     def class_counts(rows: np.ndarray) -> np.ndarray:
         return np.bincount(y[rows], minlength=n_classes)
 
-    def find_split(counts: np.ndarray, rows: np.ndarray, depth: int) -> tuple[int, float] | None:
+    def find_split(
+        counts: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int
+    ) -> tuple[int, float] | None:
         if (
             int(np.count_nonzero(counts)) <= 1
             or (params.max_depth is not None and depth >= params.max_depth)
@@ -343,11 +414,11 @@ def _grow_gini(
         else:
             feature_ids = np.arange(n_features)
         found = _node_split(
-            X, y, rows, n_classes, params.min_samples_leaf, feature_ids
+            X, class_ids, counts, order, params.min_samples_leaf, feature_ids
         )
         return None if found is None else found[:2]
 
-    return _grow(X, class_counts, find_split)
+    return _grow(X, _presort(X) if order is None else order, class_counts, find_split)
 
 
 def _prune(tree: Tree, ccp_alpha: float) -> Tree:
@@ -390,19 +461,22 @@ def fit_tree(
     train: "ColumnarTable | np.ndarray",
     params: TreeHyperparams = TreeHyperparams(),
     labels: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> DecisionTreeModel:
     """Grow (and optionally prune) a classification tree.
 
     Growth stops at a node when it is pure, max_depth is reached, it holds
     fewer than min_samples_split rows, or no legal split strictly improves
-    impurity. With ccp_alpha > 0 the fitted tree is post-pruned.
+    impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
+    training set can share its presort: pass ``_presort`` of its feature
+    matrix as ``order``.
     """
     X, y, n_classes = _as_training_set(train, labels)
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    root = _grow_gini(X, y, n_classes, params)
+    root = _grow_gini(X, y, n_classes, params, order=order)
     if params.ccp_alpha > 0.0:
         root = _prune(root, params.ccp_alpha)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])

@@ -34,11 +34,19 @@ class TimestampMerge:
             raise ConfigError("timestamp merge needs 6 start and 6 end component columns")
 
 
-def _names(value: Any, key: str) -> tuple[str, ...]:
-    # a bare string would otherwise be taken as a list of its characters
+def as_list(value: Any, where: str, items: str) -> list:
+    """``value`` when it is a JSON array; ``items`` names what it lists.
+
+    Anything else fails, a bare string above all: iterated, it would be
+    taken as a list of its characters.
+    """
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"profile {key} must be a list of names, got {value!r}")
-    return tuple(str(v) for v in value)
+        raise ConfigError(f"{where} must be a list of {items}, got {value!r}")
+    return list(value)
+
+
+def _names(value: Any, key: str) -> tuple[str, ...]:
+    return tuple(str(v) for v in as_list(value, f"profile {key}", "names"))
 
 
 @dataclass(frozen=True)

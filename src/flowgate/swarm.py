@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import Tree, TreeHyperparams, _route, fit_tree
+from .models.tree import Tree, TreeHyperparams, _presort, _route, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -280,6 +280,7 @@ def dt_objective(
             if count == 0:
                 raise DataError(f"class {name!r} vanished from the {side} side")
     fit_table = inner.train
+    fit_order = _presort(fit_table.feature_matrix())  # shared by every fit
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
     n_classes = inner.test.n_classes
@@ -298,7 +299,7 @@ def dt_objective(
                 params = TreeHyperparams(
                     min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
                 )
-                grown[min_leaf] = fit_tree(fit_table, params).root
+                grown[min_leaf] = fit_tree(fit_table, params, order=fit_order).root
             return grown[min_leaf]
 
     def objective(point: tuple[int, ...]) -> float:

@@ -8,11 +8,13 @@ compare them directly against the fast implementations.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowgate.dataset import (
     KIND_LABEL,
@@ -21,6 +23,14 @@ from flowgate.dataset import (
     ColumnarTable,
     LabelEncoding,
 )
+
+
+# GitHub Actions sets CI. Derandomized runs draw the same examples on every
+# machine, and a failing example prints the blob that replays it locally
+# (@reproduce_failure), so a CI failure can be rerun here.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 # -- table builders ------------------------------------------------------------

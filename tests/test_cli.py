@@ -297,6 +297,25 @@ def test_bad_model_spec_fails_at_config_load(tmp_path, capsys, monkeypatch, spec
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"dataset": {"kind": "synthetic", "n_rows": 100, "class_names": "ab",
+                      "class_ratios": [0.5, 0.5]}}, "dataset.class_names"),
+        ({"dataset": {"kind": "synthetic", "n_rows": 100, "class_names": ["a", "b"],
+                      "class_ratios": "55"}}, "dataset.class_ratios"),
+        ({"formats": "md"}, "formats"),
+        ({"models": "dt"}, "models"),
+    ],
+)
+def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides, key):
+    config = _write_config(tmp_path, **overrides)
+    code, _, err = _run(capsys, "report", "--config", str(config))
+    assert code == 1
+    assert "configuration error" in err and f"{key} must be a list" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "mini.csv"
     csv_path.write_text("a,Label\n1,A\n2,B\n", encoding="utf-8")

@@ -269,6 +269,23 @@ def test_bad_model_specs_rejected(spec, message):
         ExperimentConfig.from_dict(_doc(models=[spec]))
 
 
+@pytest.mark.parametrize(
+    "dataset_names, dataset_ratios, formats, message",
+    [
+        ("ab", [0.5, 0.5], None, "dataset.class_names must be a list of names, got 'ab'"),
+        (["a", "b"], "55", None, "dataset.class_ratios must be a list of numbers"),
+        (["a", "b"], [0.5, 0.5], "md", "formats must be a list of format names, got 'md'"),
+    ],
+)
+def test_bare_strings_for_lists_rejected(dataset_names, dataset_ratios, formats, message):
+    doc = _doc()
+    doc["dataset"].update(class_names=dataset_names, class_ratios=dataset_ratios)
+    if formats is not None:
+        doc["formats"] = formats
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_model_spec_values_are_kept_as_written():
     # no conversion: an int where a float is expected stays an int
     specs = [

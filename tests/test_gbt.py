@@ -11,6 +11,7 @@ from flowgate.models.gbt import (
     predict_gbt,
     predict_scores,
 )
+from flowgate.models.tree import _presort
 
 from conftest import conflict_free_table, make_table
 
@@ -78,7 +79,18 @@ def test_zero_hessian_side_scores_zero_and_keeps_the_best_split():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.array([0.0, -1.0, -1.0, 1.0])
     h = np.array([0.0, 1.0, 1.0, 1.0])
-    assert _gradient_split(X, g, h, np.arange(4), lam=0.0) == (0, 2.5)
+    assert _gradient_split(X, g, h, np.arange(4), _presort(X), lam=0.0) == (0, 2.5)
+
+
+def test_adjacent_doubles_do_not_hide_a_feature():
+    # b|c is the best boundary but its midpoint rounds up to c; the feature's
+    # best realizable split c|5 still has positive gain
+    b = np.nextafter(1.0, 2.0)
+    c = np.nextafter(b, 2.0)
+    X = np.array([[b], [b], [c], [c], [5.0], [6.0]])
+    g = np.array([-1.0, -1.0, 1.0, 1.0, 0.5, 0.5])
+    h = np.full(6, 0.25)
+    assert _gradient_split(X, g, h, np.arange(6), _presort(X), lam=1.0) == (0, (c + 5.0) / 2)
 
 
 def test_feature_shift_leaves_predictions_unchanged():

@@ -1,0 +1,147 @@
+"""Presorted growth grows the trees of the per-node sort search bit for bit,
+and every split it makes is the exhaustive oracle's split of that node."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowgate.models.forest import fit_forest
+from flowgate.models.gbt import GbtParams, fit_gbt
+from flowgate.models import tree as tree_module
+from flowgate.models.tree import TreeHyperparams, _presort, fit_tree
+
+from conftest import make_table, oracle_best_split
+import reference_tree
+
+# ties, signed zeros and a huge value; no two are adjacent doubles
+POOL = np.array([-2.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 7.0, 1e300])
+
+
+def _training_set(seed, n, d, k):
+    """Cells drawn from POOL, some duplicated rows, one constant column in
+    half the draws, and labels in which every class id below min(k, n)
+    occurs."""
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    X = rng.choice(POOL[: int(rng.integers(2, POOL.size + 1))], size=(n, d))
+    dup = rng.integers(0, n, size=(n // 4, 2))
+    X[dup[:, 1]] = X[dup[:, 0]]
+    if rng.random() < 0.5:
+        X[:, int(rng.integers(0, d))] = rng.choice(POOL)
+    y = rng.integers(0, k, size=n)
+    y[rng.permutation(n)[:k]] = np.arange(k)
+    return X, y, k
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_presort_orders_rows_by_value_then_row_id(seed, n, d):
+    # ties in row-id order are what keep boosting's running gradient sums,
+    # and so its split gains, in the per-node search's summation order
+    X, _, _ = _training_set(seed, n, d, 1)
+    order = _presort(X)
+    assert order.shape == (d, n)
+    for f in range(d):
+        assert order[f].tolist() == sorted(range(n), key=lambda i: (X[i, f], i))
+
+
+def _assert_same_tree(got, want, bitwise_values=False):
+    assert np.array_equal(got.feature, want.feature)
+    assert got.threshold.tobytes() == want.threshold.tobytes()
+    if bitwise_values:
+        assert got.value.tobytes() == want.value.tobytes()
+    else:
+        assert np.array_equal(got.value, want.value)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 300),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 7]),
+    st.sampled_from([None, 1, 2, 5]),
+    st.sampled_from([1, 200, tree_module._SCAN_CELLS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_decision_tree_matches_per_node_sort(seed, n, d, k, leaf, depth, scan_cells):
+    # scan_cells below the node size scans a node's features in several parts
+    X, y, k = _training_set(seed, n, d, k)
+    params = TreeHyperparams(
+        max_depth=depth, min_samples_split=max(2, leaf), min_samples_leaf=leaf
+    )
+    with mock.patch.object(tree_module, "_SCAN_CELLS", scan_cells):
+        got = fit_tree(X, params, labels=y).root
+    _assert_same_tree(got, reference_tree.grow_gini(X, y, k, params))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 200),
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_forest_matches_per_node_sort(seed, n, d, k, bootstrap):
+    X, y, k = _training_set(seed, n, d, k)
+    params = TreeHyperparams(min_samples_leaf=2, min_samples_split=3)
+    m = d - 1  # below the feature count: each split samples features
+    forest = fit_forest(
+        make_table(X, y), n_trees=3, params=params,
+        features_per_split=m, bootstrap=bootstrap, seed=seed,
+    )
+    want = reference_tree.forest_trees(X, y, k, 3, params, m, bootstrap, seed)
+    for tree, reference in zip(forest.trees, want, strict=True):
+        _assert_same_tree(tree.root, reference)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 200),
+    st.integers(1, 4),
+    st.integers(2, 3),
+    st.sampled_from([0.0, 1.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_boosting_matches_per_node_sort(seed, n, d, k, lam):
+    X, y, k = _training_set(seed, n, d, k)
+    params = GbtParams(n_rounds=3, learning_rate=0.5, max_depth=3, l2_lambda=lam)
+    model = fit_gbt(X, params, labels=y)
+    want = reference_tree.gbt_trees(X, y, k, params)
+    for round_trees, reference_round in zip(model.trees, want, strict=True):
+        for tree, reference in zip(round_trees, reference_round, strict=True):
+            _assert_same_tree(tree, reference, bitwise_values=True)
+
+
+def _node_rows(tree, X):
+    """Training rows reaching each node, walked from the root."""
+    rows = [None] * tree.feature.size
+    rows[0] = np.arange(X.shape[0])
+    for node in range(tree.feature.size):
+        if tree.feature[node] >= 0:
+            at = rows[node]
+            left = X[at, tree.feature[node]] <= tree.threshold[node]
+            rows[node + 1], rows[tree.right[node]] = at[left], at[~left]
+    return rows
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_split_is_the_oracle_split_of_its_node(seed, n, d, k, leaf):
+    X, y, k = _training_set(seed, n, d, k)
+    params = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+    tree = fit_tree(X, params, labels=y).root
+    for node, rows in enumerate(_node_rows(tree, X)):
+        if tree.feature[node] >= 0:
+            want = oracle_best_split(X[rows], y[rows], min_samples_leaf=leaf)
+            assert want is not None
+            assert (tree.feature[node], tree.threshold[node]) == want[:2]

@@ -106,6 +106,37 @@ def test_no_split_when_nothing_improves():
     assert best_split(np.arange(4), X, labels=y) is None
 
 
+def test_exact_tie_is_kept_when_rounding_ranks_it_lower():
+    # the splits at 4.5 and 5.5 score exactly 34/3, but their float scores
+    # round to 11.333333333333332 and ...334; the exact tie goes to 4.5
+    X = np.array([
+        [9, 0], [0, 4], [0, 1], [11, 6], [5, 5], [5, 5], [5, 5], [9, 10], [6, 7],
+        [11, 0], [0, 11], [8, 0], [5, 2], [4, 4], [7, 11], [3, 8], [11, 11],
+        [2, 8], [5, 5], [1, 4], [1, 5], [4, 2], [9, 7], [9, 11], [0, 4],
+    ], dtype=np.float64)
+    y = np.array([0, 2, 1, 2, 2, 2, 0, 0, 0, 0, 2, 0, 1, 2, 0, 2, 0, 1, 0, 0, 1, 2, 1, 2, 2])
+    want = oracle_best_split(X, y)
+    assert want[:2] == (0, 4.5)
+    got = best_split(np.arange(y.size), X, labels=y)
+    assert got[:2] == want[:2]
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
+
+
+_ABOVE_ONE = np.nextafter(1.0, 2.0)
+ORACLE_POOL = np.array([0.0, 1.0, _ABOVE_ONE, np.nextafter(_ABOVE_ONE, 2.0), 2.0, 3.0, 4.0])
+
+
+def test_adjacent_doubles_do_not_hide_a_real_split():
+    # b|c cannot split (its midpoint rounds up to c) and must not set the
+    # score that the realizable split on feature 1 is measured against
+    b = _ABOVE_ONE
+    c = np.nextafter(b, 2.0)
+    X = np.array([[b, 0], [b, 0], [b, 1], [c, 1], [c, 1], [c, 1]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    assert oracle_best_split(X, y) == (1, 0.5, 0.25)
+    assert best_split(np.arange(6), X, labels=y) == (1, 0.5, 0.25)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_split_agrees_with_exhaustive_oracle(seed):
@@ -113,8 +144,9 @@ def test_split_agrees_with_exhaustive_oracle(seed):
     n = int(rng.integers(4, 40))
     d = int(rng.integers(1, 4))
     k = int(rng.integers(2, 4))
-    # low-cardinality grid values force plenty of exact ties
-    X = rng.integers(0, 5, size=(n, d)).astype(np.float64)
+    # low-cardinality grid values force plenty of exact ties; 1 and the two
+    # doubles above it are adjacent, so their midpoints cannot split
+    X = ORACLE_POOL[rng.integers(0, ORACLE_POOL.size, size=(n, d))]
     y = rng.integers(0, k, size=n)
     msl = int(rng.integers(1, 3))
     got = best_split(
