@@ -9,14 +9,13 @@ can be compared by configuration identity.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError, DataError
-from .models import GbtParams, TreeHyperparams, fit_forest
+from .models import ForestParams, GbtParams, TreeHyperparams
 from .prep import FIT_FULL_DATASET, PrepOptions
 from .profiles import (
     BUILTIN_PROFILES,
@@ -32,13 +31,14 @@ MODEL_BASELINE = "baseline"
 MODEL_DT = "dt"
 MODEL_RF = "rf"
 MODEL_GBT = "gbt"
-MODEL_TYPES = (MODEL_BASELINE, MODEL_DT, MODEL_RF, MODEL_GBT)
 
-DISPLAY_NAMES = {
-    MODEL_BASELINE: "Baseline",
-    MODEL_DT: "DT",
-    MODEL_RF: "RF",
-    MODEL_GBT: "GBT",
+# display name and settings class of each model type; a settings class is
+# the type's whole hyperparameter schema: keys, defaults and range checks
+MODEL_TYPES: dict[str, tuple[str, type | None]] = {
+    MODEL_BASELINE: ("Baseline", None),
+    MODEL_DT: ("DT", TreeHyperparams),
+    MODEL_RF: ("RF", ForestParams),
+    MODEL_GBT: ("GBT", GbtParams),
 }
 
 _DATASET_KINDS = ("synthetic", "csv")
@@ -77,23 +77,6 @@ def _check_type(value: Any, default: Any, where: str) -> None:
         _as_float(value, where)
 
 
-def _defaults(cls) -> dict[str, Any]:
-    return {f.name: f.default for f in fields(cls)}
-
-
-# fit_forest's signature holds the forest settings' only defaults
-_FOREST_KEYS = ("n_trees", "features_per_split", "bootstrap")
-_FOREST_DEFAULTS = {
-    key: inspect.signature(fit_forest).parameters[key].default for key in _FOREST_KEYS
-}
-_MODEL_SETTINGS: dict[str, dict[str, Any]] = {
-    MODEL_BASELINE: {},
-    MODEL_DT: _defaults(TreeHyperparams),
-    MODEL_RF: {**_defaults(TreeHyperparams), **_FOREST_DEFAULTS},
-    MODEL_GBT: _defaults(GbtParams),
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One classifier to train: a type tag plus keyword overrides.
@@ -110,16 +93,13 @@ class ModelSpec:
             raise ConfigError(
                 f"unknown model type {self.type!r}; expected one of {list(MODEL_TYPES)}"
             )
-        settings = _MODEL_SETTINGS[self.type]
-        unknown = sorted(set(self.params_dict()) - set(settings))
+        settings = MODEL_TYPES[self.type][1]
+        defaults = {f.name: f.default for f in fields(settings)} if settings else {}
+        unknown = sorted(set(self.params_dict()) - set(defaults))
         if unknown:
             raise ConfigError(f"{self.type} has unknown hyperparameters {unknown}")
         for key, value in self.params:
-            _check_type(value, settings[key], f"{self.type}.{key}")
-        forest = self.forest_args()
-        for key in ("n_trees", "features_per_split"):
-            if forest.get(key) is not None and forest[key] < 1:
-                raise ConfigError(f"{self.type}.{key} must be >= 1, got {forest[key]}")
+            _check_type(value, defaults[key], f"{self.type}.{key}")
         try:
             self.hyperparams()
         except DataError as exc:
@@ -127,24 +107,15 @@ class ModelSpec:
 
     @property
     def display_name(self) -> str:
-        return DISPLAY_NAMES[self.type]
+        return MODEL_TYPES[self.type][0]
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
     def hyperparams(self) -> TreeHyperparams | GbtParams | None:
-        """The tree (dt, rf) or boosting (gbt) settings, defaults filled in."""
-        if self.type == MODEL_GBT:
-            return GbtParams(**self.params_dict())
-        if self.type in (MODEL_DT, MODEL_RF):
-            return TreeHyperparams(
-                **{k: v for k, v in self.params if k not in _FOREST_KEYS}
-            )
-        return None
-
-    def forest_args(self) -> dict[str, Any]:
-        """The forest settings given for an rf spec, as fit_forest keywords."""
-        return {k: v for k, v in self.params if k in _FOREST_KEYS}
+        """The type's settings class, defaults filled in; None for baseline."""
+        settings = MODEL_TYPES[self.type][1]
+        return settings(**self.params_dict()) if settings else None
 
     @classmethod
     def from_value(cls, value: Any, where: str) -> "ModelSpec":
@@ -338,18 +309,20 @@ class CorruptionConfig:
 
 @dataclass(frozen=True)
 class TuningConfig:
+    """The tuning block; the swarm settings default to EpsoConfig's."""
+
     enabled: bool = False
-    n_particles: int = 20
-    n_iterations: int = 30
+    n_particles: int = EpsoConfig.n_particles
+    n_iterations: int = EpsoConfig.n_iterations
     holdout_fraction: float = 0.25
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
-    cognitive: float = 2.0
-    social: float = 2.0
-    velocity_fraction: float = 0.2
-    memoize: bool = True
-    inertia_decay: bool = True
-    velocity_clamp: bool = True
+    inertia_start: float = EpsoConfig.w_start
+    inertia_end: float = EpsoConfig.w_end
+    cognitive: float = EpsoConfig.c1
+    social: float = EpsoConfig.c2
+    velocity_fraction: float = EpsoConfig.v_max_fraction
+    memoize: bool = EpsoConfig.memoize
+    inertia_decay: bool = EpsoConfig.inertia_decay
+    velocity_clamp: bool = EpsoConfig.velocity_clamp
     seed_default_point: bool = True
 
     def __post_init__(self) -> None:

@@ -154,15 +154,8 @@ def fit_model(spec: ModelSpec, train: ColumnarTable, master_seed: int):
     if spec.type == MODEL_DT:
         return fit_tree(train, params), asdict(params)
     if spec.type == MODEL_RF:
-        model = fit_forest(train, params=params, seed=master_seed, **spec.forest_args())
-        resolved = {
-            "n_trees": len(model.trees),
-            "features_per_split": model.features_per_split,
-            "bootstrap": model.bootstrap,
-            "seed": model.seed,
-        }
-        resolved.update(asdict(params))
-        return model, resolved
+        model = fit_forest(train, params, seed=master_seed)
+        return model, {**asdict(model.params), "seed": model.seed}
     if spec.type == MODEL_GBT:
         return fit_gbt(train, params), asdict(params)
     raise ConfigError(f"unknown model type {spec.type!r}")  # pragma: no cover

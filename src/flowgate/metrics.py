@@ -99,23 +99,27 @@ class ClassMetrics:
     f1: float
 
 
-def per_class_prf(matrix: ConfusionMatrix) -> list[ClassMetrics]:
-    """One-vs-rest precision/recall/f1 with zero conventions.
-
+def _exact_class_values(tp: int, fp: int, fn: int) -> tuple[Fraction, Fraction, Fraction]:
+    """One class's exact precision, recall and f1, with the zero conventions:
     precision = 0 when the class is never predicted, recall = 0 when support
-    is 0, f1 = 0 when precision + recall = 0.
-    """
+    is 0, f1 = 0 when precision + recall = 0."""
+    precision = Fraction(tp, tp + fp) if tp + fp > 0 else Fraction(0)
+    recall = Fraction(tp, tp + fn) if tp + fn > 0 else Fraction(0)
+    denom = 2 * tp + fp + fn
+    f1 = Fraction(2 * tp, denom) if denom > 0 else Fraction(0)
+    return precision, recall, f1
+
+
+def per_class_prf(matrix: ConfusionMatrix) -> list[ClassMetrics]:
+    """One-vs-rest precision/recall/f1, each the float of its exact value."""
     counts = matrix.counts
     out = []
     for k in range(matrix.n_classes):
         tp = int(counts[k, k])
         fp = int(counts[:, k].sum()) - tp
         fn = int(counts[k, :].sum()) - tp
-        support = tp + fn
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / support if support > 0 else 0.0
-        f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn > 0 else 0.0
-        out.append(ClassMetrics(k, tp, fp, fn, support, precision, recall, f1))
+        precision, recall, f1 = (float(v) for v in _exact_class_values(tp, fp, fn))
+        out.append(ClassMetrics(k, tp, fp, fn, tp + fn, precision, recall, f1))
     return out
 
 
@@ -154,14 +158,6 @@ class EvalReport:
         }
 
 
-def _exact_class_values(m: ClassMetrics) -> tuple[Fraction, Fraction, Fraction]:
-    precision = Fraction(m.tp, m.tp + m.fp) if m.tp + m.fp > 0 else Fraction(0)
-    recall = Fraction(m.tp, m.support) if m.support > 0 else Fraction(0)
-    denom = 2 * m.tp + m.fp + m.fn
-    f1 = Fraction(2 * m.tp, denom) if denom > 0 else Fraction(0)
-    return precision, recall, f1
-
-
 def aggregate(
     per_class: Sequence[ClassMetrics],
     mode: str = MODE_WEIGHTED,
@@ -186,7 +182,7 @@ def aggregate(
     r_sum = Fraction(0)
     f_sum = Fraction(0)
     for m in per_class:
-        precision, recall, f1 = _exact_class_values(m)
+        precision, recall, f1 = _exact_class_values(m.tp, m.fp, m.fn)
         weight = Fraction(m.support, total) if mode == MODE_WEIGHTED else Fraction(
             1, len(per_class)
         )

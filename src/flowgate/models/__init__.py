@@ -1,7 +1,7 @@
 """Tree-family classifiers built from scratch plus the majority baseline."""
 
 from .baseline import BaselineModel, majority_baseline, predict_baseline
-from .forest import ForestModel, fit_forest, predict_forest
+from .forest import ForestModel, ForestParams, fit_forest, predict_forest
 from .gbt import GbtModel, GbtParams, fit_gbt, predict_gbt
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .tree import (
@@ -18,6 +18,7 @@ __all__ = [
     "BaselineModel",
     "DecisionTreeModel",
     "ForestModel",
+    "ForestParams",
     "GbtModel",
     "GbtParams",
     "Tree",

@@ -185,9 +185,7 @@ def fit_gbt(
 
 def predict_scores(model: GbtModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:
     """(n_rows, n_classes) additive scores: base + lr * tree outputs."""
-    X = _as_matrix(data)
-    if X.shape[1] != model.n_features:
-        raise DataError(f"model expects {model.n_features} features, got {X.shape[1]}")
+    X = _as_matrix(data, model.n_features)
     scores = np.tile(model.base_score, (X.shape[0], 1))
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):

@@ -7,13 +7,14 @@ float strings, so a save/load round trip reproduces the model bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
 from .baseline import BaselineModel
-from .forest import ForestModel
+from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
 from .tree import DecisionTreeModel, Tree, TreeHyperparams
 
@@ -98,15 +99,17 @@ def model_to_dict(model: AnyModel) -> dict:
             "root": _tree_to_dict(model.root, _COUNTS),
         }
     if isinstance(model, ForestModel):
+        # "params" holds the tree keys; the forest's own sit beside it and
+        # n_trees is the length of "trees"
         return header | {
             "kind": KIND_FOREST,
             "n_classes": model.n_classes,
             "n_features": model.n_features,
-            "features_per_split": model.features_per_split,
-            "bootstrap": model.bootstrap,
+            "features_per_split": model.params.features_per_split,
+            "bootstrap": model.params.bootstrap,
             "seed": model.seed,
             "params": _params_to_dict(model.params),
-            "trees": [_tree_to_dict(t.root, _COUNTS) for t in model.trees],
+            "trees": [_tree_to_dict(t, _COUNTS) for t in model.trees],
         }
     if isinstance(model, GbtModel):
         return header | {
@@ -149,25 +152,16 @@ def model_from_dict(doc: dict) -> AnyModel:
             n_features=int(doc["n_features"]),
         )
     if kind == KIND_FOREST:
-        params = _params_from_dict(doc["params"])
-        n_classes = int(doc["n_classes"])
-        n_features = int(doc["n_features"])
-        trees = tuple(
-            DecisionTreeModel(
-                root=_tree_from_dict(t, _COUNTS),
-                params=params,
-                n_classes=n_classes,
-                n_features=n_features,
-            )
-            for t in doc["trees"]
-        )
         return ForestModel(
-            trees=trees,
-            params=params,
-            n_classes=n_classes,
-            n_features=n_features,
-            features_per_split=int(doc["features_per_split"]),
-            bootstrap=bool(doc["bootstrap"]),
+            trees=tuple(_tree_from_dict(t, _COUNTS) for t in doc["trees"]),
+            params=ForestParams(
+                **asdict(_params_from_dict(doc["params"])),
+                n_trees=len(doc["trees"]),
+                features_per_split=int(doc["features_per_split"]),
+                bootstrap=bool(doc["bootstrap"]),
+            ),
+            n_classes=int(doc["n_classes"]),
+            n_features=int(doc["n_features"]),
             seed=int(doc["seed"]),
         )
     if kind == KIND_GBT:

@@ -131,12 +131,20 @@ def gini_impurity(class_counts: Sequence[int] | np.ndarray) -> float:
     return 1.0 - sq / (float(total) * float(total))
 
 
-def _as_matrix(data: "ColumnarTable | np.ndarray") -> np.ndarray:
+def _as_matrix(
+    data: "ColumnarTable | np.ndarray", n_features: int | None = None
+) -> np.ndarray:
+    """Feature matrix of a table or a bare matrix; a model passes the
+    ``n_features`` it was fitted on."""
     if isinstance(data, np.ndarray):
         if data.ndim != 2:
             raise DataError("feature matrix must be 2-D")
-        return np.ascontiguousarray(data, dtype=np.float64)
-    return data.feature_matrix()
+        X = np.ascontiguousarray(data, dtype=np.float64)
+    else:
+        X = data.feature_matrix()
+    if n_features is not None and X.shape[1] != n_features:
+        raise DataError(f"model expects {n_features} features, got {X.shape[1]}")
+    return X
 
 
 def _as_training_set(
@@ -388,9 +396,10 @@ def _grow_gini(
     features_per_split: int | None = None,
     order: np.ndarray | None = None,
 ) -> Tree:
-    """Grow a classification tree; with ``features_per_split`` below the
-    feature count, each split searches a fresh ``rng`` sample of features.
-    ``order`` is ``_presort(X)`` when the caller already has it."""
+    """Grow a classification tree, then prune it when ``params.ccp_alpha`` >
+    0; with ``features_per_split`` below the feature count, each split
+    searches a fresh ``rng`` sample of features. ``order`` is ``_presort(X)``
+    when the caller already has it."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
@@ -418,7 +427,8 @@ def _grow_gini(
         )
         return None if found is None else found[:2]
 
-    return _grow(X, _presort(X) if order is None else order, class_counts, find_split)
+    tree = _grow(X, _presort(X) if order is None else order, class_counts, find_split)
+    return _prune(tree, params.ccp_alpha) if params.ccp_alpha > 0.0 else tree
 
 
 def _prune(tree: Tree, ccp_alpha: float) -> Tree:
@@ -477,8 +487,6 @@ def fit_tree(
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
     root = _grow_gini(X, y, n_classes, params, order=order)
-    if params.ccp_alpha > 0.0:
-        root = _prune(root, params.ccp_alpha)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
@@ -513,12 +521,18 @@ def _route(
     return node
 
 
+def _classify(
+    tree: Tree,
+    X: np.ndarray,
+    max_depth: int | None = None,
+    min_samples_split: int | None = None,
+) -> np.ndarray:
+    """Class of each row of ``X``: the class-count argmax (lowest class id on
+    ties) of the node where ``_route`` stops it."""
+    return np.argmax(tree.value, axis=1)[_route(tree, X, max_depth, min_samples_split)]
+
+
 def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:
     """Route rows to leaves; each leaf votes its class-count argmax (lowest
     class id on ties)."""
-    X = _as_matrix(data)
-    if X.shape[1] != model.n_features:
-        raise DataError(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
-    return np.argmax(model.root.value, axis=1)[_route(model.root, X)]
+    return _classify(model.root, _as_matrix(data, model.n_features))

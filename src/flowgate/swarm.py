@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import Tree, TreeHyperparams, _presort, _route, fit_tree
+from .models.tree import Tree, TreeHyperparams, _classify, _presort, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -309,8 +309,7 @@ def dt_objective(
             min_samples_split=min_split,
             min_samples_leaf=min_leaf,
         )
-        tree = grown_tree(min_leaf)
-        predicted = np.argmax(tree.value, axis=1)[_route(tree, holdout_X, depth, min_split)]
+        predicted = _classify(grown_tree(min_leaf), holdout_X, depth, min_split)
         return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
 
     return objective

@@ -296,9 +296,8 @@ def test_model_spec_values_are_kept_as_written():
     config = ExperimentConfig.from_dict(_doc(models=specs))
     assert config.to_dict()["models"] == specs
     assert isinstance(config.models[0].hyperparams().ccp_alpha, int)
-    assert config.models[1].forest_args() == {
-        "n_trees": 3, "features_per_split": None, "bootstrap": False
-    }
+    forest = config.models[1].hyperparams()
+    assert (forest.n_trees, forest.features_per_split, forest.bootstrap) == (3, None, False)
     assert config.models[1].hyperparams().max_depth is None
 
 

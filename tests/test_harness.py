@@ -163,6 +163,33 @@ def test_forest_reports_the_config_seed():
     assert manifest.model_named("RF").model.seed == 5
 
 
+def test_metrics_json_pins_each_model_types_hyperparams(tmp_path):
+    # values are written as the config gives them (0 and 1 stay integers);
+    # rf adds its resolved features_per_split (ceil(sqrt(5))) and the seed
+    config = _config(
+        models=[
+            "baseline",
+            {"type": "dt", "max_depth": 4},
+            {"type": "rf", "n_trees": 2, "ccp_alpha": 0},
+            {"type": "gbt", "n_rounds": 2, "learning_rate": 1},
+        ]
+    )
+    run_and_emit(config, tmp_path)
+    doc = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+    written = {
+        m["model_type"]: json.dumps(m["hyperparams"], sort_keys=True) for m in doc["models"]
+    }
+    assert written == {
+        "baseline": '{"majority_class": 0}',
+        "dt": '{"ccp_alpha": 0.0, "max_depth": 4, "min_samples_leaf": 1, '
+        '"min_samples_split": 2}',
+        "rf": '{"bootstrap": true, "ccp_alpha": 0, "features_per_split": 3, '
+        '"max_depth": null, "min_samples_leaf": 1, "min_samples_split": 2, '
+        '"n_trees": 2, "seed": 11}',
+        "gbt": '{"l2_lambda": 1.0, "learning_rate": 1, "max_depth": 3, "n_rounds": 2}',
+    }
+
+
 # -- formatting and artifacts ---------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgate.models.forest import fit_forest
+from flowgate.models.forest import ForestParams, fit_forest
 from flowgate.models.gbt import GbtParams, fit_gbt
 from flowgate.models import tree as tree_module
 from flowgate.models.tree import TreeHyperparams, _presort, fit_tree
@@ -87,15 +87,15 @@ def test_decision_tree_matches_per_node_sort(seed, n, d, k, leaf, depth, scan_ce
 @settings(max_examples=25, deadline=None)
 def test_forest_matches_per_node_sort(seed, n, d, k, bootstrap):
     X, y, k = _training_set(seed, n, d, k)
-    params = TreeHyperparams(min_samples_leaf=2, min_samples_split=3)
     m = d - 1  # below the feature count: each split samples features
-    forest = fit_forest(
-        make_table(X, y), n_trees=3, params=params,
-        features_per_split=m, bootstrap=bootstrap, seed=seed,
+    params = ForestParams(
+        min_samples_leaf=2, min_samples_split=3,
+        n_trees=3, features_per_split=m, bootstrap=bootstrap,
     )
+    forest = fit_forest(make_table(X, y), params, seed=seed)
     want = reference_tree.forest_trees(X, y, k, 3, params, m, bootstrap, seed)
     for tree, reference in zip(forest.trees, want, strict=True):
-        _assert_same_tree(tree.root, reference)
+        _assert_same_tree(tree, reference)
 
 
 @given(

@@ -8,7 +8,7 @@ import pytest
 
 from flowgate.errors import DataError
 from flowgate.models.baseline import majority_baseline
-from flowgate.models.forest import fit_forest, predict_forest
+from flowgate.models.forest import ForestParams, fit_forest, predict_forest
 from flowgate.models.gbt import GbtParams, fit_gbt, predict_scores
 from flowgate.models.serialize import (
     FORMAT_NAME,
@@ -46,13 +46,14 @@ def test_tree_round_trip_is_bit_exact(tmp_path):
 
 def test_forest_round_trip(tmp_path):
     table = _table()
-    model = fit_forest(table, n_trees=5, seed=3)
+    model = fit_forest(table, ForestParams(n_trees=5), seed=3)
     path = tmp_path / "forest.json"
     save_model(model, path)
     again = load_model(path)
     assert len(again.trees) == 5
     assert again.seed == model.seed
-    assert again.bootstrap == model.bootstrap
+    assert again.params.bootstrap == model.params.bootstrap
+    assert again.params == model.params
     assert np.array_equal(predict_forest(again, table), predict_forest(model, table))
 
 
@@ -135,7 +136,7 @@ def _pinned_fit(kind, table):
     if kind == "dt":
         return fit_tree(table, TreeHyperparams(max_depth=4, ccp_alpha=0.01))
     if kind == "rf":
-        return fit_forest(table, n_trees=3, params=TreeHyperparams(max_depth=3), seed=7)
+        return fit_forest(table, ForestParams(n_trees=3, max_depth=3), seed=7)
     return fit_gbt(table, GbtParams(n_rounds=2, max_depth=2, learning_rate=0.5))
 
 
