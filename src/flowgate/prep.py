@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import calendar
 import csv
+import io
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -210,6 +213,15 @@ class PrepOptions:
 
 # -- load --------------------------------------------------------------------
 
+# Rows that load_csv parses and write_csv formats per step: memory per step is
+# one block of tokens or text, and the per-cell work runs inside C calls.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """Successive lists of up to _BLOCK_ROWS rows from a csv reader."""
+    return iter(lambda: list(islice(reader, _BLOCK_ROWS)), [])
+
 
 def _parse_cell(token: str) -> float:
     # Empty cells read as NaN; float() already accepts Infinity/-Infinity/NaN
@@ -219,14 +231,42 @@ def _parse_cell(token: str) -> float:
     return float(token)
 
 
+def _parse_tokens(tokens: Sequence[str]) -> np.ndarray | None:
+    """One block of a column as float64, or None when a token is not a real."""
+    parse = _parse_cell if "" in tokens else float
+    try:
+        return np.fromiter(map(parse, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+
+
+def _reread_tokens(path: Path, indexes: Sequence[int]) -> dict[int, list[str]]:
+    """The tokens of the given columns, from one more pass over the file."""
+    tokens: dict[int, list[str]] = {i: [] for i in indexes}
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for block in _blocks(reader):
+            for i, column in tokens.items():
+                column.extend(map(itemgetter(i), block))
+    return tokens
+
+
 def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     """Read an RFC-4180 CSV with a header row into a RawTable.
 
     A column becomes numeric when every cell parses as a 64-bit real
     (empty -> NaN, Infinity/-Infinity -> signed infinities); otherwise its
     original tokens are kept as a categorical column. The profile's label
-    column is always kept as tokens. Ragged rows raise an error naming the
-    1-based line number.
+    column is always kept as tokens. Duplicate header names and a missing
+    label column fail before any data row is read; a ragged row raises an
+    error naming its 1-based line number.
+
+    Rows are read in blocks of _BLOCK_ROWS and parsed column by column:
+    numeric columns become float64 chunks, and tokens are kept only for the
+    label and for columns already found categorical. A column that first
+    fails to parse after its first block gets its tokens back from one more
+    pass over the file, for that column only.
     """
     path = Path(path)
     if not path.exists():
@@ -237,66 +277,116 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate header names")
+        if profile.label_column not in header:
+            raise DataError(f"{path}: label column {profile.label_column!r} not present")
         width = len(header)
-        columns: list[list[str]] = [[] for _ in range(width)]
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
+        label = header.index(profile.label_column)
+        tokens: dict[int, list[str]] = {label: []}
+        chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(width) if i != label}
+        demoted: list[int] = []
+        lineno = 2
+        for block in _blocks(reader):
+            if list(map(len, block)).count(width) != len(block):
+                offset, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
                 raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
+                    f"{path}: line {lineno + offset}: expected {width} fields, found {len(row)}"
                 )
-            for i, token in enumerate(row):
-                columns[i].append(token)
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate header names")
-    if profile.label_column not in header:
-        raise DataError(f"{path}: label column {profile.label_column!r} not present")
+            for i, column in enumerate(zip(*block)):
+                if i in tokens:
+                    tokens[i].extend(column)
+                elif i in chunks:
+                    values = _parse_tokens(column)
+                    if values is not None:
+                        chunks[i].append(values)
+                        continue
+                    del chunks[i]
+                    if lineno == 2:  # the first block: all its tokens are here
+                        tokens[i] = list(column)
+                    else:
+                        demoted.append(i)
+            lineno += len(block)
+    if demoted:
+        tokens.update(_reread_tokens(path, demoted))
 
     schema: list[ColumnSchema] = []
     cells: list[np.ndarray] = []
     for idx, name in enumerate(header):
-        tokens = columns[idx]
-        if name == profile.label_column:
-            schema.append(ColumnSchema(name, KIND_LABEL, idx))
-            cells.append(np.asarray(tokens, dtype=object))
-            continue
-        try:
-            values = np.asarray([_parse_cell(t) for t in tokens], dtype=np.float64)
-        except ValueError:
-            schema.append(ColumnSchema(name, KIND_CATEGORICAL, idx))
-            cells.append(np.asarray(tokens, dtype=object))
-        else:
+        if idx in chunks:
             schema.append(ColumnSchema(name, KIND_NUMERIC, idx))
-            cells.append(values)
+            column = chunks.pop(idx)  # freed as it is joined
+            cells.append(np.concatenate(column) if column else np.empty(0))
+        else:
+            kind = KIND_LABEL if idx == label else KIND_CATEGORICAL
+            schema.append(ColumnSchema(name, kind, idx))
+            cells.append(np.asarray(tokens[idx], dtype=object))
     return RawTable(schema, cells)
 
 
 # -- timestamp merge -----------------------------------------------------------
 
+# datetime's range for each component, year..second; the day is then checked
+# against its month's length
+_COMPONENT_RANGES = ((1, 9999), (1, 12), (1, 31), (0, 23), (0, 59), (0, 59))
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
+# datetime() takes each component as a C int and overflows beyond it
+_C_INT_LIMIT = 2**31
+
+
+def _row_epoch_seconds(component_arrays: list[np.ndarray], names: Sequence[str], row: int) -> float:
+    """Epoch seconds of one row through datetime. A bad row raises a DataError
+    naming the row and its bad component, or all components for an
+    impossible date."""
+    parts = []
+    for arr, name in zip(component_arrays, names):
+        value = arr[row]
+        if not np.isfinite(value) or value != int(value):
+            raise DataError(
+                f"row {row}: timestamp component {name!r} must be an integer, got {value!r}"
+            )
+        parts.append(int(value))
+    for part, arr, name in zip(parts, component_arrays, names):
+        if not -_C_INT_LIMIT <= part < _C_INT_LIMIT:
+            raise DataError(
+                f"row {row}: timestamp component {name!r} is out of range, got {arr[row]!r}"
+            )
+    key = tuple(parts)
+    try:
+        stamp = datetime(*key)
+    except ValueError as exc:
+        raise DataError(f"row {row}: invalid timestamp components {key}: {exc}") from exc
+    return float(calendar.timegm(stamp.timetuple()))
+
 
 def _epoch_seconds(component_arrays: list[np.ndarray], names: Sequence[str]) -> np.ndarray:
-    """Calendar components (year..second, UTC) to integral epoch seconds."""
-    n = component_arrays[0].shape[0]
-    out = np.empty(n, dtype=np.float64)
-    cache: dict[tuple[int, ...], float] = {}
-    for row in range(n):
-        parts = []
-        for arr, name in zip(component_arrays, names):
-            value = arr[row]
-            if not np.isfinite(value) or value != int(value):
-                raise DataError(
-                    f"row {row}: timestamp component {name!r} must be an integer, got {value!r}"
-                )
-            parts.append(int(value))
-        key = tuple(parts)
-        seconds = cache.get(key)
-        if seconds is None:
-            try:
-                stamp = datetime(*key)
-            except ValueError as exc:
-                raise DataError(f"row {row}: invalid timestamp components {key}: {exc}") from exc
-            seconds = float(calendar.timegm(stamp.timetuple()))
-            cache[key] = seconds
-        out[row] = seconds
+    """Calendar components (year..second, UTC) to integral epoch seconds.
+
+    Every row is checked against datetime's ranges in float64, then counted
+    with days-from-civil integer arithmetic (H. Hinnant, "chrono-compatible
+    low-level date algorithms"). A row that fails the check goes through
+    _row_epoch_seconds, so the first bad row raises datetime's error.
+    """
+    ok = np.ones(component_arrays[0].shape[0], dtype=bool)
+    for arr, (low, high) in zip(component_arrays, _COMPONENT_RANGES):
+        ok &= (arr >= low) & (arr <= high) & (arr == np.trunc(arr))
+    year, month, day, hour, minute, second = (
+        np.where(ok, arr, low).astype(np.int64)
+        for arr, (low, _) in zip(component_arrays, _COMPONENT_RANGES)
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= day <= _MONTH_DAYS[month - 1] + (leap & (month == 2))
+
+    # days_from_civil: count years from March, so a leap day ends its year
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    days = era * 146097 + doe - 719468
+    out = (days * 86400 + hour * 3600 + minute * 60 + second).astype(np.float64)
+    for row in np.flatnonzero(~ok):
+        out[row] = _row_epoch_seconds(component_arrays, names, int(row))
     return out
 
 
@@ -632,12 +722,33 @@ def _split_details(table: ColumnarTable, split: SplitPair) -> str:
 # -- CSV emission -----------------------------------------------------------------
 
 
+def _csv_fields(values: list, alone: bool) -> list[str]:
+    """Token cells as csv.writer writes them within a row, quoting each
+    distinct text once. ``alone`` marks a one-column table, where csv.writer
+    quotes an empty field so that its row is not blank."""
+    texts = [
+        v if type(v) is str else f"{v:.17g}" if type(v) is float else str(v) for v in values
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    fields = {}
+    for text in set(texts):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text] if alone else [text, ""])
+        fields[text] = buffer.getvalue()[: -2 if alone else -3]
+    return list(map(fields.__getitem__, texts))
+
+
 def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     """Serialize a table as CSV; reals carry 17 significant digits so they
-    re-parse to the same 64-bit values, tokens are written as they are.
+    re-parse to the same 64-bit values, tokens are written as they are,
+    quoted as csv.writer quotes them.
 
     An encoded table is written as its feature columns followed by the
-    label's class names; a raw table as its cells.
+    label's class names; a raw table as its cells. Rows are formatted in
+    blocks of _BLOCK_ROWS, each with one ``%`` operation, so memory per step
+    is one block of text.
     """
     if isinstance(table, ColumnarTable):
         names = (*table.feature_names, table.label_name)
@@ -645,8 +756,20 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
         columns = (*table.columns, class_names[table.labels])
     else:
         names, columns = table.column_names, table.cells
+    width = len(columns)
+    sources = [
+        np.asarray(_csv_fields(column.tolist(), width == 1), dtype=object)
+        if column.dtype == object
+        else column
+        for column in columns
+    ]
+    row_format = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\r\n"
+    n_rows = columns[0].shape[0]
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in zip(*(column.tolist() for column in columns)):
-            writer.writerow([f"{v:.17g}" if type(v) is float else str(v) for v in row])
+        csv.writer(handle).writerow(names)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            flat: list = [None] * ((stop - start) * width)
+            for j, source in enumerate(sources):
+                flat[j::width] = source[start:stop].tolist()
+            handle.write((row_format * (stop - start)) % tuple(flat))
