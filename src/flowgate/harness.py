@@ -33,9 +33,16 @@ from .config import (
 from .dataset import ColumnarTable
 from .errors import ConfigError, DataError, FlowgateError
 from .metrics import EvalReport, confusion_matrix, evaluate
-from .models import fit_forest, fit_gbt, fit_tree, majority_baseline
+from .models import DecisionTreeModel, fit_forest, fit_gbt, fit_tree, majority_baseline
 from .prep import PrepOptions, PrepReport, SplitPair, preprocess_pipeline
-from .swarm import DT_DEFAULT_POINT, TraceEntry, dt_objective, dt_search_space, optimize
+from .swarm import (
+    DT_DEFAULT_POINT,
+    SwarmCounters,
+    TraceEntry,
+    dt_objective,
+    dt_search_space,
+    optimize,
+)
 from .synth import CorruptionLedger, corrupt, generate_flows
 
 TUNED_DT_NAME = "EPSO DT"
@@ -87,7 +94,8 @@ class RunManifest:
 
     metrics_document() is the deterministic part: byte-identical JSON for
     identical configs regardless of thread count. to_dict() wraps it with
-    timings and tool provenance for the manifest file.
+    timings, the tuning run's swarm counters and tool provenance for the
+    manifest file.
     """
 
     config: ExperimentConfig
@@ -98,6 +106,7 @@ class RunManifest:
     ledger: CorruptionLedger | None = None
     models: list[ModelResult] | None = None
     tuning: TuningOutcome | None = None
+    swarm: SwarmCounters | None = None
     timings: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
@@ -127,12 +136,15 @@ class RunManifest:
         return doc
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "tool_version": self.tool_version,
             "config": self.config.to_dict(),
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "metrics": self.metrics_document(),
         }
+        if self.swarm is not None:
+            doc["swarm"] = asdict(self.swarm)
+        return doc
 
 
 class StageFailure(FlowgateError):
@@ -145,14 +157,23 @@ class StageFailure(FlowgateError):
         self.manifest = manifest
 
 
-def fit_model(spec: ModelSpec, train: ColumnarTable, master_seed: int):
-    """Fit one configured classifier; returns (model, resolved hyperparameters)."""
+def fit_model(
+    spec: ModelSpec,
+    train: ColumnarTable,
+    master_seed: int,
+    template: DecisionTreeModel | None = None,
+):
+    """Fit one configured classifier; returns (model, resolved hyperparameters).
+
+    A decision tree fitted on ``train`` can be passed as ``template`` of a
+    ``dt`` fit (see ``fit_tree``); the model is the same with or without it.
+    """
     params = spec.hyperparams()
     if spec.type == MODEL_BASELINE:
         model = majority_baseline(train)
         return model, {"majority_class": model.majority_class}
     if spec.type == MODEL_DT:
-        return fit_tree(train, params), asdict(params)
+        return fit_tree(train, params, template=template), asdict(params)
     if spec.type == MODEL_RF:
         model = fit_forest(train, params, seed=master_seed)
         return model, {**asdict(model.params), "seed": model.seed}
@@ -162,9 +183,13 @@ def fit_model(spec: ModelSpec, train: ColumnarTable, master_seed: int):
 
 
 def _fit_and_eval(
-    spec: ModelSpec, split: SplitPair, mode: str, master_seed: int
+    spec: ModelSpec,
+    split: SplitPair,
+    mode: str,
+    master_seed: int,
+    template: DecisionTreeModel | None = None,
 ) -> ModelResult:
-    model, resolved = fit_model(spec, split.train, master_seed)
+    model, resolved = fit_model(spec, split.train, master_seed, template)
     predicted = model.predict(split.test)
     matrix = confusion_matrix(
         split.test.labels,
@@ -247,11 +272,17 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         tuning = config.tuning
 
         def do_tune() -> TuningOutcome:
+            manifest.swarm = SwarmCounters()
             objective = dt_objective(
-                split, holdout_fraction=tuning.holdout_fraction, seed=config.seed + 3
+                split,
+                holdout_fraction=tuning.holdout_fraction,
+                seed=config.seed + 3,
+                counters=manifest.swarm,
             )
             epso = tuning.epso_config(seed=config.seed + 3)
-            best_point, best_fitness, trace = optimize(dt_search_space(), epso, objective)
+            best_point, best_fitness, trace = optimize(
+                dt_search_space(), epso, objective, manifest.swarm
+            )
             default_fitness = objective(DT_DEFAULT_POINT)
             return TuningOutcome(
                 best_point=best_point,
@@ -273,7 +304,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                     ("min_samples_split", min_split),
                 ),
             )
-            result = _fit_and_eval(spec, split, config.metric_mode, config.seed)
+            # the configured DT, when there is one, is this tree's template
+            template = next(
+                (r.model for r in manifest.models if r.model_type == MODEL_DT), None
+            )
+            result = _fit_and_eval(spec, split, config.metric_mode, config.seed, template)
             return replace(result, name=TUNED_DT_NAME)
 
         manifest.models.append(run_stage(f"model:{TUNED_DT_NAME}", do_tuned_fit))

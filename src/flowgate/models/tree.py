@@ -21,6 +21,20 @@ a linear-time radix sort). While below 2**53, which holds for any node of
 fewer than about 9e7 rows, these integers equal the float square sums a
 per-class count matrix gives, so the near-tie window and the exact
 comparison see the same numbers and the search stays exact.
+
+Template growth: a node's split depends only on its rows and the leaf size,
+so a fit can copy splits from a template, an unpruned gini tree grown on
+the same feature matrix with no depth limit, a split gate s' <= s and a
+leaf size l' <= l. Walking down from the root while it copies, each node
+holds the same rows as its template node. After the fit's own depth and
+split-gate checks, a template leaf is a leaf of the fit too: the node is
+pure, or n < s' <= s, or n < 2l' <= 2l, or no split strictly improves in
+the wider window of legal boundaries and so none does in the narrower one.
+A template split whose two children both hold at least l rows is the
+exact argmax over a superset of the fit's window, so it is the fit's own
+best split, exact ties included (the lowest (feature, threshold) among the
+ties is already the template's). Any other node is searched, and the
+subtree below it grows without the template.
 """
 
 from __future__ import annotations
@@ -344,13 +358,24 @@ def best_split(
     )
 
 
+def _subtree_end(tree: Tree) -> np.ndarray:
+    """One past the last node of each node's subtree."""
+    end = np.arange(1, tree.feature.size + 1)
+    for node in np.flatnonzero(tree.feature >= 0)[::-1]:
+        end[node] = end[tree.right[node]]
+    return end
+
+
 def _grow(
     X: np.ndarray,
-    order: np.ndarray,
+    order: np.ndarray | None,
     payload: Callable[[np.ndarray], Any],
     find_split: Callable[[Any, np.ndarray, np.ndarray, int], tuple[int, float] | None],
+    template: Tree | None = None,
+    copies: np.ndarray | None = None,
 ) -> Tree:
-    """Grow a threshold tree over all rows of ``X``, given ``_presort(X)``.
+    """Grow a threshold tree over all rows of ``X``, given ``_presort(X)``
+    (None sorts here, when a node needs it).
 
     Each node holds its rows in row-id order and, for every feature f, the
     segment ``order[f]`` of its rows, sorted by (value, row id). A split
@@ -360,15 +385,44 @@ def _grow(
     (feature, threshold), or None to leave it a leaf. Nodes are appended and
     split in preorder, left child first, which pins down the order of any
     random draws ``find_split`` makes.
+
+    A ``template`` is a tree grown on the same rows whose nodes marked in
+    ``copies`` this growth reproduces unchanged: a marked leaf stays a leaf,
+    a marked split is made again. Each node carries the template node with
+    the same rows, starting at the root and -1 once growth leaves the
+    template; such a node takes the template node's value, and a marked one
+    skips ``find_split``. Below a node that ``find_split`` decides, growth
+    is off the template. A template subtree marked throughout is taken as
+    one preorder slice, without partitioning its rows.
     """
+    if template is not None:
+        end = _subtree_end(template)
+        unmarked = np.concatenate(([0], np.cumsum(~copies)))  # before each node
+        whole = unmarked[end] == unmarked[:-1]
+        if whole[0]:
+            return template
     n_features = X.shape[1]
     go_left = np.zeros(X.shape[0], dtype=bool)
     nodes: list[tuple[Any, int, float]] = []
-    stack = [(np.arange(X.shape[0], dtype=np.int64), order, 0)]
+    rows = np.arange(X.shape[0], dtype=np.int64)
+    order = _presort(X) if order is None else order
+    stack = [(rows, order, 0, -1 if template is None else 0)]
     while stack:
-        rows, order, depth = stack.pop()
-        value = payload(rows)
-        found = find_split(value, rows, order, depth)
+        rows, order, depth, at = stack.pop()
+        if at >= 0 and whole[at]:
+            taken = slice(at, end[at])
+            nodes.extend(
+                zip(template.value[taken], template.feature[taken], template.threshold[taken])
+            )
+            continue
+        if at >= 0 and copies[at]:
+            value = template.value[at]
+            found = int(template.feature[at]), float(template.threshold[at])
+            left_at, right_at = at + 1, int(template.right[at])
+        else:
+            value = payload(rows) if at < 0 else template.value[at]
+            found = find_split(value, rows, order, depth)
+            left_at = right_at = -1
         feature, threshold = (-1, np.nan) if found is None else found
         nodes.append((value, feature, threshold))
         if found is not None:
@@ -377,12 +431,12 @@ def _grow(
             in_left = go_left[order].ravel()
             flat = order.ravel()
             # LIFO: push right first so the left child is split first
-            stack.append(
-                (rows[~left], np.compress(~in_left, flat).reshape(n_features, -1), depth + 1)
-            )
-            stack.append(
-                (rows[left], np.compress(in_left, flat).reshape(n_features, -1), depth + 1)
-            )
+            for side, in_side, side_at in (
+                (~left, ~in_left, right_at),
+                (left, in_left, left_at),
+            ):
+                segments = np.compress(in_side, flat).reshape(n_features, -1)
+                stack.append((rows[side], segments, depth + 1, side_at))
     values, features, thresholds = zip(*nodes)
     return Tree(np.asarray(values), features, thresholds)
 
@@ -395,11 +449,14 @@ def _grow_gini(
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
     order: np.ndarray | None = None,
+    template: Tree | None = None,
 ) -> Tree:
     """Grow a classification tree, then prune it when ``params.ccp_alpha`` >
     0; with ``features_per_split`` below the feature count, each split
     searches a fresh ``rng`` sample of features. ``order`` is ``_presort(X)``
-    when the caller already has it."""
+    when the caller already has it. A ``template`` (searched on every
+    feature) is a gini tree on the same rows that ``_template_applies`` to
+    ``params``; growth copies the splits ``_template_copies`` marks."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
@@ -427,8 +484,39 @@ def _grow_gini(
         )
         return None if found is None else found[:2]
 
-    tree = _grow(X, _presort(X) if order is None else order, class_counts, find_split)
+    copies = None if template is None else _template_copies(template, params)
+    tree = _grow(X, order, class_counts, find_split, template, copies)
     return _prune(tree, params.ccp_alpha) if params.ccp_alpha > 0.0 else tree
+
+
+def _template_applies(grown: TreeHyperparams, params: TreeHyperparams) -> bool:
+    """Whether a gini tree grown with ``grown`` on a training set can be the
+    template of a fit with ``params`` on it: the tree is unpruned, grown
+    without a depth limit, and its split gate and leaf size are no larger."""
+    return (
+        grown.max_depth is None
+        and grown.ccp_alpha == 0.0
+        and grown.min_samples_split <= params.min_samples_split
+        and grown.min_samples_leaf <= params.min_samples_leaf
+    )
+
+
+def _template_copies(template: Tree, params: TreeHyperparams) -> np.ndarray:
+    """The template nodes a fit with ``params`` reproduces when it reaches
+    them with the template's rows: every leaf, and each split below
+    ``params.max_depth`` of a node holding at least ``min_samples_split``
+    rows whose two children hold at least ``min_samples_leaf`` each."""
+    n_rows = template.value.sum(axis=1)
+    split = np.flatnonzero(template.feature >= 0)
+    smaller_child = np.minimum(n_rows[split + 1], n_rows[template.right[split]])
+    legal = (n_rows[split] >= params.min_samples_split) & (
+        smaller_child >= params.min_samples_leaf
+    )
+    if params.max_depth is not None:
+        legal &= template.node_depth[split] < params.max_depth
+    copies = template.feature < 0
+    copies[split] = legal
+    return copies
 
 
 def _prune(tree: Tree, ccp_alpha: float) -> Tree:
@@ -441,10 +529,7 @@ def _prune(tree: Tree, ccp_alpha: float) -> Tree:
     risk = [gini_impurity(v) * (int(v.sum()) / n_total) for v in tree.value]
     feature = tree.feature.copy()
     right = tree.right
-    end = np.arange(1, n + 1)  # one past the last node of each subtree
-    for node in range(n - 1, -1, -1):
-        if feature[node] >= 0:
-            end[node] = end[right[node]]
+    end = _subtree_end(tree)
     live = np.ones(n, dtype=bool)
     while feature[0] >= 0:
         # leaf risk sums and leaf counts of every live subtree, leaves up
@@ -472,6 +557,7 @@ def fit_tree(
     params: TreeHyperparams = TreeHyperparams(),
     labels: np.ndarray | None = None,
     order: np.ndarray | None = None,
+    template: DecisionTreeModel | None = None,
 ) -> DecisionTreeModel:
     """Grow (and optionally prune) a classification tree.
 
@@ -479,14 +565,26 @@ def fit_tree(
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
     training set can share its presort: pass ``_presort`` of its feature
-    matrix as ``order``.
+    matrix as ``order``. They can also share splits: a ``template`` fitted
+    on the same training set lets growth copy its splits where they are
+    this fit's own (see the module docstring); a template fitted with
+    settings that ``_template_applies`` rejects is ignored. The fitted tree
+    is the same either way.
     """
     X, y, n_classes = _as_training_set(train, labels)
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    root = _grow_gini(X, y, n_classes, params, order=order)
+    copied = None
+    if template is not None:
+        if template.n_features != X.shape[1] or not np.array_equal(
+            template.root.value[0], np.bincount(y, minlength=n_classes)
+        ):
+            raise DataError("template tree was not fitted on this training set")
+        if _template_applies(template.params, params):
+            copied = template.root
+    root = _grow_gini(X, y, n_classes, params, order=order, template=copied)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
@@ -503,7 +601,11 @@ def _route(
     Split choice depends only on a node's rows and min_samples_leaf, so an
     unpruned gini tree grown with no depth limit and a split gate no larger
     than min_samples_split, cut this way, predicts exactly like the tree grown
-    with these limits and the same min_samples_leaf.
+    with these limits and the same min_samples_leaf. The same argument, with
+    a larger leaf size whose window of legal boundaries nests inside the
+    tree's, lets growth copy the tree's splits as a template (see the module
+    docstring): a cut changes where rows stop, a larger leaf size changes
+    which splits survive.
     """
     stop = tree.feature < 0
     if max_depth is not None:

@@ -252,6 +252,16 @@ def _reread_tokens(path: Path, indexes: Sequence[int]) -> dict[int, list[str]]:
     return tokens
 
 
+def _record_line(path: Path, record: int) -> int:
+    """1-based file line on which CSV record ``record`` starts (the header
+    is record 1); a quoted field can span lines, so records and lines differ."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        for _ in islice(reader, record - 1):
+            pass
+        return reader.line_num + 1
+
+
 def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     """Read an RFC-4180 CSV with a header row into a RawTable.
 
@@ -260,7 +270,7 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     original tokens are kept as a categorical column. The profile's label
     column is always kept as tokens. Duplicate header names and a missing
     label column fail before any data row is read; a ragged row raises an
-    error naming its 1-based line number.
+    error naming the 1-based file line on which it starts.
 
     Rows are read in blocks of _BLOCK_ROWS and parsed column by column:
     numeric columns become float64 chunks, and tokens are kept only for the
@@ -286,12 +296,13 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
         tokens: dict[int, list[str]] = {label: []}
         chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(width) if i != label}
         demoted: list[int] = []
-        lineno = 2
+        record = 2
         for block in _blocks(reader):
             if list(map(len, block)).count(width) != len(block):
                 offset, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
                 raise DataError(
-                    f"{path}: line {lineno + offset}: expected {width} fields, found {len(row)}"
+                    f"{path}: line {_record_line(path, record + offset)}: "
+                    f"expected {width} fields, found {len(row)}"
                 )
             for i, column in enumerate(zip(*block)):
                 if i in tokens:
@@ -302,11 +313,11 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
                         chunks[i].append(values)
                         continue
                     del chunks[i]
-                    if lineno == 2:  # the first block: all its tokens are here
+                    if record == 2:  # the first block: all its tokens are here
                         tokens[i] = list(column)
                     else:
                         demoted.append(i)
-            lineno += len(block)
+            record += len(block)
     if demoted:
         tokens.update(_reread_tokens(path, demoted))
 
@@ -485,8 +496,11 @@ def drop_duplicate_rows(raw: RawTable) -> tuple[RawTable, str]:
     if raw.n_rows == 0:
         out = raw
     else:
-        codes = _raw_row_codes(raw)
-        _, first_indices = np.unique(codes, axis=0, return_index=True)
+        codes = np.ascontiguousarray(_raw_row_codes(raw))
+        # one opaque item per row: np.unique sorts and compares its bytes, so
+        # rows match bitwise, and return_index gives each first occurrence
+        rows = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1])))
+        _, first_indices = np.unique(rows.ravel(), return_index=True)
         keep = np.sort(first_indices)
         out = raw if keep.size == raw.n_rows else raw.take_rows(keep)
     removed = raw.n_rows - out.n_rows

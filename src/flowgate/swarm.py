@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
-from .models.tree import Tree, TreeHyperparams, _classify, _presort, fit_tree
+from .models.tree import (
+    DecisionTreeModel,
+    TreeHyperparams,
+    _classify,
+    _presort,
+    fit_tree,
+)
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -117,6 +123,19 @@ class SwarmState:
     trace: list[TraceEntry] = field(default_factory=list)
     failures: list[tuple[int, ...]] = field(default_factory=list)
     evaluations: int = 0
+    cache_hits: int = 0  # lattice lookups answered without a new evaluation
+
+
+@dataclass
+class SwarmCounters:
+    """What one tuning run did: objective evaluations the swarm made, its
+    lattice lookups answered from the memo cache, the points it scored
+    -inf, and the trees the decision-tree objective grew."""
+
+    evaluations: int = 0
+    cache_hits: int = 0
+    failed_points: int = 0
+    trees_grown: int = 0
 
 
 def _round_point(space: SearchSpace, position: np.ndarray) -> tuple[int, ...]:
@@ -141,6 +160,7 @@ def _evaluate_points(
             return -np.inf
 
     results = parallel_map(run, todo)
+    state.cache_hits += len(points) - len(todo)
     for point, fitness in zip(todo, results):
         state.cache[point] = fitness
         state.evaluations += 1
@@ -241,15 +261,24 @@ def step(state: SwarmState, objective: Objective) -> SwarmState:
 
 
 def optimize(
-    space: SearchSpace, config: EpsoConfig, objective: Objective
+    space: SearchSpace,
+    config: EpsoConfig,
+    objective: Objective,
+    counters: SwarmCounters | None = None,
 ) -> tuple[tuple[int, ...], float, list[TraceEntry]]:
     """Full run: init + n_iterations synchronous steps.
 
-    Returns (best point, best fitness, one trace entry per iteration).
+    Returns (best point, best fitness, one trace entry per iteration), and
+    adds the run's evaluations, cache hits and failed points to ``counters``
+    when given.
     """
     state = init_swarm(space, config, objective)
     for _ in range(config.n_iterations):
         step(state, objective)
+    if counters is not None:
+        counters.evaluations += state.evaluations
+        counters.cache_hits += state.cache_hits
+        counters.failed_points += len(state.failures)
     return state.gbest_point, state.gbest_fitness, list(state.trace)
 
 
@@ -257,7 +286,10 @@ def optimize(
 
 
 def dt_objective(
-    split: SplitPair, holdout_fraction: float = 0.25, seed: int = 0
+    split: SplitPair,
+    holdout_fraction: float = 0.25,
+    seed: int = 0,
+    counters: SwarmCounters | None = None,
 ) -> Objective:
     """Holdout-accuracy objective over (max_depth, min_samples_split,
     min_samples_leaf) integer points.
@@ -270,7 +302,11 @@ def dt_objective(
     limit and the smallest split gate, and scores every (max_depth,
     min_samples_split) by routing the holdout through that tree cut at those
     limits. The score is exactly that of a tree fitted with the point's
-    hyperparameters, at the cost of one fit per leaf size.
+    hyperparameters, at the cost of one fit per leaf size. The leaf-size-1
+    tree is grown first and is the template of every other one, which then
+    searches only below the nodes where its own leaf size rules out the
+    template's split. Each tree grown counts in ``counters.trees_grown``
+    when ``counters`` is given.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -285,11 +321,11 @@ def dt_objective(
     holdout_labels = inner.test.labels
     n_classes = inner.test.n_classes
 
-    grown: dict[int, Tree] = {}
+    grown: dict[int, DecisionTreeModel] = {}
     leaf_locks: dict[int, threading.Lock] = {}
     locks_guard = threading.Lock()
 
-    def grown_tree(min_leaf: int) -> Tree:
+    def grown_tree(min_leaf: int) -> DecisionTreeModel:
         # one lock per leaf size: concurrent workers never grow a tree twice,
         # while trees for different leaf sizes still grow in parallel
         with locks_guard:
@@ -299,7 +335,15 @@ def dt_objective(
                 params = TreeHyperparams(
                     min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
                 )
-                grown[min_leaf] = fit_tree(fit_table, params, order=fit_order).root
+                # every other tree copies what it can of the leaf-size-1
+                # tree, which the seed particle and the default point need
+                template = None if min_leaf == 1 else grown_tree(1)
+                grown[min_leaf] = fit_tree(
+                    fit_table, params, order=fit_order, template=template
+                )
+                if counters is not None:
+                    with locks_guard:  # trees of other leaf sizes grow alongside
+                        counters.trees_grown += 1
             return grown[min_leaf]
 
     def objective(point: tuple[int, ...]) -> float:
@@ -309,7 +353,7 @@ def dt_objective(
             min_samples_split=min_split,
             min_samples_leaf=min_leaf,
         )
-        predicted = _classify(grown_tree(min_leaf), holdout_X, depth, min_split)
+        predicted = _classify(grown_tree(min_leaf).root, holdout_X, depth, min_split)
         return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
 
     return objective

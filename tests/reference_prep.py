@@ -45,13 +45,15 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
             raise DataError(f"{path}: empty file, expected a header row") from None
         width = len(header)
         columns: list[list[str]] = [[] for _ in range(width)]
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # file line on which the next row starts
+        for row in reader:
             if len(row) != width:
                 raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
+                    f"{path}: line {start}: expected {width} fields, found {len(row)}"
                 )
             for i, token in enumerate(row):
                 columns[i].append(token)
+            start = reader.line_num + 1
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate header names")
     if profile.label_column not in header:

@@ -1,6 +1,7 @@
 """End-to-end experiment runs and artifact emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,115 @@ def test_tuning_produces_trace_and_tuned_model():
     assert manifest.tuning.best_fitness >= manifest.tuning.default_fitness
     names = [m.name for m in manifest.models]
     assert names == ["DT", TUNED_DT_NAME]
+
+
+def _split_of(config):
+    """The train/test split a run of ``config`` fits and scores on."""
+    from flowgate.prep import PrepOptions, preprocess_pipeline
+
+    source, profile, _ = build_source(config)
+    split, _ = preprocess_pipeline(
+        source, profile, PrepOptions(split_ratio=config.split_ratio, seed=config.seed + 2)
+    )
+    return split
+
+
+def _overlapping_tuned_config(dt_spec):
+    # overlapping classes: the swarm's best point here is (4, 30, 10), a
+    # depth cut and a leaf size above the configured DT's
+    return _config(
+        seed=12,
+        dataset={
+            "kind": "synthetic",
+            "n_rows": 1200,
+            "class_names": ["calm", "burst", "probe"],
+            "class_ratios": [0.6, 0.3, 0.1],
+            "n_features": 5,
+            "cluster_separation": 1.0,
+        },
+        models=[dt_spec],
+        tuning={"enabled": True, "n_particles": 6, "n_iterations": 5},
+    )
+
+
+@pytest.mark.parametrize(
+    "dt_spec, template_applies", [("dt", True), ({"type": "dt", "ccp_alpha": 0.01}, False)]
+)
+def test_tuned_tree_is_the_fresh_fit_of_the_best_point(monkeypatch, dt_spec, template_applies):
+    import flowgate.harness
+    from flowgate.models import tree as tree_module
+    from flowgate.models.tree import TreeHyperparams, fit_tree
+
+    harness_fits = []
+    copies = tree_module._template_copies
+
+    def recording_fit(*args, template=None, **kwargs):
+        used = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                tree_module,
+                "_template_copies",
+                lambda *a: used.append(True) or copies(*a),
+            )
+            model = fit_tree(*args, template=template, **kwargs)
+        harness_fits.append((template, bool(used)))
+        return model
+
+    monkeypatch.setattr(flowgate.harness, "fit_tree", recording_fit)
+    config = _overlapping_tuned_config(dt_spec)
+    manifest = run_experiment(config)
+    depth, min_split, min_leaf = manifest.tuning.best_point
+    dt_model = manifest.model_named("DT").model
+    # the configured DT has no template; the tuned one gets the DT
+    assert harness_fits == [(None, False), (dt_model, template_applies)]
+
+    split = _split_of(config)
+    params = TreeHyperparams(
+        max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf
+    )
+    fresh = fit_tree(split.train, params).root
+    unbounded = fit_tree(split.train, replace(params, max_depth=None)).root
+    assert min_leaf > 1 and depth < unbounded.depth()  # the depth cut matters
+    tuned = manifest.model_named(TUNED_DT_NAME).model
+    assert tuned.params == params
+    for name in ("value", "feature", "threshold", "right", "node_depth"):
+        got, want = getattr(tuned.root, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_manifest_records_the_swarm_counters(tmp_path):
+    config = _overlapping_tuned_config("dt")
+    manifest, _ = run_and_emit(config, tmp_path)
+    counters = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["swarm"]
+    assert set(counters) == {"evaluations", "cache_hits", "failed_points", "trees_grown"}
+    # every particle looks up one lattice point per iteration, plus once at init
+    assert counters["evaluations"] + counters["cache_hits"] == 6 * (5 + 1)
+    assert 0 <= counters["failed_points"] < counters["evaluations"]
+    # the leaf-size-1 tree is every other tree's template
+    leaf_sizes = {point[2] for point in _evaluated_points(manifest)} | {1}
+    assert counters["trees_grown"] == len(leaf_sizes)
+    metrics = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+    assert "swarm" not in metrics and metrics == manifest.metrics_document()
+
+
+def _evaluated_points(manifest):
+    """The feasible lattice points a rerun of the tuning swarm evaluates."""
+    from flowgate.swarm import dt_objective, dt_search_space, optimize
+
+    config = manifest.config
+    split = _split_of(config)
+    objective = dt_objective(
+        split, holdout_fraction=config.tuning.holdout_fraction, seed=config.seed + 3
+    )
+    points = []
+
+    def recording(point):
+        value = objective(point)  # an infeasible point raises before any fit
+        points.append(point)
+        return value
+
+    optimize(dt_search_space(), config.tuning.epso_config(seed=config.seed + 3), recording)
+    return points
 
 
 def test_stage_failure_carries_stage_and_partial_manifest():

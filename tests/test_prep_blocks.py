@@ -176,6 +176,30 @@ def test_ragged_line_in_a_later_block_names_its_line(n_rows, block_rows, ragged)
     assert f"line {n_rows}:" in str(got.value)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a quoted field spans lines 2-3: the ragged row is CSV record 3
+        # but starts on line 4 of the file
+        ('a,b,Label\n1,"x\ny",A\n3,C\n', 4),
+        ('a,b,Label\n1,x,A\n2,"x\r\ny",B\n3,"p\nq\nr"\n4,z,A\n', 5),
+    ],
+)
+def test_ragged_row_after_a_multiline_field_names_its_file_line(
+    tmp_path, block_rows, text, line
+):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    message = f"line {line}: expected 3 fields, found 2"
+    with pytest.raises(DataError, match=message):
+        reference_prep.load_csv(path, PROFILE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prep, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, PROFILE)
+
+
 @pytest.mark.parametrize(
     "header, message",
     [("a,a,Label", "duplicate header names"), ("a,b,lbl", "label column 'Label' not present")],

@@ -16,6 +16,7 @@ from flowgate.swarm import (
     DT_DEFAULT_POINT,
     EpsoConfig,
     SearchSpace,
+    SwarmCounters,
     dt_objective,
     dt_search_space,
     init_swarm,
@@ -377,3 +378,49 @@ def test_dt_objective_grows_each_tree_once_under_contention(monkeypatch):
     assert sorted(fits) == [1, 3, 8]
     for scores in results:
         assert [scores[p] for p in points] == expected
+
+
+def test_template_trees_grow_once_and_count_once_under_contention():
+    # workers that start on a larger leaf size wait for the leaf-size-1
+    # template inside their own leaf size's lock; a lost update would
+    # miscount the trees grown
+    split = _toy_split(seed=7, separation=1.5)
+    points = [(d, s, l) for l in (1, 2, 5, 9) for s in (9, 30) for d in (3, 64)]
+    expected = [dt_objective(split, seed=7)(p) for p in points]
+    counters = SwarmCounters()
+    objective = dt_objective(split, seed=7, counters=counters)
+    start = threading.Barrier(8)
+
+    def worker(shift):
+        start.wait(timeout=30)
+        order = points[::-1][shift:] + points[::-1][:shift]
+        return dict(zip(order, (objective(p) for p in order)))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, shift) for shift in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert counters.trees_grown == 4
+    for scores in results:
+        assert [scores[p] for p in points] == expected
+
+
+def test_optimize_reports_its_counters():
+    counters = SwarmCounters()
+    config = EpsoConfig(n_particles=6, n_iterations=4, seed=2)
+
+    def brittle(point):
+        if point[0] > 0:
+            raise DataError("infeasible")
+        return -float(point[0] ** 2 + point[1] ** 2)
+
+    evaluated = []
+    optimize(_box(-5, 5), config, lambda p: evaluated.append(p) or brittle(p), counters)
+    assert counters.evaluations == len(evaluated)
+    assert counters.cache_hits == 6 * (4 + 1) - len(evaluated)
+    assert counters.failed_points == sum(p[0] > 0 for p in evaluated) > 0
+    assert counters.trees_grown == 0
