@@ -260,6 +260,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         return split
 
     split = run_stage("preprocess", do_prep)
+    del source  # the split holds the rows now; the source table is not needed
 
     for spec in config.models:
         result = run_stage(

@@ -199,7 +199,12 @@ class _Candidate:
 # A node scans its features together, up to about this many sorted values per
 # scan: a small node takes one set of numpy calls for all of its features,
 # while a big node's scan temporaries stay the size of a few feature columns.
-_SCAN_CELLS = 1 << 18
+# At 2^16 values a temporary of a node below 2^16 rows is at most 512 KB.
+# glibc's malloc maps blocks above its dynamic mmap threshold afresh, and
+# faults their pages in again, for every node; the threshold rises only as
+# the process frees large blocks, so bigger scans made fit speed depend on
+# what ran before (at 2^18, a gate-6 tuning run faulted 163k pages, not 69k).
+_SCAN_CELLS = 1 << 16
 
 
 def _gini_scan(

@@ -1,5 +1,6 @@
-"""Reference CSV layers: the row-at-a-time load, timestamp merge and write that
-block-wise ingest replaced, kept as an independent copy to compare against.
+"""Reference prep layers: the row-at-a-time load, timestamp merge and write that
+block-wise ingest replaced, and the whole-row dedup that the hashed one
+replaced, kept as an independent copy to compare against.
 
 Block-wise ``load_csv`` must build the same RawTable bit for bit, and
 block-wise ``write_csv`` must write the same bytes. The one deliberate
@@ -7,7 +8,9 @@ difference is not reproduced here: this loader reads every data row before
 it checks the header, so a file with both a ragged line and a bad header
 reports the ragged line here and the header in the library. A timestamp
 component too large for a C int escapes this ``epoch_seconds`` as an
-OverflowError; the library raises a DataError naming it.
+OverflowError; the library raises a DataError naming it. ``drop_duplicate_rows``
+sorts one opaque item per row of the full code matrix; the library must keep
+the same rows and report the same details.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from flowgate.dataset import KIND_CATEGORICAL, KIND_LABEL, KIND_NUMERIC, ColumnSchema, ColumnarTable
+from flowgate.dataset import (
+    KIND_CATEGORICAL,
+    KIND_LABEL,
+    KIND_NUMERIC,
+    KIND_TIMESTAMP,
+    ColumnSchema,
+    ColumnarTable,
+)
 from flowgate.errors import DataError
 from flowgate.prep import RawTable
 from flowgate.profiles import DatasetProfile
@@ -103,6 +113,36 @@ def epoch_seconds(component_arrays: list[np.ndarray], names: Sequence[str]) -> n
             cache[key] = seconds
         out[row] = seconds
     return out
+
+
+def _raw_row_codes(raw: RawTable) -> np.ndarray:
+    """uint64 matrix whose rows are equal iff raw rows are equal.
+
+    Floats compare bitwise (so NaNs with identical bit patterns match);
+    token columns compare by value.
+    """
+    parts = []
+    for col, arr in zip(raw.schema, raw.cells):
+        if col.kind in (KIND_NUMERIC, KIND_TIMESTAMP):
+            parts.append(arr.view(np.uint64))
+        else:
+            _, inverse = np.unique(arr.astype(str), return_inverse=True)
+            parts.append(inverse.astype(np.uint64))
+    return np.column_stack(parts)
+
+
+def drop_duplicate_rows(raw: RawTable) -> tuple[RawTable, str]:
+    """``np.unique`` over one ``np.void`` item per row of the whole table."""
+    if raw.n_rows == 0:
+        out = raw
+    else:
+        codes = np.ascontiguousarray(_raw_row_codes(raw))
+        rows = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1])))
+        _, first_indices = np.unique(rows.ravel(), return_index=True)
+        keep = np.sort(first_indices)
+        out = raw if keep.size == raw.n_rows else raw.take_rows(keep)
+    removed = raw.n_rows - out.n_rows
+    return out, f"removed {removed} duplicate rows (first occurrence kept)"
 
 
 def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
