@@ -35,10 +35,10 @@ split, _ = preprocess_pipeline(raw, profile, PrepOptions(split_ratio=0.8, seed=5
 
 objective = dt_objective(split, holdout_fraction=0.25, seed=6)
 space = dt_search_space()
-config = EpsoConfig(n_particles=12, n_iterations=20, seed=6,
-                    seed_point=DT_DEFAULT_POINT)
+config = EpsoConfig(n_particles=12, n_iterations=20)
 
-best_point, best_fitness, trace = optimize(space, config, objective)
+best_point, best_fitness, trace = optimize(space, config, objective, seed=6,
+                                           seed_point=DT_DEFAULT_POINT)
 default_fitness = objective(DT_DEFAULT_POINT)
 
 print(f"search space: {', '.join(space.names)}")

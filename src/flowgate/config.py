@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,7 +24,7 @@ from .profiles import (
     builtin_profile,
     resolve_profile,
 )
-from .swarm import DT_DEFAULT_POINT, EpsoConfig
+from .swarm import EpsoConfig
 from .synth import SynthSpec
 
 MODEL_BASELINE = "baseline"
@@ -77,6 +77,27 @@ def _check_type(value: Any, default: Any, where: str) -> None:
         _as_float(value, where)
 
 
+def _read_settings(cls: type, doc: Any, where: str, keys: str = "keys") -> Any:
+    """Build the settings class ``cls`` from the config block ``doc``.
+
+    The block must be an object whose keys are fields of ``cls`` and whose
+    values have the JSON types of the fields' defaults; nothing is converted.
+    A range check that fails in ``cls`` is a configuration error.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{where} has unknown {keys} {unknown}")
+    for key, value in doc.items():
+        _check_type(value, defaults[key], f"{where}.{key}")
+    try:
+        return cls(**doc)
+    except DataError as exc:
+        raise ConfigError(f"{where} settings are invalid: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One classifier to train: a type tag plus keyword overrides.
@@ -94,16 +115,11 @@ class ModelSpec:
                 f"unknown model type {self.type!r}; expected one of {list(MODEL_TYPES)}"
             )
         settings = MODEL_TYPES[self.type][1]
-        defaults = {f.name: f.default for f in fields(settings)} if settings else {}
-        unknown = sorted(set(self.params_dict()) - set(defaults))
-        if unknown:
+        if settings is not None:
+            _read_settings(settings, self.params_dict(), self.type, "hyperparameters")
+        elif self.params:  # the baseline has no settings
+            unknown = sorted(self.params_dict())
             raise ConfigError(f"{self.type} has unknown hyperparameters {unknown}")
-        for key, value in self.params:
-            _check_type(value, defaults[key], f"{self.type}.{key}")
-        try:
-            self.hyperparams()
-        except DataError as exc:
-            raise ConfigError(f"{self.type} hyperparameters are invalid: {exc}") from None
 
     @property
     def display_name(self) -> str:
@@ -197,7 +213,9 @@ class DatasetConfig:
         return builtin_profile(self.profile_name)
 
     @classmethod
-    def from_dict(cls, doc: Mapping, base_dir: Path) -> "DatasetConfig":
+    def from_dict(cls, doc: Any, base_dir: Path) -> "DatasetConfig":
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"dataset must be an object, got {doc!r}")
         kind = str(_require(doc, "kind", "dataset"))
         if kind == "synthetic":
             ratios = doc.get("class_ratios")
@@ -284,83 +302,21 @@ class CorruptionConfig:
             and self.n_constant_cols == 0
         )
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "CorruptionConfig":
-        unknown = set(doc) - {"dup_rate", "nan_rate", "inf_rate", "n_constant_cols"}
-        if unknown:
-            raise ConfigError(f"corruption has unknown keys {sorted(unknown)}")
-        return cls(
-            dup_rate=_as_float(doc.get("dup_rate", 0.0), "corruption.dup_rate"),
-            nan_rate=_as_float(doc.get("nan_rate", 0.0), "corruption.nan_rate"),
-            inf_rate=_as_float(doc.get("inf_rate", 0.0), "corruption.inf_rate"),
-            n_constant_cols=_as_int(
-                doc.get("n_constant_cols", 0), "corruption.n_constant_cols"
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "dup_rate": self.dup_rate,
-            "nan_rate": self.nan_rate,
-            "inf_rate": self.inf_rate,
-            "n_constant_cols": self.n_constant_cols,
-        }
-
 
 @dataclass(frozen=True)
-class TuningConfig:
-    """The tuning block; the swarm settings default to EpsoConfig's."""
+class TuningConfig(EpsoConfig):
+    """The tuning block: the swarm's settings plus whether a run tunes, the
+    share of the training side held out to score points, and whether one
+    particle starts at the decision tree's default point."""
 
     enabled: bool = False
-    n_particles: int = EpsoConfig.n_particles
-    n_iterations: int = EpsoConfig.n_iterations
     holdout_fraction: float = 0.25
-    inertia_start: float = EpsoConfig.w_start
-    inertia_end: float = EpsoConfig.w_end
-    cognitive: float = EpsoConfig.c1
-    social: float = EpsoConfig.c2
-    velocity_fraction: float = EpsoConfig.v_max_fraction
-    memoize: bool = EpsoConfig.memoize
-    inertia_decay: bool = EpsoConfig.inertia_decay
-    velocity_clamp: bool = EpsoConfig.velocity_clamp
     seed_default_point: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("tuning.holdout_fraction must be in (0, 1)")
-        try:
-            self.epso_config(seed=0)
-        except DataError as exc:
-            raise ConfigError(f"tuning settings give an invalid swarm: {exc}") from None
-
-    def epso_config(self, seed: int) -> EpsoConfig:
-        """The swarm these settings describe, seeded with ``seed``."""
-        return EpsoConfig(
-            n_particles=self.n_particles,
-            n_iterations=self.n_iterations,
-            w_start=self.inertia_start,
-            w_end=self.inertia_end,
-            c1=self.cognitive,
-            c2=self.social,
-            v_max_fraction=self.velocity_fraction,
-            seed=seed,
-            memoize=self.memoize,
-            inertia_decay=self.inertia_decay,
-            velocity_clamp=self.velocity_clamp,
-            seed_point=DT_DEFAULT_POINT if self.seed_default_point else None,
-        )
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "TuningConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"tuning has unknown keys {sorted(unknown)}")
-        for key, value in doc.items():
-            _check_type(value, cls.__dataclass_fields__[key].default, f"tuning.{key}")
-        return cls(**dict(doc))
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -412,16 +368,13 @@ class ExperimentConfig:
             ModelSpec.from_value(v, f"models[{i}]")
             for i, v in enumerate(as_list(doc.get("models", []), "models", "model specs"))
         )
-        corruption = CorruptionConfig.from_dict(doc.get("corruption", {}))
+        corruption = _read_settings(CorruptionConfig, doc.get("corruption", {}), "corruption")
         prep_doc = doc.get("preprocess", {})
         if not isinstance(prep_doc, Mapping):
             raise ConfigError("preprocess must be an object")
         prep_unknown = set(prep_doc) - {"split_ratio", "fit_scope"}
         if prep_unknown:
             raise ConfigError(f"preprocess has unknown keys {sorted(prep_unknown)}")
-        tuning_doc = doc.get("tuning", {})
-        if not isinstance(tuning_doc, Mapping):
-            raise ConfigError("tuning must be an object")
         return cls(
             seed=seed,
             dataset=dataset,
@@ -429,7 +382,7 @@ class ExperimentConfig:
             corruption=corruption,
             split_ratio=_as_float(prep_doc.get("split_ratio", 0.8), "preprocess.split_ratio"),
             fit_scope=str(prep_doc.get("fit_scope", FIT_FULL_DATASET)),
-            tuning=TuningConfig.from_dict(tuning_doc),
+            tuning=_read_settings(TuningConfig, doc.get("tuning", {}), "tuning"),
             metric_mode=str(doc.get("metric_mode", "weighted")),
             output_dir=str(doc.get("output_dir", "out")),
             formats=tuple(
@@ -456,9 +409,9 @@ class ExperimentConfig:
             "seed": self.seed,
             "dataset": self.dataset.to_dict(),
             "models": [m.to_value() for m in self.models],
-            "corruption": self.corruption.to_dict(),
+            "corruption": asdict(self.corruption),
             "preprocess": {"split_ratio": self.split_ratio, "fit_scope": self.fit_scope},
-            "tuning": self.tuning.to_dict(),
+            "tuning": asdict(self.tuning),
             "metric_mode": self.metric_mode,
             "output_dir": self.output_dir,
             "formats": list(self.formats),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -104,16 +104,10 @@ class RunManifest:
     class_names: tuple[str, ...] = ()
     prep_report: PrepReport | None = None
     ledger: CorruptionLedger | None = None
-    models: list[ModelResult] | None = None
+    models: list[ModelResult] = field(default_factory=list)
     tuning: TuningOutcome | None = None
     swarm: SwarmCounters | None = None
-    timings: dict[str, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.models is None:
-            self.models = []
-        if self.timings is None:
-            self.timings = {}
+    timings: dict[str, float] = field(default_factory=dict)
 
     def model_named(self, name: str) -> ModelResult:
         for result in self.models:
@@ -280,9 +274,13 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 seed=config.seed + 3,
                 counters=manifest.swarm,
             )
-            epso = tuning.epso_config(seed=config.seed + 3)
             best_point, best_fitness, trace = optimize(
-                dt_search_space(), epso, objective, manifest.swarm
+                dt_search_space(),
+                tuning,
+                objective,
+                manifest.swarm,
+                seed=config.seed + 3,
+                seed_point=DT_DEFAULT_POINT if tuning.seed_default_point else None,
             )
             default_fitness = objective(DT_DEFAULT_POINT)
             return TuningOutcome(

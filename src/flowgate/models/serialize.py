@@ -7,7 +7,7 @@ float strings, so a save/load round trip reproduces the model bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,23 +69,23 @@ def _tree_from_dict(doc: dict, payload: tuple) -> Tree:
     return Tree(np.asarray(values), features, thresholds)
 
 
-def _params_to_dict(params: TreeHyperparams) -> dict:
+def _settings_to_dict(settings, cls: type) -> dict:
+    """The values of ``settings`` for the fields of ``cls``, in field order;
+    a field whose default is a float is stored as a hex string."""
+    doc = {}
+    for f in fields(cls):
+        value = getattr(settings, f.name)
+        doc[f.name] = _hex(value) if isinstance(f.default, float) else value
+    return doc
+
+
+def _settings_from_dict(cls: type, doc: dict) -> dict:
+    """The field values of ``cls`` stored in ``doc``. Other keys are ignored:
+    older v1 files also carry "criterion" and "seed", which growth never read."""
     return {
-        "max_depth": params.max_depth,
-        "min_samples_split": params.min_samples_split,
-        "min_samples_leaf": params.min_samples_leaf,
-        "ccp_alpha": _hex(params.ccp_alpha),
+        f.name: _unhex(doc[f.name]) if isinstance(f.default, float) else doc[f.name]
+        for f in fields(cls)
     }
-
-
-def _params_from_dict(doc: dict) -> TreeHyperparams:
-    # older v1 files also carry "criterion" and "seed", which growth never read
-    return TreeHyperparams(
-        max_depth=doc["max_depth"],
-        min_samples_split=int(doc["min_samples_split"]),
-        min_samples_leaf=int(doc["min_samples_leaf"]),
-        ccp_alpha=_unhex(doc["ccp_alpha"]),
-    )
 
 
 def model_to_dict(model: AnyModel) -> dict:
@@ -95,7 +95,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "kind": KIND_TREE,
             "n_classes": model.n_classes,
             "n_features": model.n_features,
-            "params": _params_to_dict(model.params),
+            "params": _settings_to_dict(model.params, TreeHyperparams),
             "root": _tree_to_dict(model.root, _COUNTS),
         }
     if isinstance(model, ForestModel):
@@ -108,7 +108,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "features_per_split": model.params.features_per_split,
             "bootstrap": model.params.bootstrap,
             "seed": model.seed,
-            "params": _params_to_dict(model.params),
+            "params": _settings_to_dict(model.params, TreeHyperparams),
             "trees": [_tree_to_dict(t, _COUNTS) for t in model.trees],
         }
     if isinstance(model, GbtModel):
@@ -116,12 +116,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "kind": KIND_GBT,
             "n_classes": model.n_classes,
             "n_features": model.n_features,
-            "params": {
-                "n_rounds": model.params.n_rounds,
-                "learning_rate": _hex(model.params.learning_rate),
-                "max_depth": model.params.max_depth,
-                "l2_lambda": _hex(model.params.l2_lambda),
-            },
+            "params": _settings_to_dict(model.params, GbtParams),
             "base_score": [_hex(v) for v in model.base_score],
             "trees": [
                 [_tree_to_dict(t, _WEIGHT) for t in round_trees]
@@ -147,7 +142,7 @@ def model_from_dict(doc: dict) -> AnyModel:
     if kind == KIND_TREE:
         return DecisionTreeModel(
             root=_tree_from_dict(doc["root"], _COUNTS),
-            params=_params_from_dict(doc["params"]),
+            params=TreeHyperparams(**_settings_from_dict(TreeHyperparams, doc["params"])),
             n_classes=int(doc["n_classes"]),
             n_features=int(doc["n_features"]),
         )
@@ -155,7 +150,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         return ForestModel(
             trees=tuple(_tree_from_dict(t, _COUNTS) for t in doc["trees"]),
             params=ForestParams(
-                **asdict(_params_from_dict(doc["params"])),
+                **_settings_from_dict(TreeHyperparams, doc["params"]),
                 n_trees=len(doc["trees"]),
                 features_per_split=int(doc["features_per_split"]),
                 bootstrap=bool(doc["bootstrap"]),
@@ -165,12 +160,7 @@ def model_from_dict(doc: dict) -> AnyModel:
             seed=int(doc["seed"]),
         )
     if kind == KIND_GBT:
-        params = GbtParams(
-            n_rounds=int(doc["params"]["n_rounds"]),
-            learning_rate=_unhex(doc["params"]["learning_rate"]),
-            max_depth=int(doc["params"]["max_depth"]),
-            l2_lambda=_unhex(doc["params"]["l2_lambda"]),
-        )
+        params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
         base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
         trees = tuple(
             tuple(_tree_from_dict(t, _WEIGHT) for t in round_trees)

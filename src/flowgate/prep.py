@@ -291,8 +291,7 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     and equal tokens of a column share one str. So the load holds the
     float64 columns, one pointer per token cell plus each distinct token
     once, and one block. On the 17,040 × 80 ``ingest-csv`` benchmark CSV the
-    process's RSS rises from 35 MB after import to 55 MB over the load (to
-    96 MB when two blocks of 4096 rows were alive at once).
+    process's RSS rises from 35 MB after import to 55 MB over the load.
     """
     path = Path(path)
     if not path.exists():

@@ -74,28 +74,29 @@ DT_DEFAULT_POINT = (64, 2, 1)  # unbounded depth maps to the box upper bound
 
 @dataclass(frozen=True)
 class EpsoConfig:
-    """Swarm size, schedule, coefficients, and enhancement toggles."""
+    """Swarm size, schedule, coefficients, and enhancement toggles; the
+    fields are the swarm keys of a config's tuning block."""
 
     n_particles: int = 20
     n_iterations: int = 30
-    w_start: float = 0.9
-    w_end: float = 0.4
-    c1: float = 2.0
-    c2: float = 2.0
-    v_max_fraction: float = 0.2
-    seed: int = 0
+    inertia_start: float = 0.9
+    inertia_end: float = 0.4
+    cognitive: float = 2.0
+    social: float = 2.0
+    velocity_fraction: float = 0.2
     memoize: bool = True
     inertia_decay: bool = True
     velocity_clamp: bool = True
-    seed_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise DataError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.n_iterations < 0:
             raise DataError(f"n_iterations must be >= 0, got {self.n_iterations}")
-        if self.v_max_fraction <= 0.0:
-            raise DataError(f"v_max_fraction must be > 0, got {self.v_max_fraction}")
+        if self.velocity_fraction <= 0.0:
+            raise DataError(
+                f"velocity_fraction must be > 0, got {self.velocity_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,18 @@ class TraceEntry:
     iteration: int
     fitness: float
     point: tuple[int, ...]
+
+
+@dataclass
+class SwarmCounters:
+    """What one tuning run did: objective evaluations the swarm made, its
+    lattice lookups answered from the memo cache, the points it scored
+    -inf, and the trees the decision-tree objective grew."""
+
+    evaluations: int = 0
+    cache_hits: int = 0
+    failed_points: int = 0
+    trees_grown: int = 0
 
 
 @dataclass
@@ -119,23 +132,9 @@ class SwarmState:
     gbest_fitness: float
     iteration: int
     rng: np.random.Generator
+    counters: SwarmCounters
     cache: dict[tuple[int, ...], float] = field(default_factory=dict)
     trace: list[TraceEntry] = field(default_factory=list)
-    failures: list[tuple[int, ...]] = field(default_factory=list)
-    evaluations: int = 0
-    cache_hits: int = 0  # lattice lookups answered without a new evaluation
-
-
-@dataclass
-class SwarmCounters:
-    """What one tuning run did: objective evaluations the swarm made, its
-    lattice lookups answered from the memo cache, the points it scored
-    -inf, and the trees the decision-tree objective grew."""
-
-    evaluations: int = 0
-    cache_hits: int = 0
-    failed_points: int = 0
-    trees_grown: int = 0
 
 
 def _round_point(space: SearchSpace, position: np.ndarray) -> tuple[int, ...]:
@@ -160,29 +159,40 @@ def _evaluate_points(
             return -np.inf
 
     results = parallel_map(run, todo)
-    state.cache_hits += len(points) - len(todo)
+    counters = state.counters
+    counters.cache_hits += len(points) - len(todo)
+    counters.evaluations += len(todo)
     for point, fitness in zip(todo, results):
         state.cache[point] = fitness
-        state.evaluations += 1
         if fitness == -np.inf:
-            state.failures.append(point)
+            counters.failed_points += 1
 
 
-def init_swarm(space: SearchSpace, config: EpsoConfig, objective: Objective) -> SwarmState:
-    """Seeded uniform initialization; evaluates every particle once so pbest
-    and gbest are defined before the first step."""
-    if config.seed_point is not None and not space.contains(config.seed_point):
-        raise DataError(f"seed point {config.seed_point} lies outside the search space")
-    rng = np.random.default_rng(config.seed)
+def init_swarm(
+    space: SearchSpace,
+    config: EpsoConfig,
+    objective: Objective,
+    counters: SwarmCounters | None = None,
+    *,
+    seed: int = 0,
+    seed_point: tuple[int, ...] | None = None,
+) -> SwarmState:
+    """Uniform initialization drawn from ``seed``, with particle zero placed
+    at ``seed_point`` when given; evaluates every particle once so pbest and
+    gbest are defined before the first step. The state counts into
+    ``counters`` when given."""
+    if seed_point is not None and not space.contains(seed_point):
+        raise DataError(f"seed point {seed_point} lies outside the search space")
+    rng = np.random.default_rng(seed)
     lowers = np.asarray(space.lowers, dtype=np.float64)
     uppers = np.asarray(space.uppers, dtype=np.float64)
     span = uppers - lowers
-    v_max = config.v_max_fraction * span
+    v_max = config.velocity_fraction * span
 
     positions = lowers + rng.random((config.n_particles, space.n_dims)) * span
     velocities = rng.uniform(-1.0, 1.0, (config.n_particles, space.n_dims)) * v_max
-    if config.seed_point is not None:
-        positions[0] = np.asarray(config.seed_point, dtype=np.float64)
+    if seed_point is not None:
+        positions[0] = np.asarray(seed_point, dtype=np.float64)
 
     state = SwarmState(
         space=space,
@@ -197,6 +207,7 @@ def init_swarm(space: SearchSpace, config: EpsoConfig, objective: Objective) -> 
         gbest_fitness=-np.inf,
         iteration=0,
         rng=rng,
+        counters=counters if counters is not None else SwarmCounters(),
     )
     _evaluate_points(state, objective, state.pbest_points)
     for i, point in enumerate(state.pbest_points):
@@ -215,9 +226,9 @@ def _refresh_gbest(state: SwarmState) -> None:
 
 def _inertia(config: EpsoConfig, iteration: int) -> float:
     if not config.inertia_decay or config.n_iterations <= 1:
-        return config.w_start
+        return config.inertia_start
     frac = iteration / (config.n_iterations - 1)
-    return config.w_start + (config.w_end - config.w_start) * min(frac, 1.0)
+    return config.inertia_start + (config.inertia_end - config.inertia_start) * min(frac, 1.0)
 
 
 def step(state: SwarmState, objective: Objective) -> SwarmState:
@@ -226,7 +237,7 @@ def step(state: SwarmState, objective: Objective) -> SwarmState:
     space = state.space
     lowers = np.asarray(space.lowers, dtype=np.float64)
     uppers = np.asarray(space.uppers, dtype=np.float64)
-    v_max = config.v_max_fraction * (uppers - lowers)
+    v_max = config.velocity_fraction * (uppers - lowers)
     w = _inertia(config, state.iteration)
 
     shape = state.positions.shape
@@ -235,8 +246,8 @@ def step(state: SwarmState, objective: Objective) -> SwarmState:
     gbest_target = state.gbest_position
     velocity = (
         w * state.velocities
-        + config.c1 * r1 * (state.pbest_positions - state.positions)
-        + config.c2 * r2 * (gbest_target - state.positions)
+        + config.cognitive * r1 * (state.pbest_positions - state.positions)
+        + config.social * r2 * (gbest_target - state.positions)
     )
     if config.velocity_clamp:
         velocity = np.clip(velocity, -v_max, v_max)
@@ -265,20 +276,19 @@ def optimize(
     config: EpsoConfig,
     objective: Objective,
     counters: SwarmCounters | None = None,
+    *,
+    seed: int = 0,
+    seed_point: tuple[int, ...] | None = None,
 ) -> tuple[tuple[int, ...], float, list[TraceEntry]]:
-    """Full run: init + n_iterations synchronous steps.
+    """Full run: init (see ``init_swarm``) + n_iterations synchronous steps.
 
     Returns (best point, best fitness, one trace entry per iteration), and
     adds the run's evaluations, cache hits and failed points to ``counters``
     when given.
     """
-    state = init_swarm(space, config, objective)
+    state = init_swarm(space, config, objective, counters, seed=seed, seed_point=seed_point)
     for _ in range(config.n_iterations):
         step(state, objective)
-    if counters is not None:
-        counters.evaluations += state.evaluations
-        counters.cache_hits += state.cache_hits
-        counters.failed_points += len(state.failures)
     return state.gbest_point, state.gbest_fitness, list(state.trace)
 
 

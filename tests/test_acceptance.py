@@ -175,8 +175,8 @@ def test_gate_swarm_recovers_integer_optimum():
     monotone = 0
     fixed_seed_hit = False
     for seed in range(10):
-        config = EpsoConfig(n_particles=20, n_iterations=50, seed=seed)
-        best, fitness, trace = optimize(space, config, neg_sphere)
+        config = EpsoConfig(n_particles=20, n_iterations=50)
+        best, fitness, trace = optimize(space, config, neg_sphere, seed=seed)
         fits = [t.fitness for t in trace]
         monotone += fits == sorted(fits)
         if best == (0, 0, 0) and fitness == 0.0:

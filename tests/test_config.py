@@ -1,9 +1,11 @@
 """Experiment configuration: parsing, validation, stable hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from flowgate.cli import main
 from flowgate.config import (
     CorruptionConfig,
     DatasetConfig,
@@ -12,6 +14,7 @@ from flowgate.config import (
     TuningConfig,
 )
 from flowgate.errors import ConfigError
+from flowgate.swarm import EpsoConfig
 
 
 def _doc(**overrides):
@@ -168,7 +171,7 @@ def test_bad_rates_rejected():
 
 
 def test_tuning_defaults():
-    tuning = TuningConfig.from_dict({"enabled": True})
+    tuning = ExperimentConfig.from_dict(_doc(tuning={"enabled": True})).tuning
     assert tuning.n_particles == 20
     assert tuning.n_iterations == 30
     assert tuning.holdout_fraction == 0.25
@@ -198,8 +201,24 @@ def test_tuning_values_are_kept_as_written():
     config = ExperimentConfig.from_dict(_doc(tuning={"cognitive": 2, "social": 2.5}))
     assert config.to_dict()["tuning"]["cognitive"] == 2
     assert isinstance(config.tuning.cognitive, int)
-    epso = config.tuning.epso_config(seed=7)
-    assert (epso.c1, epso.c2, epso.seed, epso.seed_point) == (2, 2.5, 7, (64, 2, 1))
+    # the tuning block is the swarm's settings class
+    assert isinstance(config.tuning, EpsoConfig)
+    assert (config.tuning.cognitive, config.tuning.social) == (2, 2.5)
+    assert config.tuning.seed_default_point
+
+
+def test_corruption_values_are_kept_as_written():
+    # an integer rate stays an integer in the echo and the hash
+    config = ExperimentConfig.from_dict(_doc(corruption={"dup_rate": 0, "nan_rate": 0.01}))
+    echoed = config.to_dict()["corruption"]
+    assert echoed == {"dup_rate": 0, "nan_rate": 0.01, "inf_rate": 0.0, "n_constant_cols": 0}
+    assert isinstance(echoed["dup_rate"], int)
+    assert '"dup_rate":0,' in config.canonical_json()
+    float_rate = ExperimentConfig.from_dict(
+        _doc(corruption={"dup_rate": 0.0, "nan_rate": 0.01})
+    )
+    assert config.config_hash() != float_rate.config_hash()
+    assert config.corruption == float_rate.corruption  # the same injection
 
 
 def test_unknown_format_rejected():
@@ -305,3 +324,125 @@ def test_model_spec_display_names():
     assert ModelSpec(type="baseline").display_name == "Baseline"
     assert ModelSpec(type="rf").display_name == "RF"
     assert ModelSpec(type="gbt").display_name == "GBT"
+
+
+@pytest.mark.parametrize("value", [["dup_rate"], 5, "x"], ids=["list", "number", "string"])
+@pytest.mark.parametrize("block", ["dataset", "corruption", "tuning", "preprocess", "model"])
+def test_block_that_is_not_an_object_is_a_config_error(block, value, tmp_path):
+    doc = _doc(models=[value]) if block == "model" else _doc(**{block: value})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+# -- pinned config identity ----------------------------------------------------
+# canonical_json() and config_hash() identify a run, so these literals must
+# not move when the way a block is read or written changes.
+
+GATE6_DOC = {
+    "seed": 2026,
+    "dataset": {
+        "kind": "synthetic",
+        "n_rows": 50_000,
+        "profile": "cse2018",
+        "n_features": 6,
+        "cluster_separation": 8.0,
+    },
+    "corruption": {"dup_rate": 0.05, "nan_rate": 0.01, "n_constant_cols": 2},
+    "models": ["dt"],
+    "tuning": {"enabled": True, "holdout_fraction": 0.5},
+}
+
+GATE6_CANONICAL = (
+    '{"corruption":{"dup_rate":0.05,"inf_rate":0.0,"n_constant_cols":2,"nan_rate":0.01},'
+    '"dataset":{"cluster_separation":8.0,"kind":"synthetic","n_features":6,'
+    '"n_rows":50000,"profile":"cse2018"},"metric_mode":"weighted","models":["dt"],'
+    '"preprocess":{"fit_scope":"full_dataset","split_ratio":0.8},"seed":2026,'
+    '"tuning":{"cognitive":2.0,"enabled":true,"holdout_fraction":0.5,'
+    '"inertia_decay":true,"inertia_end":0.4,"inertia_start":0.9,"memoize":true,'
+    '"n_iterations":30,"n_particles":20,"seed_default_point":true,"social":2.0,'
+    '"velocity_clamp":true,"velocity_fraction":0.2}}'
+)
+
+# every tuning and corruption key, and a spec for every model type
+FULL_DOC = {
+    "seed": 11,
+    "dataset": {
+        "kind": "synthetic",
+        "n_rows": 900,
+        "class_names": ["a", "b", "c"],
+        "class_ratios": [0.6, 0.3, 0.1],
+        "n_features": 4,
+        "cluster_separation": 2.5,
+    },
+    "corruption": {"dup_rate": 0.04, "nan_rate": 0.02, "inf_rate": 0.01, "n_constant_cols": 1},
+    "preprocess": {"split_ratio": 0.75, "fit_scope": "train_only"},
+    "models": [
+        "baseline",
+        {"type": "dt", "max_depth": 12, "min_samples_split": 4, "min_samples_leaf": 2,
+         "ccp_alpha": 0.001},
+        {"type": "rf", "n_trees": 7, "features_per_split": 2, "bootstrap": False,
+         "max_depth": None, "min_samples_split": 3, "min_samples_leaf": 1, "ccp_alpha": 0},
+        {"type": "gbt", "n_rounds": 4, "learning_rate": 0.2, "max_depth": 2, "l2_lambda": 2},
+    ],
+    "tuning": {
+        "enabled": True, "n_particles": 9, "n_iterations": 7, "holdout_fraction": 0.4,
+        "inertia_start": 0.8, "inertia_end": 0.3, "cognitive": 1.5, "social": 2,
+        "velocity_fraction": 0.25, "memoize": False, "inertia_decay": False,
+        "velocity_clamp": False, "seed_default_point": False,
+    },
+    "metric_mode": "macro",
+}
+
+FULL_CANONICAL = (
+    '{"corruption":{"dup_rate":0.04,"inf_rate":0.01,"n_constant_cols":1,"nan_rate":0.02},'
+    '"dataset":{"class_names":["a","b","c"],"class_ratios":[0.6,0.3,0.1],'
+    '"cluster_separation":2.5,"kind":"synthetic","n_features":4,"n_rows":900},'
+    '"metric_mode":"macro","models":["baseline",{"ccp_alpha":0.001,"max_depth":12,'
+    '"min_samples_leaf":2,"min_samples_split":4,"type":"dt"},{"bootstrap":false,'
+    '"ccp_alpha":0,"features_per_split":2,"max_depth":null,"min_samples_leaf":1,'
+    '"min_samples_split":3,"n_trees":7,"type":"rf"},{"l2_lambda":2,"learning_rate":0.2,'
+    '"max_depth":2,"n_rounds":4,"type":"gbt"}],"preprocess":{"fit_scope":"train_only",'
+    '"split_ratio":0.75},"seed":11,"tuning":{"cognitive":1.5,"enabled":true,'
+    '"holdout_fraction":0.4,"inertia_decay":false,"inertia_end":0.3,"inertia_start":0.8,'
+    '"memoize":false,"n_iterations":7,"n_particles":9,"seed_default_point":false,'
+    '"social":2,"velocity_clamp":false,"velocity_fraction":0.25}}'
+)
+
+
+@pytest.mark.parametrize(
+    "doc, canonical, digest",
+    [
+        (
+            GATE6_DOC,
+            GATE6_CANONICAL,
+            "aa64e9fd71a80423ede89b6dfc9e41773d6e0572f63a7abb48a6464377f50ac5",
+        ),
+        (
+            FULL_DOC,
+            FULL_CANONICAL,
+            "b701b1b245f97abea0baf1309c67b8dd3f312f865c0cce3a7c984dfe62f25568",
+        ),
+    ],
+    ids=["gate6", "every-key"],
+)
+def test_config_identity_is_pinned(doc, canonical, digest):
+    config = ExperimentConfig.from_dict(doc)
+    assert config.canonical_json() == canonical
+    assert config.config_hash() == digest
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+def test_settings_blocks_keep_their_keys():
+    tuning_keys = {
+        "n_particles", "n_iterations", "inertia_start", "inertia_end", "cognitive",
+        "social", "velocity_fraction", "memoize", "inertia_decay", "velocity_clamp",
+        "enabled", "holdout_fraction", "seed_default_point",
+    }
+    assert {f.name for f in fields(TuningConfig)} == set(FULL_DOC["tuning"]) == tuning_keys
+    assert {f.name for f in fields(CorruptionConfig)} == set(FULL_DOC["corruption"])
+    assert len(FULL_DOC["corruption"]) == 4
+    types = [m if isinstance(m, str) else m["type"] for m in FULL_DOC["models"]]
+    assert sorted(types) == ["baseline", "dt", "gbt", "rf"]

@@ -193,7 +193,7 @@ def test_manifest_records_the_swarm_counters(tmp_path):
 
 def _evaluated_points(manifest):
     """The feasible lattice points a rerun of the tuning swarm evaluates."""
-    from flowgate.swarm import dt_objective, dt_search_space, optimize
+    from flowgate.swarm import DT_DEFAULT_POINT, dt_objective, dt_search_space, optimize
 
     config = manifest.config
     split = _split_of(config)
@@ -207,7 +207,13 @@ def _evaluated_points(manifest):
         points.append(point)
         return value
 
-    optimize(dt_search_space(), config.tuning.epso_config(seed=config.seed + 3), recording)
+    optimize(
+        dt_search_space(),
+        config.tuning,
+        recording,
+        seed=config.seed + 3,
+        seed_point=DT_DEFAULT_POINT if config.tuning.seed_default_point else None,
+    )
     return points
 
 

@@ -41,7 +41,7 @@ def neg_sphere(point):
 
 def test_degenerate_box_has_one_point():
     space = _box(3, 3)
-    best, fitness, trace = optimize(space, EpsoConfig(n_particles=4, n_iterations=5, seed=0), neg_sphere)
+    best, fitness, trace = optimize(space, EpsoConfig(n_particles=4, n_iterations=5), neg_sphere, seed=0)
     assert best == (3, 3)
     assert fitness == -18.0
     assert len(trace) == 5
@@ -49,8 +49,8 @@ def test_degenerate_box_has_one_point():
 
 def test_seed_point_occupies_particle_zero():
     space = _box(-10, 10)
-    config = EpsoConfig(n_particles=5, n_iterations=0, seed=1, seed_point=(2, -7))
-    state = init_swarm(space, config, neg_sphere)
+    config = EpsoConfig(n_particles=5, n_iterations=0)
+    state = init_swarm(space, config, neg_sphere, seed=1, seed_point=(2, -7))
     assert state.positions[0].tolist() == [2.0, -7.0]
     assert (2, -7) in state.cache
 
@@ -59,16 +59,17 @@ def test_seed_point_outside_box_rejected():
     with pytest.raises(DataError):
         init_swarm(
             _box(0, 5),
-            EpsoConfig(n_particles=2, n_iterations=0, seed_point=(9, 0)),
+            EpsoConfig(n_particles=2, n_iterations=0),
             neg_sphere,
+            seed_point=(9, 0),
         )
 
 
 def test_same_seed_same_history():
     space = _box(-20, 20, dims=3)
-    config = EpsoConfig(n_particles=8, n_iterations=15, seed=123)
-    a = optimize(space, config, neg_sphere)
-    b = optimize(space, config, neg_sphere)
+    config = EpsoConfig(n_particles=8, n_iterations=15)
+    a = optimize(space, config, neg_sphere, seed=123)
+    b = optimize(space, config, neg_sphere, seed=123)
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert [(t.iteration, t.fitness, t.point) for t in a[2]] == [
@@ -78,8 +79,8 @@ def test_same_seed_same_history():
 
 def test_positions_stay_inside_the_box():
     space = _box(-5, 5)
-    config = EpsoConfig(n_particles=6, n_iterations=10, seed=7)
-    state = init_swarm(space, config, neg_sphere)
+    config = EpsoConfig(n_particles=6, n_iterations=10)
+    state = init_swarm(space, config, neg_sphere, seed=7)
     for _ in range(config.n_iterations):
         step(state, neg_sphere)
         assert np.all(state.positions >= -5.0)
@@ -90,7 +91,7 @@ def test_positions_stay_inside_the_box():
 
 def test_trace_is_monotone_non_decreasing():
     space = _box(-50, 50, dims=3)
-    _, _, trace = optimize(space, EpsoConfig(n_particles=10, n_iterations=25, seed=3), neg_sphere)
+    _, _, trace = optimize(space, EpsoConfig(n_particles=10, n_iterations=25), neg_sphere, seed=3)
     fits = [t.fitness for t in trace]
     assert fits == sorted(fits)
 
@@ -98,7 +99,7 @@ def test_trace_is_monotone_non_decreasing():
 def test_constant_objective_keeps_first_best():
     space = _box(0, 9)
     best, fitness, trace = optimize(
-        space, EpsoConfig(n_particles=5, n_iterations=8, seed=11), lambda p: 1.0
+        space, EpsoConfig(n_particles=5, n_iterations=8), lambda p: 1.0, seed=11
     )
     assert fitness == 1.0
     assert all(t.fitness == 1.0 for t in trace)
@@ -113,8 +114,8 @@ def test_memoization_skips_repeat_evaluations():
         return neg_sphere(point)
 
     space = _box(0, 2)  # 9 lattice points at most
-    config = EpsoConfig(n_particles=10, n_iterations=20, seed=5, memoize=True)
-    optimize(space, config, counting)
+    config = EpsoConfig(n_particles=10, n_iterations=20, memoize=True)
+    optimize(space, config, counting, seed=5)
     assert len(calls) == len(set(calls))
     assert len(calls) <= 9
 
@@ -127,15 +128,15 @@ def test_memoization_off_reevaluates():
         return neg_sphere(point)
 
     space = _box(0, 2)
-    config = EpsoConfig(n_particles=10, n_iterations=20, seed=5, memoize=False)
-    optimize(space, config, counting)
+    config = EpsoConfig(n_particles=10, n_iterations=20, memoize=False)
+    optimize(space, config, counting, seed=5)
     assert len(calls) > len(set(calls))
 
 
 def test_memoization_does_not_change_the_answer():
     space = _box(-8, 8, dims=3)
-    on = optimize(space, EpsoConfig(n_particles=8, n_iterations=12, seed=9, memoize=True), neg_sphere)
-    off = optimize(space, EpsoConfig(n_particles=8, n_iterations=12, seed=9, memoize=False), neg_sphere)
+    on = optimize(space, EpsoConfig(n_particles=8, n_iterations=12, memoize=True), neg_sphere, seed=9)
+    off = optimize(space, EpsoConfig(n_particles=8, n_iterations=12, memoize=False), neg_sphere, seed=9)
     assert on[0] == off[0]
     assert on[1] == off[1]
 
@@ -148,7 +149,7 @@ def test_objective_failures_become_minus_inf():
 
     space = _box(-3, 3, dims=1)
     best, fitness, _ = optimize(
-        space, EpsoConfig(n_particles=12, n_iterations=10, seed=2), brittle
+        space, EpsoConfig(n_particles=12, n_iterations=10), brittle, seed=2
     )
     assert best[0] != 0
     assert fitness == -1.0
@@ -159,9 +160,9 @@ def test_failure_points_are_recorded():
         raise DataError("always fails")
 
     space = _box(0, 1, dims=1)
-    state = init_swarm(space, EpsoConfig(n_particles=4, n_iterations=0, seed=0), brittle)
+    state = init_swarm(space, EpsoConfig(n_particles=4, n_iterations=0), brittle, seed=0)
     assert state.gbest_fitness == -np.inf
-    assert len(state.failures) >= 1
+    assert state.counters.failed_points >= 1
 
 
 def test_small_box_finds_the_optimum():
@@ -170,7 +171,7 @@ def test_small_box_finds_the_optimum():
     hits = 0
     for seed in range(10):
         best, _, _ = optimize(
-            space, EpsoConfig(n_particles=12, n_iterations=30, seed=seed), neg_sphere
+            space, EpsoConfig(n_particles=12, n_iterations=30), neg_sphere, seed=seed
         )
         hits += best == (0, 0)
     assert hits >= 9
@@ -178,9 +179,9 @@ def test_small_box_finds_the_optimum():
 
 def test_inertia_decay_toggle_changes_the_path():
     space = _box(-30, 30, dims=3)
-    base = dict(n_particles=6, n_iterations=12, seed=4)
-    with_decay = optimize(space, EpsoConfig(**base, inertia_decay=True), neg_sphere)
-    without = optimize(space, EpsoConfig(**base, inertia_decay=False), neg_sphere)
+    base = dict(n_particles=6, n_iterations=12)
+    with_decay = optimize(space, EpsoConfig(**base, inertia_decay=True), neg_sphere, seed=4)
+    without = optimize(space, EpsoConfig(**base, inertia_decay=False), neg_sphere, seed=4)
     # same target either way on this easy bowl, but the trajectories differ
     same_traces = [t.point for t in with_decay[2]] == [t.point for t in without[2]]
     assert with_decay[1] <= 0.0 and without[1] <= 0.0
@@ -201,7 +202,7 @@ def test_config_validation():
     with pytest.raises(DataError):
         EpsoConfig(n_iterations=-1)
     with pytest.raises(DataError):
-        EpsoConfig(v_max_fraction=0.0)
+        EpsoConfig(velocity_fraction=0.0)
     with pytest.raises(DataError):
         SearchSpace(names=("a",), lowers=(5,), uppers=(4,))
     with pytest.raises(DataError):
@@ -281,10 +282,10 @@ def test_dt_objective_errors_when_a_class_cannot_reach_the_holdout():
 def test_tuning_beats_or_matches_the_default_point():
     split = _toy_split(seed=3)
     objective = dt_objective(split, holdout_fraction=0.25, seed=3)
-    config = EpsoConfig(
-        n_particles=8, n_iterations=10, seed=3, seed_point=DT_DEFAULT_POINT
+    config = EpsoConfig(n_particles=8, n_iterations=10)
+    _, fitness, _ = optimize(
+        dt_search_space(), config, objective, seed=3, seed_point=DT_DEFAULT_POINT
     )
-    _, fitness, _ = optimize(dt_search_space(), config, objective)
     assert fitness >= objective(DT_DEFAULT_POINT)
 
 
@@ -341,14 +342,16 @@ def _tracking(objective):
 
 def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
     split = _toy_split(seed=5)
-    config = EpsoConfig(n_particles=10, n_iterations=8, seed=5, seed_point=DT_DEFAULT_POINT)
+    config = EpsoConfig(n_particles=10, n_iterations=8)
     fits = _count_fits(monkeypatch)
     runs = {}
     for threads in ("4", "1"):
         monkeypatch.setenv("FLOWGATE_THREADS", threads)
         fits.clear()
         objective, leaf_sizes = _tracking(dt_objective(split, seed=5))
-        runs[threads] = optimize(dt_search_space(), config, objective)
+        runs[threads] = optimize(
+            dt_search_space(), config, objective, seed=5, seed_point=DT_DEFAULT_POINT
+        )
         assert sorted(fits) == sorted(set(leaf_sizes))
     # best point, best fitness and trace
     assert runs["4"] == runs["1"]
@@ -411,7 +414,7 @@ def test_template_trees_grow_once_and_count_once_under_contention():
 
 def test_optimize_reports_its_counters():
     counters = SwarmCounters()
-    config = EpsoConfig(n_particles=6, n_iterations=4, seed=2)
+    config = EpsoConfig(n_particles=6, n_iterations=4)
 
     def brittle(point):
         if point[0] > 0:
@@ -419,7 +422,7 @@ def test_optimize_reports_its_counters():
         return -float(point[0] ** 2 + point[1] ** 2)
 
     evaluated = []
-    optimize(_box(-5, 5), config, lambda p: evaluated.append(p) or brittle(p), counters)
+    optimize(_box(-5, 5), config, lambda p: evaluated.append(p) or brittle(p), counters, seed=2)
     assert counters.evaluations == len(evaluated)
     assert counters.cache_hits == 6 * (4 + 1) - len(evaluated)
     assert counters.failed_points == sum(p[0] > 0 for p in evaluated) > 0
