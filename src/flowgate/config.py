@@ -21,6 +21,9 @@ from .profiles import (
     BUILTIN_PROFILES,
     DatasetProfile,
     as_list,
+    as_names,
+    as_object,
+    as_str,
     builtin_profile,
     resolve_profile,
 )
@@ -84,12 +87,8 @@ def _read_settings(cls: type, doc: Any, where: str, keys: str = "keys") -> Any:
     values have the JSON types of the fields' defaults; nothing is converted.
     A range check that fails in ``cls`` is a configuration error.
     """
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
     defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(doc) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{where} has unknown {keys} {unknown}")
+    as_object(doc, where, defaults, keys)
     for key, value in doc.items():
         _check_type(value, defaults[key], f"{where}.{key}")
     try:
@@ -139,9 +138,9 @@ class ModelSpec:
             return cls(type=value)
         if isinstance(value, Mapping):
             doc = dict(value)
-            kind = _require(doc, "type", where)
+            kind = as_str(_require(doc, "type", where), f"{where}.type")
             doc.pop("type")
-            return cls(type=str(kind), params=tuple(sorted(doc.items())))
+            return cls(type=kind, params=tuple(sorted(doc.items())))
         raise ConfigError(f"{where} must be a model name or an object with a 'type' key")
 
     def to_value(self) -> Any:
@@ -216,7 +215,7 @@ class DatasetConfig:
     def from_dict(cls, doc: Any, base_dir: Path) -> "DatasetConfig":
         if not isinstance(doc, Mapping):
             raise ConfigError(f"dataset must be an object, got {doc!r}")
-        kind = str(_require(doc, "kind", "dataset"))
+        kind = as_str(_require(doc, "kind", "dataset"), "dataset.kind")
         if kind == "synthetic":
             ratios = doc.get("class_ratios")
             names = doc.get("class_names")
@@ -226,7 +225,7 @@ class DatasetConfig:
             if (ratios is None) != (names is None):
                 raise ConfigError("class_names and class_ratios must be given together")
             if names is not None:
-                names = tuple(str(n) for n in as_list(names, "dataset.class_names", "names"))
+                names = as_names(names, "dataset.class_names")
                 ratios = tuple(
                     _as_float(r, "dataset.class_ratios")
                     for r in as_list(ratios, "dataset.class_ratios", "numbers")
@@ -247,7 +246,7 @@ class DatasetConfig:
             profile = resolve_profile(profile_value, base_dir)
             # a builtin is echoed by name, any other profile as its document
             builtin = isinstance(profile_value, str) and profile_value in BUILTIN_PROFILES
-            path = str(_require(doc, "path", "dataset"))
+            path = as_str(_require(doc, "path", "dataset"), "dataset.path")
             resolved = Path(path)
             if not resolved.is_absolute():
                 resolved = base_dir / resolved
@@ -347,21 +346,19 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}; expected {list(_FORMATS)}")
-        # PrepOptions re-validates ratio/scope ranges
-        PrepOptions(split_ratio=self.split_ratio, fit_scope=self.fit_scope)
+        try:  # PrepOptions checks the ratio and scope ranges
+            PrepOptions(split_ratio=self.split_ratio, fit_scope=self.fit_scope)
+        except DataError as exc:
+            raise ConfigError(f"preprocess settings are invalid: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: str | Path = ".") -> "ExperimentConfig":
-        if not isinstance(doc, Mapping):
-            raise ConfigError("config document must be a JSON object")
-        base = Path(base_dir)
-        known = {
+        known = (
             "seed", "dataset", "models", "corruption", "preprocess",
             "tuning", "metric_mode", "output_dir", "formats",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"config has unknown keys {sorted(unknown)}")
+        )
+        as_object(doc, "config", known)
+        base = Path(base_dir)
         seed = _as_int(_require(doc, "seed", "config"), "seed")
         dataset = DatasetConfig.from_dict(_require(doc, "dataset", "config"), base)
         models = tuple(
@@ -369,26 +366,21 @@ class ExperimentConfig:
             for i, v in enumerate(as_list(doc.get("models", []), "models", "model specs"))
         )
         corruption = _read_settings(CorruptionConfig, doc.get("corruption", {}), "corruption")
-        prep_doc = doc.get("preprocess", {})
-        if not isinstance(prep_doc, Mapping):
-            raise ConfigError("preprocess must be an object")
-        prep_unknown = set(prep_doc) - {"split_ratio", "fit_scope"}
-        if prep_unknown:
-            raise ConfigError(f"preprocess has unknown keys {sorted(prep_unknown)}")
+        prep_keys = ("split_ratio", "fit_scope")
+        prep_doc = as_object(doc.get("preprocess", {}), "preprocess", prep_keys)
         return cls(
             seed=seed,
             dataset=dataset,
             models=models,
             corruption=corruption,
             split_ratio=_as_float(prep_doc.get("split_ratio", 0.8), "preprocess.split_ratio"),
-            fit_scope=str(prep_doc.get("fit_scope", FIT_FULL_DATASET)),
-            tuning=_read_settings(TuningConfig, doc.get("tuning", {}), "tuning"),
-            metric_mode=str(doc.get("metric_mode", "weighted")),
-            output_dir=str(doc.get("output_dir", "out")),
-            formats=tuple(
-                str(f)
-                for f in as_list(doc.get("formats", list(_FORMATS)), "formats", "format names")
+            fit_scope=as_str(
+                prep_doc.get("fit_scope", FIT_FULL_DATASET), "preprocess.fit_scope"
             ),
+            tuning=_read_settings(TuningConfig, doc.get("tuning", {}), "tuning"),
+            metric_mode=as_str(doc.get("metric_mode", "weighted"), "metric_mode"),
+            output_dir=as_str(doc.get("output_dir", "out"), "output_dir"),
+            formats=as_names(doc.get("formats", list(_FORMATS)), "formats", "format names"),
         )
 
     @classmethod

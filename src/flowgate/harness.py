@@ -33,7 +33,7 @@ from .config import (
 from .dataset import ColumnarTable
 from .errors import ConfigError, DataError, FlowgateError
 from .metrics import EvalReport, confusion_matrix, evaluate
-from .models import DecisionTreeModel, fit_forest, fit_gbt, fit_tree, majority_baseline
+from .models import SplitCache, fit_forest, fit_gbt, fit_tree, majority_baseline
 from .prep import PrepOptions, PrepReport, SplitPair, preprocess_pipeline
 from .swarm import (
     DT_DEFAULT_POINT,
@@ -155,19 +155,20 @@ def fit_model(
     spec: ModelSpec,
     train: ColumnarTable,
     master_seed: int,
-    template: DecisionTreeModel | None = None,
+    splits: SplitCache | None = None,
 ):
     """Fit one configured classifier; returns (model, resolved hyperparameters).
 
-    A decision tree fitted on ``train`` can be passed as ``template`` of a
-    ``dt`` fit (see ``fit_tree``); the model is the same with or without it.
+    A ``dt`` fit shares node searches with the other fits on ``train`` that
+    get the same ``splits`` (see ``fit_tree``); the model is the same with
+    or without it.
     """
     params = spec.hyperparams()
     if spec.type == MODEL_BASELINE:
         model = majority_baseline(train)
         return model, {"majority_class": model.majority_class}
     if spec.type == MODEL_DT:
-        return fit_tree(train, params, template=template), asdict(params)
+        return fit_tree(train, params, splits=splits), asdict(params)
     if spec.type == MODEL_RF:
         model = fit_forest(train, params, seed=master_seed)
         return model, {**asdict(model.params), "seed": model.seed}
@@ -181,9 +182,9 @@ def _fit_and_eval(
     split: SplitPair,
     mode: str,
     master_seed: int,
-    template: DecisionTreeModel | None = None,
+    splits: SplitCache | None = None,
 ) -> ModelResult:
-    model, resolved = fit_model(spec, split.train, master_seed, template)
+    model, resolved = fit_model(spec, split.train, master_seed, splits)
     predicted = model.predict(split.test)
     matrix = confusion_matrix(
         split.test.labels,
@@ -255,11 +256,14 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     split = run_stage("preprocess", do_prep)
     del source  # the split holds the rows now; the source table is not needed
+    splits = SplitCache()  # shared by the configured DT and the EPSO DT
 
     for spec in config.models:
         result = run_stage(
             f"model:{spec.display_name}",
-            lambda spec=spec: _fit_and_eval(spec, split, config.metric_mode, config.seed),
+            lambda spec=spec: _fit_and_eval(
+                spec, split, config.metric_mode, config.seed, splits
+            ),
         )
         manifest.models.append(result)
 
@@ -303,11 +307,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                     ("min_samples_split", min_split),
                 ),
             )
-            # the configured DT, when there is one, is this tree's template
-            template = next(
-                (r.model for r in manifest.models if r.model_type == MODEL_DT), None
-            )
-            result = _fit_and_eval(spec, split, config.metric_mode, config.seed, template)
+            result = _fit_and_eval(spec, split, config.metric_mode, config.seed, splits)
             return replace(result, name=TUNED_DT_NAME)
 
         manifest.models.append(run_stage(f"model:{TUNED_DT_NAME}", do_tuned_fit))

@@ -6,6 +6,7 @@ from .gbt import GbtModel, GbtParams, fit_gbt, predict_gbt
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .tree import (
     DecisionTreeModel,
+    SplitCache,
     Tree,
     TreeHyperparams,
     best_split,
@@ -21,6 +22,7 @@ __all__ = [
     "ForestParams",
     "GbtModel",
     "GbtParams",
+    "SplitCache",
     "Tree",
     "TreeHyperparams",
     "best_split",

@@ -131,7 +131,7 @@ def _grow_gradient(
         return _leaf_value(float(g[rows].sum()), float(h[rows].sum()), lam)
 
     def find_split(
-        weight: float, rows: np.ndarray, order: np.ndarray, depth: int
+        weight: float, rows: np.ndarray, order: np.ndarray, depth: int, path: tuple
     ) -> tuple[int, float] | None:
         if depth >= max_depth or rows.size < 2:
             return None

@@ -22,23 +22,27 @@ fewer than about 9e7 rows, these integers equal the float square sums a
 per-class count matrix gives, so the near-tie window and the exact
 comparison see the same numbers and the search stays exact.
 
-Template growth: a node's split depends only on its rows and the leaf size,
-so a fit can copy splits from a template, an unpruned gini tree grown on
-the same feature matrix with no depth limit, a split gate s' <= s and a
-leaf size l' <= l. Walking down from the root while it copies, each node
-holds the same rows as its template node. After the fit's own depth and
-split-gate checks, a template leaf is a leaf of the fit too: the node is
-pure, or n < s' <= s, or n < 2l' <= 2l, or no split strictly improves in
-the wider window of legal boundaries and so none does in the narrower one.
-A template split whose two children both hold at least l rows is the
-exact argmax over a superset of the fit's window, so it is the fit's own
-best split, exact ties included (the lowest (feature, threshold) among the
-ties is already the template's). Any other node is searched, and the
-subtree below it grows without the template.
+Split cache: a node's split depends only on its rows and the leaf size, so
+gini fits on one training set can share their node searches. Every such fit
+grows from the same rows, so a node's split path from the root (its parent's
+path plus the parent's feature, threshold and side) names its rows exactly.
+A ``SplitCache`` keeps, per path, each search's result with the leaf sizes
+[l, m] it is exact for: l is the leaf size it was searched under, m the found
+split's smaller child row count, or unbounded when no split strictly
+improves. A boundary is legal under leaf size l' when its smaller side holds
+at least l' rows, so the windows of legal boundaries nest as l' grows. The
+argmax over the window of l, while legal under l', is then the exact argmax
+over the narrower window too, exact ties included (the lowest (feature,
+threshold) among the ties is already the one found); and where no split
+strictly improves in the wider window, none does in the narrower one. A fit
+runs its own purity, depth and split-gate checks before it looks a node up,
+so the cache changes how much a fit searches, never the tree it grows.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -363,6 +367,57 @@ def best_split(
     )
 
 
+class SplitCache:
+    """Node searches of gini fits on one training set, keyed by split path
+    (see the module docstring). The first fit binds the cache to its training
+    set by root class counts and feature count; a fit on another one raises.
+    Forests never use a cache: they search sampled features.
+
+    Fits in several threads may share a cache. A node's split does not
+    depend on what the cache holds, so a race costs at most a repeated
+    search. A path's entries are an immutable tuple that an insertion
+    replaces under a lock, so a lookup needs no lock.
+    """
+
+    def __init__(self) -> None:
+        self._training_set: tuple[tuple[int, ...], int] | None = None
+        # path -> entries (leaf size searched under, largest leaf size it
+        # holds for, feature or -1 when no split strictly improves, threshold)
+        self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
+        self._lock = threading.Lock()
+
+    def bind(self, counts: np.ndarray, n_features: int) -> None:
+        training_set = (tuple(counts.tolist()), n_features)
+        with self._lock:
+            if self._training_set is None:
+                self._training_set = training_set
+        if self._training_set != training_set:
+            raise DataError("split cache was filled on another training set")
+
+    def split(
+        self, path: tuple, leaf: int, X: np.ndarray, rows: np.ndarray, search: Callable
+    ) -> tuple[int, float] | None:
+        """The split of the node at ``path``, holding ``rows`` of ``X``, under
+        leaf size ``leaf``: a recorded one that holds for ``leaf``, else
+        ``search()``, recorded with the leaf sizes it holds for. A node of
+        fewer than 2 * ``leaf`` rows has no legal split; its search costs
+        nothing and is not recorded."""
+        if rows.size < 2 * leaf:
+            return search()
+        for low, high, feature, threshold in self._found.get(path, ()):
+            if low <= leaf <= high:
+                return None if feature < 0 else (feature, threshold)
+        found = search()
+        if found is None:
+            entry = (leaf, math.inf, -1, math.nan)
+        else:
+            n_left = int(np.count_nonzero(X[rows, found[0]] <= found[1]))
+            entry = (leaf, min(n_left, rows.size - n_left), *found)
+        with self._lock:
+            self._found[path] = self._found.get(path, ()) + (entry,)
+        return found
+
+
 def _subtree_end(tree: Tree) -> np.ndarray:
     """One past the last node of each node's subtree."""
     end = np.arange(1, tree.feature.size + 1)
@@ -375,9 +430,7 @@ def _grow(
     X: np.ndarray,
     order: np.ndarray | None,
     payload: Callable[[np.ndarray], Any],
-    find_split: Callable[[Any, np.ndarray, np.ndarray, int], tuple[int, float] | None],
-    template: Tree | None = None,
-    copies: np.ndarray | None = None,
+    find_split: Callable[[Any, np.ndarray, np.ndarray, int, tuple], tuple[int, float] | None],
 ) -> Tree:
     """Grow a threshold tree over all rows of ``X``, given ``_presort(X)``
     (None sorts here, when a node needs it).
@@ -386,48 +439,23 @@ def _grow(
     segment ``order[f]`` of its rows, sorted by (value, row id). A split
     partitions both stably with one go-left mask over row ids, so every
     segment stays sorted and no node sorts again. ``payload(rows)`` gives a
-    node's value; ``find_split(value, rows, order, depth)`` gives the node's
-    (feature, threshold), or None to leave it a leaf. Nodes are appended and
-    split in preorder, left child first, which pins down the order of any
-    random draws ``find_split`` makes.
-
-    A ``template`` is a tree grown on the same rows whose nodes marked in
-    ``copies`` this growth reproduces unchanged: a marked leaf stays a leaf,
-    a marked split is made again. Each node carries the template node with
-    the same rows, starting at the root and -1 once growth leaves the
-    template; such a node takes the template node's value, and a marked one
-    skips ``find_split``. Below a node that ``find_split`` decides, growth
-    is off the template. A template subtree marked throughout is taken as
-    one preorder slice, without partitioning its rows.
+    node's value; ``find_split(value, rows, order, depth, path)`` gives the
+    node's (feature, threshold), or None to leave it a leaf. ``path`` is the
+    node's split path: () at the root, (parent's path, feature, threshold,
+    True on the left side) below it. Nodes are appended and split in
+    preorder, left child first, which pins down the order of any random
+    draws ``find_split`` makes.
     """
-    if template is not None:
-        end = _subtree_end(template)
-        unmarked = np.concatenate(([0], np.cumsum(~copies)))  # before each node
-        whole = unmarked[end] == unmarked[:-1]
-        if whole[0]:
-            return template
     n_features = X.shape[1]
     go_left = np.zeros(X.shape[0], dtype=bool)
     nodes: list[tuple[Any, int, float]] = []
     rows = np.arange(X.shape[0], dtype=np.int64)
     order = _presort(X) if order is None else order
-    stack = [(rows, order, 0, -1 if template is None else 0)]
+    stack = [(rows, order, 0, ())]
     while stack:
-        rows, order, depth, at = stack.pop()
-        if at >= 0 and whole[at]:
-            taken = slice(at, end[at])
-            nodes.extend(
-                zip(template.value[taken], template.feature[taken], template.threshold[taken])
-            )
-            continue
-        if at >= 0 and copies[at]:
-            value = template.value[at]
-            found = int(template.feature[at]), float(template.threshold[at])
-            left_at, right_at = at + 1, int(template.right[at])
-        else:
-            value = payload(rows) if at < 0 else template.value[at]
-            found = find_split(value, rows, order, depth)
-            left_at = right_at = -1
+        rows, order, depth, path = stack.pop()
+        value = payload(rows)
+        found = find_split(value, rows, order, depth, path)
         feature, threshold = (-1, np.nan) if found is None else found
         nodes.append((value, feature, threshold))
         if found is not None:
@@ -436,12 +464,9 @@ def _grow(
             in_left = go_left[order].ravel()
             flat = order.ravel()
             # LIFO: push right first so the left child is split first
-            for side, in_side, side_at in (
-                (~left, ~in_left, right_at),
-                (left, in_left, left_at),
-            ):
+            for side, in_side, is_left in ((~left, ~in_left, False), (left, in_left, True)):
                 segments = np.compress(in_side, flat).reshape(n_features, -1)
-                stack.append((rows[side], segments, depth + 1, side_at))
+                stack.append((rows[side], segments, depth + 1, (path, feature, threshold, is_left)))
     values, features, thresholds = zip(*nodes)
     return Tree(np.asarray(values), features, thresholds)
 
@@ -454,25 +479,25 @@ def _grow_gini(
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
     order: np.ndarray | None = None,
-    template: Tree | None = None,
+    splits: SplitCache | None = None,
 ) -> Tree:
     """Grow a classification tree, then prune it when ``params.ccp_alpha`` >
     0; with ``features_per_split`` below the feature count, each split
     searches a fresh ``rng`` sample of features. ``order`` is ``_presort(X)``
-    when the caller already has it. A ``template`` (searched on every
-    feature) is a gini tree on the same rows that ``_template_applies`` to
-    ``params``; growth copies the splits ``_template_copies`` marks."""
+    when the caller already has it. ``splits`` is a cache of node searches
+    on these rows, for fits that search every feature."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
     )
     class_ids = _class_ids(y, n_classes)
+    leaf = params.min_samples_leaf
 
     def class_counts(rows: np.ndarray) -> np.ndarray:
         return np.bincount(y[rows], minlength=n_classes)
 
     def find_split(
-        counts: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int
+        counts: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int, path: tuple
     ) -> tuple[int, float] | None:
         if (
             int(np.count_nonzero(counts)) <= 1
@@ -484,44 +509,15 @@ def _grow_gini(
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
         else:
             feature_ids = np.arange(n_features)
-        found = _node_split(
-            X, class_ids, counts, order, params.min_samples_leaf, feature_ids
-        )
-        return None if found is None else found[:2]
 
-    copies = None if template is None else _template_copies(template, params)
-    tree = _grow(X, order, class_counts, find_split, template, copies)
+        def search() -> tuple[int, float] | None:
+            found = _node_split(X, class_ids, counts, order, leaf, feature_ids)
+            return None if found is None else found[:2]
+
+        return search() if splits is None else splits.split(path, leaf, X, rows, search)
+
+    tree = _grow(X, order, class_counts, find_split)
     return _prune(tree, params.ccp_alpha) if params.ccp_alpha > 0.0 else tree
-
-
-def _template_applies(grown: TreeHyperparams, params: TreeHyperparams) -> bool:
-    """Whether a gini tree grown with ``grown`` on a training set can be the
-    template of a fit with ``params`` on it: the tree is unpruned, grown
-    without a depth limit, and its split gate and leaf size are no larger."""
-    return (
-        grown.max_depth is None
-        and grown.ccp_alpha == 0.0
-        and grown.min_samples_split <= params.min_samples_split
-        and grown.min_samples_leaf <= params.min_samples_leaf
-    )
-
-
-def _template_copies(template: Tree, params: TreeHyperparams) -> np.ndarray:
-    """The template nodes a fit with ``params`` reproduces when it reaches
-    them with the template's rows: every leaf, and each split below
-    ``params.max_depth`` of a node holding at least ``min_samples_split``
-    rows whose two children hold at least ``min_samples_leaf`` each."""
-    n_rows = template.value.sum(axis=1)
-    split = np.flatnonzero(template.feature >= 0)
-    smaller_child = np.minimum(n_rows[split + 1], n_rows[template.right[split]])
-    legal = (n_rows[split] >= params.min_samples_split) & (
-        smaller_child >= params.min_samples_leaf
-    )
-    if params.max_depth is not None:
-        legal &= template.node_depth[split] < params.max_depth
-    copies = template.feature < 0
-    copies[split] = legal
-    return copies
 
 
 def _prune(tree: Tree, ccp_alpha: float) -> Tree:
@@ -562,7 +558,7 @@ def fit_tree(
     params: TreeHyperparams = TreeHyperparams(),
     labels: np.ndarray | None = None,
     order: np.ndarray | None = None,
-    template: DecisionTreeModel | None = None,
+    splits: SplitCache | None = None,
 ) -> DecisionTreeModel:
     """Grow (and optionally prune) a classification tree.
 
@@ -570,10 +566,8 @@ def fit_tree(
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
     training set can share its presort: pass ``_presort`` of its feature
-    matrix as ``order``. They can also share splits: a ``template`` fitted
-    on the same training set lets growth copy its splits where they are
-    this fit's own (see the module docstring); a template fitted with
-    settings that ``_template_applies`` rejects is ignored. The fitted tree
+    matrix as ``order``. They can also share node searches: pass one
+    ``SplitCache`` as ``splits`` (see the module docstring). The fitted tree
     is the same either way.
     """
     X, y, n_classes = _as_training_set(train, labels)
@@ -581,15 +575,9 @@ def fit_tree(
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    copied = None
-    if template is not None:
-        if template.n_features != X.shape[1] or not np.array_equal(
-            template.root.value[0], np.bincount(y, minlength=n_classes)
-        ):
-            raise DataError("template tree was not fitted on this training set")
-        if _template_applies(template.params, params):
-            copied = template.root
-    root = _grow_gini(X, y, n_classes, params, order=order, template=copied)
+    if splits is not None:
+        splits.bind(np.bincount(y, minlength=n_classes), X.shape[1])
+    root = _grow_gini(X, y, n_classes, params, order=order, splits=splits)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
@@ -606,11 +594,10 @@ def _route(
     Split choice depends only on a node's rows and min_samples_leaf, so an
     unpruned gini tree grown with no depth limit and a split gate no larger
     than min_samples_split, cut this way, predicts exactly like the tree grown
-    with these limits and the same min_samples_leaf. The same argument, with
-    a larger leaf size whose window of legal boundaries nests inside the
-    tree's, lets growth copy the tree's splits as a template (see the module
-    docstring): a cut changes where rows stop, a larger leaf size changes
-    which splits survive.
+    with these limits and the same min_samples_leaf. A cut changes where rows
+    stop; a larger leaf size changes which splits survive, which is why trees
+    of different leaf sizes share node searches (see the module docstring)
+    but are grown one per leaf size.
     """
     stop = tree.feature < 0
     if max_depth is not None:

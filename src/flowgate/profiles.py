@@ -11,9 +11,9 @@ spellings can be handled with an inline or file-based profile instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ConfigError
 
@@ -45,8 +45,27 @@ def as_list(value: Any, where: str, items: str) -> list:
     return list(value)
 
 
-def _names(value: Any, key: str) -> tuple[str, ...]:
-    return tuple(str(v) for v in as_list(value, f"profile {key}", "names"))
+def as_str(value: Any, where: str) -> str:
+    """``value`` when it is a JSON string; nothing is converted."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def as_names(value: Any, where: str, items: str = "names") -> tuple[str, ...]:
+    """The strings of ``value`` when it is a JSON array of strings."""
+    return tuple(as_str(v, f"{where} item") for v in as_list(value, where, items))
+
+
+def as_object(value: Any, where: str, known: Iterable[str], keys: str = "keys") -> Mapping:
+    """``value`` when it is a JSON object whose keys are all ``known``;
+    ``keys`` names them in the message."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown {keys} {unknown}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,32 +93,32 @@ class DatasetProfile:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping) -> "DatasetProfile":
-        if not isinstance(doc, Mapping):
-            raise ConfigError(
-                f"a profile document must be a JSON object, got {type(doc).__name__}"
-            )
+    def from_dict(cls, doc: Any) -> "DatasetProfile":
+        as_object(doc, "a profile document", (f.name for f in fields(cls)))
         try:
-            merge = None
-            if doc.get("timestamp_merge") is not None:
+            merge = doc.get("timestamp_merge")
+            if merge is not None:
+                as_object(
+                    merge,
+                    "malformed profile document: timestamp_merge",
+                    (f.name for f in fields(TimestampMerge)),
+                )
                 merge = TimestampMerge(
-                    _names(doc["timestamp_merge"]["start_columns"], "start_columns"),
-                    _names(doc["timestamp_merge"]["end_columns"], "end_columns"),
+                    as_names(merge["start_columns"], "profile start_columns"),
+                    as_names(merge["end_columns"], "profile end_columns"),
                 )
             return cls(
-                name=str(doc["name"]),
-                label_column=str(doc["label_column"]),
-                class_names=_names(doc["class_names"], "class_names"),
-                drop_columns=_names(doc.get("drop_columns", ()), "drop_columns"),
-                zero_columns_expected=_names(
-                    doc.get("zero_columns_expected", ()), "zero_columns_expected"
+                name=as_str(doc["name"], "profile name"),
+                label_column=as_str(doc["label_column"], "profile label_column"),
+                class_names=as_names(doc["class_names"], "profile class_names"),
+                drop_columns=as_names(doc.get("drop_columns", ()), "profile drop_columns"),
+                zero_columns_expected=as_names(
+                    doc.get("zero_columns_expected", ()), "profile zero_columns_expected"
                 ),
                 timestamp_merge=merge,
             )
         except KeyError as exc:
             raise ConfigError(f"profile document missing key {exc.args[0]!r}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"malformed profile document: {exc}") from None
 
 
 # -- built-in profiles ------------------------------------------------------

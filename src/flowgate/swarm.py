@@ -20,6 +20,7 @@ from .errors import DataError, FlowgateError
 from .metrics import confusion_matrix, accuracy
 from .models.tree import (
     DecisionTreeModel,
+    SplitCache,
     TreeHyperparams,
     _classify,
     _presort,
@@ -312,11 +313,10 @@ def dt_objective(
     limit and the smallest split gate, and scores every (max_depth,
     min_samples_split) by routing the holdout through that tree cut at those
     limits. The score is exactly that of a tree fitted with the point's
-    hyperparameters, at the cost of one fit per leaf size. The leaf-size-1
-    tree is grown first and is the template of every other one, which then
-    searches only below the nodes where its own leaf size rules out the
-    template's split. Each tree grown counts in ``counters.trees_grown``
-    when ``counters`` is given.
+    hyperparameters, at the cost of one fit per leaf size. The trees share
+    one ``SplitCache``: a node search made for one leaf size serves every
+    larger leaf size that keeps its result (see ``models.tree``). Each tree
+    grown counts in ``counters.trees_grown`` when ``counters`` is given.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -330,6 +330,7 @@ def dt_objective(
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
     n_classes = inner.test.n_classes
+    splits = SplitCache()  # shared by every fit
 
     grown: dict[int, DecisionTreeModel] = {}
     leaf_locks: dict[int, threading.Lock] = {}
@@ -345,12 +346,7 @@ def dt_objective(
                 params = TreeHyperparams(
                     min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
                 )
-                # every other tree copies what it can of the leaf-size-1
-                # tree, which the seed particle and the default point need
-                template = None if min_leaf == 1 else grown_tree(1)
-                grown[min_leaf] = fit_tree(
-                    fit_table, params, order=fit_order, template=template
-                )
+                grown[min_leaf] = fit_tree(fit_table, params, order=fit_order, splits=splits)
                 if counters is not None:
                     with locks_guard:  # trees of other leaf sizes grow alongside
                         counters.trees_grown += 1

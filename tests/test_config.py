@@ -337,6 +337,37 @@ def test_block_that_is_not_an_object_is_a_config_error(block, value, tmp_path):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize(
+    "preprocess", [{"split_ratio": 1.5}, {"fit_scope": "everything"}], ids=["ratio", "scope"]
+)
+def test_out_of_range_preprocess_value_is_a_config_error(preprocess, tmp_path):
+    doc = _doc(preprocess=preprocess)
+    with pytest.raises(ConfigError, match="preprocess settings are invalid"):
+        ExperimentConfig.from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"dataset": {**_doc()["dataset"], "kind": 5}}, "dataset.kind"),
+        ({"dataset": {**_doc()["dataset"], "class_names": [1, 2]}}, "dataset.class_names item"),
+        ({"dataset": {"kind": "csv", "path": 5, "profile": "cse2018"}}, "dataset.path"),
+        ({"preprocess": {"fit_scope": 1}}, "preprocess.fit_scope"),
+        ({"metric_mode": ["macro"]}, "metric_mode"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"formats": ["csv", 1]}, "formats item"),
+        ({"models": [{"type": 1}]}, r"models\[0\].type"),
+    ],
+)
+def test_non_strings_are_rejected_where_a_string_belongs(overrides, where):
+    # converting them would echo and hash 5 as "5"
+    with pytest.raises(ConfigError, match=f"^{where} must be a string"):
+        ExperimentConfig.from_dict(_doc(**overrides))
+
+
 # -- pinned config identity ----------------------------------------------------
 # canonical_json() and config_hash() identify a run, so these literals must
 # not move when the way a block is read or written changes.

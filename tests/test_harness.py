@@ -131,42 +131,41 @@ def _overlapping_tuned_config(dt_spec):
     )
 
 
-@pytest.mark.parametrize(
-    "dt_spec, template_applies", [("dt", True), ({"type": "dt", "ccp_alpha": 0.01}, False)]
-)
-def test_tuned_tree_is_the_fresh_fit_of_the_best_point(monkeypatch, dt_spec, template_applies):
+@pytest.mark.parametrize("dt_spec", ["dt", {"type": "dt", "ccp_alpha": 0.01}])
+def test_tuned_tree_is_the_fresh_fit_of_the_best_point(monkeypatch, dt_spec):
     import flowgate.harness
     from flowgate.models import tree as tree_module
     from flowgate.models.tree import TreeHyperparams, fit_tree
 
+    searches = []
+    node_split = tree_module._node_split
+    monkeypatch.setattr(
+        tree_module, "_node_split", lambda *a: searches.append(True) or node_split(*a)
+    )
     harness_fits = []
-    copies = tree_module._template_copies
 
-    def recording_fit(*args, template=None, **kwargs):
-        used = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                tree_module,
-                "_template_copies",
-                lambda *a: used.append(True) or copies(*a),
-            )
-            model = fit_tree(*args, template=template, **kwargs)
-        harness_fits.append((template, bool(used)))
+    def recording_fit(*args, splits=None, **kwargs):
+        before = len(searches)
+        model = fit_tree(*args, splits=splits, **kwargs)
+        harness_fits.append((splits, len(searches) - before))
         return model
 
     monkeypatch.setattr(flowgate.harness, "fit_tree", recording_fit)
     config = _overlapping_tuned_config(dt_spec)
     manifest = run_experiment(config)
     depth, min_split, min_leaf = manifest.tuning.best_point
-    dt_model = manifest.model_named("DT").model
-    # the configured DT has no template; the tuned one gets the DT
-    assert harness_fits == [(None, False), (dt_model, template_applies)]
+    # the configured DT and the tuned one share one split cache
+    (dt_splits, _), (tuned_splits, tuned_searches) = harness_fits
+    assert dt_splits is not None and tuned_splits is dt_splits
 
     split = _split_of(config)
     params = TreeHyperparams(
         max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf
     )
+    searches.clear()
     fresh = fit_tree(split.train, params).root
+    # the tuned fit reuses node searches of the configured DT, pruned or not
+    assert tuned_searches < len(searches)
     unbounded = fit_tree(split.train, replace(params, max_depth=None)).root
     assert min_leaf > 1 and depth < unbounded.depth()  # the depth cut matters
     tuned = manifest.model_named(TUNED_DT_NAME).model
@@ -184,7 +183,7 @@ def test_manifest_records_the_swarm_counters(tmp_path):
     # every particle looks up one lattice point per iteration, plus once at init
     assert counters["evaluations"] + counters["cache_hits"] == 6 * (5 + 1)
     assert 0 <= counters["failed_points"] < counters["evaluations"]
-    # the leaf-size-1 tree is every other tree's template
+    # the default point's leaf-size-1 tree is scored after the swarm
     leaf_sizes = {point[2] for point in _evaluated_points(manifest)} | {1}
     assert counters["trees_grown"] == len(leaf_sizes)
     metrics = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))

@@ -12,7 +12,7 @@ from flowgate.errors import DataError
 from flowgate.models.forest import ForestParams, fit_forest
 from flowgate.models.gbt import GbtParams, fit_gbt
 from flowgate.models import tree as tree_module
-from flowgate.models.tree import TreeHyperparams, _presort, fit_tree
+from flowgate.models.tree import SplitCache, TreeHyperparams, _presort, fit_tree
 
 from conftest import make_table, oracle_best_split
 import reference_tree
@@ -149,71 +149,47 @@ def test_every_split_is_the_oracle_split_of_its_node(seed, n, d, k, leaf):
             assert (tree.feature[node], tree.threshold[node]) == want[:2]
 
 
+_FIT_SETTINGS = st.tuples(
+    st.integers(1, 9),  # leaf size
+    st.integers(0, 8),  # split gate above the leaf size
+    st.sampled_from([None, 1, 2, 3, 5]),
+    st.sampled_from([0.0, 0.0, 0.002, 0.02]),
+)
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(2, 300),
     st.integers(1, 4),
     st.integers(1, 4),
-    st.sampled_from([1, 2, 3]),
-    st.integers(0, 6),
-    st.integers(0, 3),
-    st.integers(0, 8),
-    st.sampled_from([None, 1, 2, 3, 5]),
+    st.lists(_FIT_SETTINGS, min_size=2, max_size=6),
     st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_template_growth_matches_a_fresh_fit(
-    seed, n, d, k, template_leaf, more_leaf, more_gate, more_split, depth, shared_order
-):
-    # the template's split gate and leaf size are at most the fit's own
+def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared_order):
+    # each fit meets the searches of earlier fits with other leaf sizes,
+    # gates, depths and pruning strengths, and must not depend on them
     X, y, k = _training_set(seed, n, d, k)
-    template_params = TreeHyperparams(
-        min_samples_split=max(2, template_leaf) + more_gate,
-        min_samples_leaf=template_leaf,
-    )
-    leaf = template_leaf + more_leaf
-    params = TreeHyperparams(
-        max_depth=depth,
-        min_samples_split=max(template_params.min_samples_split, leaf) + more_split,
-        min_samples_leaf=leaf,
-    )
+    splits = SplitCache()
     order = _presort(X) if shared_order else None
-    template = fit_tree(X, template_params, labels=y, order=order)
-    got = fit_tree(X, params, labels=y, order=order, template=template)
-    _assert_same_tree(got.root, fit_tree(X, params, labels=y).root, bitwise_values=True)
-    _assert_same_tree(got.root, reference_tree.grow_gini(X, y, k, params))
+    for leaf, more_gate, depth, alpha in fits:
+        params = TreeHyperparams(
+            max_depth=depth,
+            min_samples_split=max(2, leaf) + more_gate,
+            min_samples_leaf=leaf,
+            ccp_alpha=alpha,
+        )
+        got = fit_tree(X, params, labels=y, order=order, splits=splits).root
+        _assert_same_tree(got, fit_tree(X, params, labels=y).root, bitwise_values=True)
+        want = reference_tree.grow_gini(X, y, k, params)
+        _assert_same_tree(got, tree_module._prune(want, alpha) if alpha > 0.0 else want)
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(2, 300),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.sampled_from(["pruned", "depth-limited", "larger split gate", "larger leaf size"]),
-    st.sampled_from([None, 2, 5]),
-)
-@settings(max_examples=40, deadline=None)
-def test_a_template_that_does_not_apply_is_ignored(seed, n, d, k, kind, depth):
-    X, y, k = _training_set(seed, n, d, k)
-    params = TreeHyperparams(max_depth=depth, min_samples_split=4, min_samples_leaf=2)
-    template_params = {
-        "pruned": TreeHyperparams(ccp_alpha=0.01),
-        "depth-limited": TreeHyperparams(max_depth=3),
-        "larger split gate": TreeHyperparams(min_samples_split=5),
-        "larger leaf size": TreeHyperparams(min_samples_split=3, min_samples_leaf=3),
-    }[kind]
-    template = fit_tree(X, template_params, labels=y)
-    with mock.patch.object(
-        tree_module, "_template_copies", side_effect=AssertionError("template used")
-    ):
-        got = fit_tree(X, params, labels=y, template=template)
-    _assert_same_tree(got.root, fit_tree(X, params, labels=y).root, bitwise_values=True)
-
-
-def test_a_template_from_another_training_set_is_rejected():
+def test_a_split_cache_from_another_training_set_is_rejected():
     X, y, _ = _training_set(7, 60, 3, 3)
-    template = fit_tree(X, TreeHyperparams(), labels=y)
+    splits = SplitCache()
+    fit_tree(X, TreeHyperparams(), labels=y, splits=splits)
     relabelled = np.where(y == 0, 1, y)  # other root class counts
     for other_X, other_y in ((X, relabelled), (X[:, :2], y)):
-        with pytest.raises(DataError, match="not fitted on this training set"):
-            fit_tree(other_X, TreeHyperparams(min_samples_leaf=2), labels=other_y, template=template)
+        with pytest.raises(DataError, match="another training set"):
+            fit_tree(other_X, TreeHyperparams(min_samples_leaf=2), labels=other_y, splits=splits)

@@ -130,3 +130,32 @@ def test_resolve_profile_rejects_documents_that_are_not_objects():
     for value in ([1, 2], 5, None):
         with pytest.raises(ConfigError, match="must be a JSON object"):
             resolve_profile(value)
+
+
+_MINIMAL = {"name": "x", "label_column": "y", "class_names": ["a"]}
+_MERGE = {"start_columns": list("abcdef"), "end_columns": list("ghijkl")}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_MINIMAL, "drop_colums": ["x"]}, r"has unknown keys \['drop_colums'\]"),
+        (
+            {**_MINIMAL, "timestamp_merge": {**_MERGE, "start_column": []}},
+            r"timestamp_merge has unknown keys \['start_column'\]",
+        ),
+        ({**_MINIMAL, "name": 5}, "profile name must be a string"),
+        ({**_MINIMAL, "label_column": 1}, "profile label_column must be a string"),
+        ({**_MINIMAL, "class_names": ["a", 2]}, "profile class_names item must be a string"),
+        ({**_MINIMAL, "drop_columns": [None]}, "profile drop_columns item must be a string"),
+        (
+            {**_MINIMAL, "timestamp_merge": {**_MERGE, "end_columns": list(range(6))}},
+            "profile end_columns item must be a string",
+        ),
+    ],
+)
+def test_profile_documents_reject_unknown_keys_and_non_strings(doc, message):
+    # a typo such as drop_colums would otherwise drop nothing
+    with pytest.raises(ConfigError, match=message):
+        DatasetProfile.from_dict(doc)
+    assert DatasetProfile.from_dict({**_MINIMAL, "timestamp_merge": _MERGE}).name == "x"

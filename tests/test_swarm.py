@@ -383,10 +383,10 @@ def test_dt_objective_grows_each_tree_once_under_contention(monkeypatch):
         assert [scores[p] for p in points] == expected
 
 
-def test_template_trees_grow_once_and_count_once_under_contention():
-    # workers that start on a larger leaf size wait for the leaf-size-1
-    # template inside their own leaf size's lock; a lost update would
-    # miscount the trees grown
+def test_trees_sharing_a_split_cache_grow_once_and_count_once_under_contention():
+    # trees of four leaf sizes grow in parallel workers and read and fill
+    # one split cache; each grows once, counts once (a lost update would
+    # miscount) and scores as it does grown alone
     split = _toy_split(seed=7, separation=1.5)
     points = [(d, s, l) for l in (1, 2, 5, 9) for s in (9, 30) for d in (3, 64)]
     expected = [dt_objective(split, seed=7)(p) for p in points]
