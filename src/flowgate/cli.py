@@ -16,8 +16,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
-from .config import ExperimentConfig
+from .config import CorruptionConfig, ExperimentConfig
 from .dataset import class_distribution, column_stats
 from .errors import ConfigError, DataError, FlowgateError
 from .harness import (
@@ -126,9 +127,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _flag_values(build: Callable, **values: Any) -> Any:
+    """``build(**values)`` on values from command-line flags, called before
+    any file is read: an out-of-range value is a usage error."""
+    try:
+        return build(**values)
+    except (ConfigError, DataError) as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    options = _flag_values(
+        PrepOptions, split_ratio=args.split_ratio, seed=args.seed, fit_scope=args.fit_scope
+    )
     profile = resolve_profile(args.profile)
-    options = PrepOptions(split_ratio=args.split_ratio, seed=args.seed, fit_scope=args.fit_scope)
     split, report = preprocess_pipeline(args.csv, profile, options)
     for line in report.to_lines():
         print(line)
@@ -165,21 +177,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec.from_profile_name(
-        args.profile,
+    spec = _flag_values(
+        SynthSpec.from_profile_name,
+        profile_name=args.profile,
         n_rows=args.rows,
         n_features=args.features,
         cluster_separation=args.separation,
         seed=args.seed,
     )
-    table = generate_flows(spec)
-    raw, ledger = corrupt(
-        table,
+    corruption = _flag_values(
+        CorruptionConfig,
         dup_rate=args.dup_rate,
         nan_rate=args.nan_rate,
         inf_rate=args.inf_rate,
         n_constant_cols=args.constant_cols,
-        seed=args.seed + 1,
+    )
+    raw, ledger = corrupt(
+        generate_flows(spec), **dataclasses.asdict(corruption), seed=args.seed + 1
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

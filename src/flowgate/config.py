@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, DataError
 from .models import ForestParams, GbtParams, TreeHyperparams
@@ -24,7 +24,6 @@ from .profiles import (
     as_names,
     as_object,
     as_str,
-    builtin_profile,
     resolve_profile,
 )
 from .swarm import EpsoConfig
@@ -44,7 +43,6 @@ MODEL_TYPES: dict[str, tuple[str, type | None]] = {
     MODEL_GBT: ("GBT", GbtParams),
 }
 
-_DATASET_KINDS = ("synthetic", "csv")
 _FORMATS = ("csv", "md", "json")
 
 
@@ -54,6 +52,12 @@ def _require(doc: Mapping, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, where: str) -> int:
     # bools are ints in Python; reject them so "true" seeds fail loudly
     if isinstance(value, bool) or not isinstance(value, int):
@@ -61,38 +65,50 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def _as_float(value: Any, where: str) -> float:
+def _as_number(value: Any, where: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    return value
 
 
-def _check_type(value: Any, default: Any, where: str) -> None:
-    """Check that ``value`` has the JSON type of ``default``, converting
-    nothing (a converted value would change the config hash). A None default
-    admits an integer or null."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
-    elif isinstance(default, int) or (default is None and value is not None):
-        _as_int(value, where)
-    elif isinstance(default, float):
-        _as_float(value, where)
+def _as_numbers(value: Any, where: str) -> tuple[int | float, ...]:
+    return tuple(_as_number(v, f"{where} item") for v in as_list(value, where, "numbers"))
+
+
+# the reader of each field annotation a settings class uses; a reader checks
+# the JSON type and converts nothing (a converted value would change the
+# config hash) but a list, which becomes a tuple
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "bool": _as_bool,
+    "int": _as_int,
+    "float": _as_number,
+    "str": as_str,
+    "tuple[str, ...]": as_names,
+    "tuple[float, ...]": _as_numbers,
+}
 
 
 def _read_settings(cls: type, doc: Any, where: str, keys: str = "keys") -> Any:
     """Build the settings class ``cls`` from the config block ``doc``.
 
-    The block must be an object whose keys are fields of ``cls`` and whose
-    values have the JSON types of the fields' defaults; nothing is converted.
-    A range check that fails in ``cls`` is a configuration error.
+    The block must be an object whose keys are fields of ``cls``, holding
+    every field without a default, and whose values have the JSON types of
+    the fields' annotations (``X | None`` admits null too). A range check
+    that fails in ``cls`` is a configuration error.
     """
-    defaults = {f.name: f.default for f in fields(cls)}
-    as_object(doc, where, defaults, keys)
-    for key, value in doc.items():
-        _check_type(value, defaults[key], f"{where}.{key}")
+    settings = fields(cls)
+    as_object(doc, where, (f.name for f in settings), keys)
+    values = {}
+    for f in settings:
+        if f.default is MISSING:
+            _require(doc, f.name, where)
+        if f.name in doc:
+            value, annotation = doc[f.name], f.type.removesuffix(" | None")
+            if value is not None or annotation == f.type:  # null where optional
+                value = _READERS[annotation](value, f"{where}.{f.name}")
+            values[f.name] = value
     try:
-        return cls(**doc)
+        return cls(**values)
     except DataError as exc:
         raise ConfigError(f"{where} settings are invalid: {exc}") from None
 
@@ -152,129 +168,79 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """Where the rows come from: a seeded generator or a CSV file."""
+class SyntheticDataset:
+    """The rows of a seeded generator: ``n_rows`` rows of a builtin
+    profile's class mix or of the ``class_names``/``class_ratios`` pair.
 
-    kind: str
-    n_rows: int = 0
-    profile_name: str | None = None
-    class_names: tuple[str, ...] = ()
-    class_ratios: tuple[float, ...] = ()
+    The generator's spec is built here, so its range checks run when the
+    config loads.
+    """
+
+    n_rows: int
+    profile: str | None = None
+    class_names: tuple[str, ...] | None = None
+    class_ratios: tuple[float, ...] | None = None
     n_features: int = 6
     cluster_separation: float = 8.0
-    path: str | None = None
-    profile: DatasetProfile | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _DATASET_KINDS:
+        if (self.class_names is None) != (self.class_ratios is None):
+            raise ConfigError("class_names and class_ratios must be given together")
+        if (self.profile is None) == (self.class_names is None):
             raise ConfigError(
-                f"dataset.kind must be one of {list(_DATASET_KINDS)}, got {self.kind!r}"
+                "synthetic dataset needs either 'profile' or class_names/class_ratios"
             )
-        if self.kind == "synthetic":
-            if self.n_rows < 1:
-                raise ConfigError("dataset.n_rows must be >= 1 for synthetic data")
-            if self.profile_name is None and not self.class_names:
-                raise ConfigError(
-                    "synthetic dataset needs either 'profile' or class_names/class_ratios"
-                )
-        else:
-            if not self.path:
-                raise ConfigError("dataset.path is required when kind is 'csv'")
-            if self.profile is None and self.profile_name is None:
-                raise ConfigError("csv dataset needs a 'profile'")
+        self.spec(0)
 
-    def synth_spec(self, seed: int) -> SynthSpec:
-        if self.kind != "synthetic":
-            raise ConfigError("synth_spec is only defined for synthetic datasets")
-        if self.profile_name is not None:
-            return SynthSpec.from_profile_name(
-                self.profile_name,
-                n_rows=self.n_rows,
-                n_features=self.n_features,
-                cluster_separation=self.cluster_separation,
-                seed=seed,
-            )
-        return SynthSpec(
-            n_rows=self.n_rows,
-            class_names=self.class_names,
-            class_ratios=self.class_ratios,
-            n_features=self.n_features,
-            cluster_separation=self.cluster_separation,
-            seed=seed,
-        )
-
-    def resolve_profile(self) -> DatasetProfile:
+    def spec(self, seed: int) -> SynthSpec:
+        """The generator's spec under ``seed``."""
+        shape = {
+            "n_features": self.n_features,
+            "cluster_separation": self.cluster_separation,
+            "seed": seed,
+        }
         if self.profile is not None:
-            return self.profile
-        if self.kind == "synthetic":
-            return self.synth_spec(0).profile()
-        assert self.profile_name is not None
-        return builtin_profile(self.profile_name)
-
-    @classmethod
-    def from_dict(cls, doc: Any, base_dir: Path) -> "DatasetConfig":
-        if not isinstance(doc, Mapping):
-            raise ConfigError(f"dataset must be an object, got {doc!r}")
-        kind = as_str(_require(doc, "kind", "dataset"), "dataset.kind")
-        if kind == "synthetic":
-            ratios = doc.get("class_ratios")
-            names = doc.get("class_names")
-            profile_name = doc.get("profile")
-            if profile_name is not None and not isinstance(profile_name, str):
-                raise ConfigError("dataset.profile must be a builtin profile name")
-            if (ratios is None) != (names is None):
-                raise ConfigError("class_names and class_ratios must be given together")
-            if names is not None:
-                names = as_names(names, "dataset.class_names")
-                ratios = tuple(
-                    _as_float(r, "dataset.class_ratios")
-                    for r in as_list(ratios, "dataset.class_ratios", "numbers")
-                )
-            return cls(
-                kind=kind,
-                n_rows=_as_int(_require(doc, "n_rows", "dataset"), "dataset.n_rows"),
-                profile_name=profile_name,
-                class_names=names or (),
-                class_ratios=ratios or (),
-                n_features=_as_int(doc.get("n_features", 6), "dataset.n_features"),
-                cluster_separation=_as_float(
-                    doc.get("cluster_separation", 8.0), "dataset.cluster_separation"
-                ),
-            )
-        if kind == "csv":
-            profile_value = _require(doc, "profile", "dataset")
-            profile = resolve_profile(profile_value, base_dir)
-            # a builtin is echoed by name, any other profile as its document
-            builtin = isinstance(profile_value, str) and profile_value in BUILTIN_PROFILES
-            path = as_str(_require(doc, "path", "dataset"), "dataset.path")
-            resolved = Path(path)
-            if not resolved.is_absolute():
-                resolved = base_dir / resolved
-            return cls(
-                kind=kind,
-                path=str(resolved),
-                profile_name=profile_value if builtin else None,
-                profile=profile,
-            )
-        raise ConfigError(f"dataset.kind must be one of {list(_DATASET_KINDS)}, got {kind!r}")
+            return SynthSpec.from_profile_name(self.profile, self.n_rows, **shape)
+        return SynthSpec(self.n_rows, self.class_names, self.class_ratios, **shape)
 
     def to_dict(self) -> dict:
-        if self.kind == "synthetic":
-            doc: dict[str, Any] = {"kind": self.kind, "n_rows": self.n_rows}
-            if self.profile_name is not None:
-                doc["profile"] = self.profile_name
-            if self.class_names:
-                doc["class_names"] = list(self.class_names)
-                doc["class_ratios"] = list(self.class_ratios)
-            doc["n_features"] = self.n_features
-            doc["cluster_separation"] = self.cluster_separation
-            return doc
-        doc = {"kind": self.kind, "path": self.path}
-        if self.profile_name is not None:
-            doc["profile"] = self.profile_name
-        elif self.profile is not None:
-            doc["profile"] = self.profile.to_dict()
+        doc: dict[str, Any] = {"kind": "synthetic"}
+        for key, value in asdict(self).items():
+            if value is not None:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
+
+
+@dataclass(frozen=True)
+class CsvDataset:
+    """The rows of a CSV file, read with ``profile``."""
+
+    path: str
+    profile: DatasetProfile
+
+    def to_dict(self) -> dict:
+        # a builtin is echoed by name, any other profile (even a document
+        # equal to a builtin) as its document
+        builtin = BUILTIN_PROFILES.get(self.profile.name) is self.profile
+        profile = self.profile.name if builtin else self.profile.to_dict()
+        return {"kind": "csv", "path": self.path, "profile": profile}
+
+
+def _read_dataset(doc: Any, base_dir: Path) -> SyntheticDataset | CsvDataset:
+    """The dataset block, read by its ``kind``; a relative path or profile
+    file resolves against ``base_dir``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"dataset must be a JSON object, got {doc!r}")
+    kind = as_str(_require(doc, "kind", "dataset"), "dataset.kind")
+    block = {k: v for k, v in doc.items() if k != "kind"}
+    if kind == "synthetic":
+        return _read_settings(SyntheticDataset, block, "dataset")
+    if kind == "csv":
+        as_object(block, "dataset", ("path", "profile"))
+        profile = resolve_profile(_require(block, "profile", "dataset"), base_dir)
+        path = as_str(_require(block, "path", "dataset"), "dataset.path")
+        return CsvDataset(str(base_dir / path), profile)
+    raise ConfigError(f"dataset.kind must be one of ['synthetic', 'csv'], got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -321,7 +287,7 @@ class TuningConfig(EpsoConfig):
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    dataset: DatasetConfig
+    dataset: SyntheticDataset | CsvDataset
     models: tuple[ModelSpec, ...]
     corruption: CorruptionConfig = CorruptionConfig()
     split_ratio: float = 0.8
@@ -332,6 +298,8 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("csv", "md", "json")
 
     def __post_init__(self) -> None:
+        if isinstance(self.dataset, CsvDataset) and not self.corruption.is_noop:
+            raise ConfigError("corruption is only supported for synthetic datasets")
         if not self.models and not self.tuning.enabled:
             raise ConfigError("config needs at least one model or tuning enabled")
         if self.metric_mode not in ("weighted", "macro"):
@@ -360,7 +328,7 @@ class ExperimentConfig:
         as_object(doc, "config", known)
         base = Path(base_dir)
         seed = _as_int(_require(doc, "seed", "config"), "seed")
-        dataset = DatasetConfig.from_dict(_require(doc, "dataset", "config"), base)
+        dataset = _read_dataset(_require(doc, "dataset", "config"), base)
         models = tuple(
             ModelSpec.from_value(v, f"models[{i}]")
             for i, v in enumerate(as_list(doc.get("models", []), "models", "model specs"))
@@ -373,7 +341,9 @@ class ExperimentConfig:
             dataset=dataset,
             models=models,
             corruption=corruption,
-            split_ratio=_as_float(prep_doc.get("split_ratio", 0.8), "preprocess.split_ratio"),
+            split_ratio=float(
+                _as_number(prep_doc.get("split_ratio", 0.8), "preprocess.split_ratio")
+            ),
             fit_scope=as_str(
                 prep_doc.get("fit_scope", FIT_FULL_DATASET), "preprocess.fit_scope"
             ),

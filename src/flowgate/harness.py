@@ -27,6 +27,7 @@ from .config import (
     MODEL_DT,
     MODEL_GBT,
     MODEL_RF,
+    CsvDataset,
     ExperimentConfig,
     ModelSpec,
 )
@@ -204,23 +205,13 @@ def _fit_and_eval(
 
 def build_source(config: ExperimentConfig):
     """Resolve the configured dataset into (pipeline source, profile, ledger)."""
-    if config.dataset.kind == "synthetic":
-        spec = config.dataset.synth_spec(config.seed)
-        table = generate_flows(spec)
-        co = config.corruption
-        # zero-rate corruption doubles as the table -> raw-format conversion
-        raw, ledger = corrupt(
-            table,
-            dup_rate=co.dup_rate,
-            nan_rate=co.nan_rate,
-            inf_rate=co.inf_rate,
-            n_constant_cols=co.n_constant_cols,
-            seed=config.seed + 1,
-        )
-        return raw, spec.profile(), (None if co.is_noop else ledger)
-    if not config.corruption.is_noop:
-        raise ConfigError("corruption is only supported for synthetic datasets")
-    return config.dataset.path, config.dataset.resolve_profile(), None
+    if isinstance(config.dataset, CsvDataset):
+        return config.dataset.path, config.dataset.profile, None
+    spec = config.dataset.spec(config.seed)
+    co = config.corruption
+    # zero-rate corruption doubles as the table -> raw-format conversion
+    raw, ledger = corrupt(generate_flows(spec), **asdict(co), seed=config.seed + 1)
+    return raw, spec.profile(), (None if co.is_noop else ledger)
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:

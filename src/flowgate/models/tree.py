@@ -369,9 +369,9 @@ def best_split(
 
 class SplitCache:
     """Node searches of gini fits on one training set, keyed by split path
-    (see the module docstring). The first fit binds the cache to its training
-    set by root class counts and feature count; a fit on another one raises.
-    Forests never use a cache: they search sampled features.
+    (see the module docstring). The first fit binds the cache to its feature
+    matrix and labels; a fit on other contents raises. Forests never use a
+    cache: they search sampled features.
 
     Fits in several threads may share a cache. A node's split does not
     depend on what the cache holds, so a race costs at most a repeated
@@ -380,19 +380,23 @@ class SplitCache:
     """
 
     def __init__(self) -> None:
-        self._training_set: tuple[tuple[int, ...], int] | None = None
+        self._training_set: tuple[np.ndarray, np.ndarray] | None = None
         # path -> entries (leaf size searched under, largest leaf size it
         # holds for, feature or -1 when no split strictly improves, threshold)
         self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
         self._lock = threading.Lock()
 
-    def bind(self, counts: np.ndarray, n_features: int) -> None:
-        training_set = (tuple(counts.tolist()), n_features)
+    def bind(self, X: np.ndarray, y: np.ndarray) -> None:
         with self._lock:
             if self._training_set is None:
-                self._training_set = training_set
-        if self._training_set != training_set:
-            raise DataError("split cache was filled on another training set")
+                self._training_set = (X, y)
+        # fits on one training set pass the same arrays: compare contents
+        # only when they are other objects
+        for bound, given in zip(self._training_set, (X, y)):
+            if bound is not given and not (
+                bound.shape == given.shape and np.array_equal(bound, given)
+            ):
+                raise DataError("split cache was filled on another training set")
 
     def split(
         self, path: tuple, leaf: int, X: np.ndarray, rows: np.ndarray, search: Callable
@@ -576,7 +580,7 @@ def fit_tree(
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
     if splits is not None:
-        splits.bind(np.bincount(y, minlength=n_classes), X.shape[1])
+        splits.bind(X, y)
     root = _grow_gini(X, y, n_classes, params, order=order, splits=splits)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 

@@ -11,7 +11,7 @@ checked count for count and the original row set recovered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -53,23 +53,11 @@ class SynthSpec:
             raise DataError(f"class ratios must sum to 1, got {sum(self.class_ratios)}")
 
     @classmethod
-    def from_profile_name(
-        cls,
-        profile_name: str,
-        n_rows: int,
-        n_features: int = 6,
-        cluster_separation: float = 8.0,
-        seed: int = 0,
-    ) -> "SynthSpec":
+    def from_profile_name(cls, profile_name: str, n_rows: int, **settings: Any) -> "SynthSpec":
+        """The spec of a builtin profile's class mix; ``settings`` are the
+        other fields (``n_features``, ``cluster_separation``, ``seed``)."""
         ratios = builtin_class_ratios(profile_name)
-        return cls(
-            n_rows=n_rows,
-            class_names=tuple(ratios),
-            class_ratios=tuple(ratios.values()),
-            n_features=n_features,
-            cluster_separation=cluster_separation,
-            seed=seed,
-        )
+        return cls(n_rows, tuple(ratios), tuple(ratios.values()), **settings)
 
     def profile(self) -> DatasetProfile:
         """Matching ingestion profile for tables emitted by this spec."""

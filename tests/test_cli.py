@@ -316,6 +316,68 @@ def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "dataset, corruption",
+    [
+        ({"n_featurs": 9}, {}),
+        ({"path": "rows.csv"}, {}),
+        ({"profile": "cse2018"}, {}),
+        ({"n_features": 1}, {}),
+        ({"class_ratios": [0.7, 0.3, 0.1]}, {}),
+        ({"cluster_separation": -1}, {}),
+        ({"kind": "synthetic", "n_rows": 100, "profile": "cse2019"}, {}),
+        ({"kind": "csv", "path": "rows.csv", "profile": "cse2018", "n_rows": 100}, {}),
+        ({"kind": "csv", "path": "rows.csv", "profile": "cse2018"}, {"dup_rate": 0.05}),
+    ],
+    ids=[
+        "misspelt-key", "path-on-synthetic", "profile-and-classes", "one-feature",
+        "ratio-sum", "negative-separation", "unknown-profile", "rows-on-csv",
+        "corruption-on-csv",
+    ],
+)
+def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset, corruption):
+    import flowgate.harness as harness
+
+    def no_dataset(config):
+        raise AssertionError("the dataset stage ran")
+
+    monkeypatch.setattr(harness, "build_source", no_dataset)
+    block = json.loads(_write_config(tmp_path).read_text(encoding="utf-8"))["dataset"]
+    block = dataset if "kind" in dataset else {**block, **dataset}
+    config = _write_config(tmp_path, dataset=block, corruption=corruption)
+    code, _, err = _run(capsys, "train", "--config", str(config))
+    assert code == 1, err
+    assert "configuration error" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--split-ratio", "1.5"],
+        ["synth", "--rows", "0"],
+        ["synth", "--features", "1"],
+        ["synth", "--separation", "-1"],
+        ["synth", "--dup-rate", "1.5"],
+    ],
+    ids=["split-ratio", "rows", "features", "separation", "dup-rate"],
+)
+def test_out_of_range_flag_value_is_a_usage_error(tmp_path, capsys, argv):
+    command, *flags = argv
+    csv_path = tmp_path / "flows.csv"
+    if command == "ingest":
+        argv = [command, "--csv", str(csv_path), "--profile", "cse2018", *flags]
+    else:
+        argv = [command, "--profile", "cse2018", "--out", str(csv_path), *flags]
+        if "--rows" not in flags:
+            argv += ["--rows", "200"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1, err
+    assert "usage error" in err
+    assert out == ""
+    assert not csv_path.exists()
+
+
 def test_profile_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "mini.csv"
     csv_path.write_text("a,Label\n1,A\n2,B\n", encoding="utf-8")

@@ -8,9 +8,10 @@ import pytest
 from flowgate.cli import main
 from flowgate.config import (
     CorruptionConfig,
-    DatasetConfig,
+    CsvDataset,
     ExperimentConfig,
     ModelSpec,
+    SyntheticDataset,
     TuningConfig,
 )
 from flowgate.errors import ConfigError
@@ -97,16 +98,70 @@ def test_synthetic_dataset_via_builtin_mix():
     config = ExperimentConfig.from_dict(
         _doc(dataset={"kind": "synthetic", "n_rows": 100, "profile": "cse2018"})
     )
-    spec = config.dataset.synth_spec(config.seed)
+    assert isinstance(config.dataset, SyntheticDataset)
+    spec = config.dataset.spec(config.seed)
     assert spec.class_names[0] == "Benign"
     assert len(spec.class_names) == 7
+    assert spec.seed == config.seed
 
 
 def test_synthetic_needs_names_and_ratios_together():
     with pytest.raises(ConfigError, match="together"):
-        DatasetConfig.from_dict(
-            {"kind": "synthetic", "n_rows": 10, "class_names": ["a"]}, base_dir=None
+        ExperimentConfig.from_dict(
+            _doc(dataset={"kind": "synthetic", "n_rows": 10, "class_names": ["a"]})
         )
+
+
+def _synthetic(**keys):
+    return {**_doc()["dataset"], **keys}
+
+
+def _profiled(**keys):
+    return {"kind": "synthetic", "n_rows": 100, "profile": "cse2018", **keys}
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [
+        (_synthetic(n_featurs=9), r"dataset has unknown keys \['n_featurs'\]"),
+        (_synthetic(path="rows.csv"), r"dataset has unknown keys \['path'\]"),
+        (_synthetic(profile="cse2018"), "either 'profile' or class_names/class_ratios"),
+        (_profiled(profile="cse2019"), "unknown profile 'cse2019'"),
+        (_profiled(profile=2018), "dataset.profile must be a string"),
+        (_profiled(n_features=1), "dataset settings are invalid: n_features must be >= 2"),
+        (_synthetic(n_rows=0), "dataset settings are invalid: n_rows must be >= 1"),
+        (_synthetic(class_ratios=[0.8, 0.3]), "dataset settings are invalid: class ratios"),
+        (_synthetic(class_ratios=[0.8, "0.2"]), "dataset.class_ratios item must be a number"),
+        (_profiled(cluster_separation=-1), "dataset settings are invalid: cluster_separation"),
+        (_synthetic(cluster_separation=None), "dataset.cluster_separation must be a number"),
+        (_synthetic(n_rows=2.5), "dataset.n_rows must be an integer"),
+    ],
+)
+def test_bad_synthetic_dataset_rejected(dataset, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(_doc(dataset=dataset))
+
+
+def test_synthetic_dataset_needs_rows_and_a_class_mix():
+    with pytest.raises(ConfigError, match="dataset is missing required key 'n_rows'"):
+        ExperimentConfig.from_dict(_doc(dataset={"kind": "synthetic", "profile": "cse2018"}))
+    with pytest.raises(ConfigError, match="either 'profile' or class_names"):
+        ExperimentConfig.from_dict(_doc(dataset={"kind": "synthetic", "n_rows": 10}))
+
+
+def test_dataset_reals_are_kept_as_written():
+    # an integer separation or ratio stays an integer in the echo and the hash
+    doc = _doc()
+    doc["dataset"].update(class_ratios=[1, 0], cluster_separation=2)
+    config = ExperimentConfig.from_dict(doc)
+    echoed = config.to_dict()["dataset"]
+    assert echoed["class_ratios"] == [1, 0] and isinstance(echoed["class_ratios"][0], int)
+    assert isinstance(echoed["cluster_separation"], int)
+    assert '"cluster_separation":2,' in config.canonical_json()
+    doc["dataset"].update(class_ratios=[1.0, 0.0], cluster_separation=2.0)
+    floats = ExperimentConfig.from_dict(doc)
+    assert config.config_hash() != floats.config_hash()
+    assert config.dataset.spec(7) == floats.dataset.spec(7)  # the same rows
 
 
 def test_csv_dataset_with_builtin_profile(tmp_path):
@@ -114,8 +169,9 @@ def test_csv_dataset_with_builtin_profile(tmp_path):
         _doc(dataset={"kind": "csv", "path": "rows.csv", "profile": "litnet2020"}),
         base_dir=tmp_path,
     )
+    assert isinstance(config.dataset, CsvDataset)
     assert config.dataset.path == str(tmp_path / "rows.csv")
-    assert config.dataset.resolve_profile().name == "litnet2020"
+    assert config.dataset.profile.name == "litnet2020"
     assert config.to_dict()["dataset"]["profile"] == "litnet2020"
 
 
@@ -130,7 +186,8 @@ def test_csv_dataset_with_profile_file(tmp_path):
         _doc(dataset={"kind": "csv", "path": "rows.csv", "profile": "prof.json"}),
         base_dir=tmp_path,
     )
-    assert config.dataset.resolve_profile().label_column == "y"
+    assert config.dataset.profile.label_column == "y"
+    assert config.to_dict()["dataset"]["profile"]["name"] == "custom"
 
 
 def test_csv_dataset_with_inline_profile():
@@ -143,7 +200,28 @@ def test_csv_dataset_with_inline_profile():
             }
         )
     )
-    assert config.dataset.resolve_profile().name == "x"
+    assert config.dataset.profile.name == "x"
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [
+        ({"n_rows": 100}, r"dataset has unknown keys \['n_rows'\]"),
+        ({"class_names": ["a"]}, r"dataset has unknown keys \['class_names'\]"),
+        ({"path": None}, "dataset is missing required key 'path'"),
+        ({"profile": None}, "dataset is missing required key 'profile'"),
+    ],
+)
+def test_bad_csv_dataset_rejected(dataset, message):
+    block = {"kind": "csv", "path": "rows.csv", "profile": "cse2018", **dataset}
+    block = {k: v for k, v in block.items() if v is not None}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(_doc(dataset=block))
+
+
+def test_unknown_dataset_kind_rejected():
+    with pytest.raises(ConfigError, match="dataset.kind must be one of"):
+        ExperimentConfig.from_dict(_doc(dataset={"kind": "parquet"}))
 
 
 def test_csv_profile_neither_builtin_nor_file(tmp_path):
@@ -443,6 +521,45 @@ FULL_CANONICAL = (
 )
 
 
+# csv datasets: a builtin profile echoes by name, an inline one as its document
+_CSV_TAIL = (
+    '"metric_mode":"weighted","models":["baseline",{"max_depth":4,"type":"dt"}],'
+    '"preprocess":{"fit_scope":"full_dataset","split_ratio":0.8},"seed":5,'
+    '"tuning":{"cognitive":2.0,"enabled":false,"holdout_fraction":0.25,'
+    '"inertia_decay":true,"inertia_end":0.4,"inertia_start":0.9,"memoize":true,'
+    '"n_iterations":30,"n_particles":20,"seed_default_point":true,"social":2.0,'
+    '"velocity_clamp":true,"velocity_fraction":0.2}}'
+)
+_CSV_HEAD = (
+    '{"corruption":{"dup_rate":0.0,"inf_rate":0.0,"n_constant_cols":0,"nan_rate":0.0},'
+)
+
+
+def _csv_doc(profile):
+    return {
+        "seed": 5,
+        "dataset": {"kind": "csv", "path": "/data/flows.csv", "profile": profile},
+        "models": ["baseline", {"type": "dt", "max_depth": 4}],
+    }
+
+
+CSV_BUILTIN_DOC = _csv_doc("litnet2020")
+CSV_BUILTIN_CANONICAL = (
+    _CSV_HEAD
+    + '"dataset":{"kind":"csv","path":"/data/flows.csv","profile":"litnet2020"},'
+    + _CSV_TAIL
+)
+CSV_INLINE_DOC = _csv_doc(
+    {"name": "custom", "label_column": "y", "class_names": ["ok", "bad"], "drop_columns": ["id"]}
+)
+CSV_INLINE_CANONICAL = (
+    _CSV_HEAD
+    + '"dataset":{"kind":"csv","path":"/data/flows.csv","profile":{"class_names":["ok","bad"],'
+    + '"drop_columns":["id"],"label_column":"y","name":"custom","zero_columns_expected":[]}},'
+    + _CSV_TAIL
+)
+
+
 @pytest.mark.parametrize(
     "doc, canonical, digest",
     [
@@ -456,8 +573,18 @@ FULL_CANONICAL = (
             FULL_CANONICAL,
             "b701b1b245f97abea0baf1309c67b8dd3f312f865c0cce3a7c984dfe62f25568",
         ),
+        (
+            CSV_BUILTIN_DOC,
+            CSV_BUILTIN_CANONICAL,
+            "d40e4a9bd2ad6658ab735915d8db451f999745727e2bcf68657b401285356ef4",
+        ),
+        (
+            CSV_INLINE_DOC,
+            CSV_INLINE_CANONICAL,
+            "42ee9a3c36518c70cd07d20ea8ec53b19544ebaed708bcfc08b058768d6bd174",
+        ),
     ],
-    ids=["gate6", "every-key"],
+    ids=["gate6", "every-key", "csv-builtin-profile", "csv-inline-profile"],
 )
 def test_config_identity_is_pinned(doc, canonical, digest):
     config = ExperimentConfig.from_dict(doc)
@@ -474,6 +601,9 @@ def test_settings_blocks_keep_their_keys():
     }
     assert {f.name for f in fields(TuningConfig)} == set(FULL_DOC["tuning"]) == tuning_keys
     assert {f.name for f in fields(CorruptionConfig)} == set(FULL_DOC["corruption"])
+    dataset_keys = set(FULL_DOC["dataset"]) - {"kind"} | {"profile"}
+    assert {f.name for f in fields(SyntheticDataset)} == dataset_keys
+    assert {f.name for f in fields(CsvDataset)} == set(CSV_BUILTIN_DOC["dataset"]) - {"kind"}
     assert len(FULL_DOC["corruption"]) == 4
     types = [m if isinstance(m, str) else m["type"] for m in FULL_DOC["models"]]
     assert sorted(types) == ["baseline", "dt", "gbt", "rf"]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowgate.config import ExperimentConfig
+from flowgate.config import CorruptionConfig, ExperimentConfig
 from flowgate.errors import ConfigError, DataError
 from flowgate.harness import (
     METRIC_COLUMNS,
@@ -233,14 +233,13 @@ def test_stage_failure_carries_stage_and_partial_manifest():
 
 
 def test_csv_source_refuses_synthetic_corruption(tmp_path):
-    path = tmp_path / "rows.csv"
-    path.write_text("a,Label\n1,Benign\n", encoding="utf-8")
-    config = _config(
-        dataset={"kind": "csv", "path": str(path), "profile": "cse2018"},
-        corruption={"dup_rate": 0.1},
-    )
-    with pytest.raises(ConfigError, match="synthetic"):
-        build_source(config)
+    # refused when the config loads, before the dataset stage opens the file
+    dataset = {"kind": "csv", "path": str(tmp_path / "rows.csv"), "profile": "cse2018"}
+    with pytest.raises(ConfigError, match="only supported for synthetic datasets"):
+        _config(dataset=dataset, corruption={"dup_rate": 0.1})
+    csv_config = _config(dataset=dataset)
+    with pytest.raises(ConfigError, match="only supported for synthetic datasets"):
+        replace(csv_config, corruption=CorruptionConfig(dup_rate=0.1))
 
 
 def test_fit_model_resolves_hyperparameters():

@@ -193,3 +193,13 @@ def test_a_split_cache_from_another_training_set_is_rejected():
     for other_X, other_y in ((X, relabelled), (X[:, :2], y)):
         with pytest.raises(DataError, match="another training set"):
             fit_tree(other_X, TreeHyperparams(min_samples_leaf=2), labels=other_y, splits=splits)
+    # equal copies are the same training set
+    fit_tree(X.copy(), TreeHyperparams(min_samples_leaf=2), labels=y.copy(), splits=splits)
+    # other rows under the same labels: equal class counts and feature count
+    rng = np.random.default_rng(3)
+    X1, X2 = rng.standard_normal((2, 2000, 4))
+    y = rng.integers(0, 3, size=2000)
+    splits = SplitCache()
+    fit_tree(X1, TreeHyperparams(max_depth=4), labels=y, splits=splits)
+    with pytest.raises(DataError, match="another training set"):
+        fit_tree(X2, TreeHyperparams(max_depth=4), labels=y, splits=splits)
