@@ -27,7 +27,7 @@ from .profiles import (
     resolve_profile,
 )
 from .swarm import EpsoConfig
-from .synth import SynthSpec
+from .synth import SynthSpec, hazard_rows
 
 MODEL_BASELINE = "baseline"
 MODEL_DT = "dt"
@@ -300,6 +300,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if isinstance(self.dataset, CsvDataset) and not self.corruption.is_noop:
             raise ConfigError("corruption is only supported for synthetic datasets")
+        if isinstance(self.dataset, SyntheticDataset):
+            rates = self.corruption
+            try:
+                hazard_rows(self.dataset.n_rows, rates.dup_rate, rates.nan_rate, rates.inf_rate)
+            except DataError as exc:
+                raise ConfigError(f"corruption settings are invalid: {exc}") from None
         if not self.models and not self.tuning.enabled:
             raise ConfigError("config needs at least one model or tuning enabled")
         if self.metric_mode not in ("weighted", "macro"):

@@ -26,25 +26,34 @@ Split cache: a node's split depends only on its rows and the leaf size, so
 gini fits on one training set can share their node searches. Every such fit
 grows from the same rows, so a node's split path from the root (its parent's
 path plus the parent's feature, threshold and side) names its rows exactly.
-A ``SplitCache`` keeps, per path, each search's result with the leaf sizes
-[l, m] it is exact for: l is the leaf size it was searched under, m the found
-split's smaller child row count, or unbounded when no split strictly
-improves. A boundary is legal under leaf size l' when its smaller side holds
-at least l' rows, so the windows of legal boundaries nest as l' grows. The
-argmax over the window of l, while legal under l', is then the exact argmax
-over the narrower window too, exact ties included (the lowest (feature,
-threshold) among the ties is already the one found); and where no split
-strictly improves in the wider window, none does in the narrower one. A fit
-runs its own purity, depth and split-gate checks before it looks a node up,
-so the cache changes how much a fit searches, never the tree it grows.
+A boundary is legal under leaf size l when its smaller side holds at least l
+rows, so the windows of legal boundaries nest as l grows. The argmax over
+the window of l, while legal under l', is then the exact argmax over the
+narrower window too, exact ties included (the lowest (feature, threshold)
+among the ties is already the one found); and where no split strictly
+improves in the wider window, none does in the narrower one. So a search
+under l whose split has smaller side m holds for every leaf size in [l, m]
+(for every leaf size from l on when no split improves).
+
+A ``SplitCache`` made with a largest leaf size L (the tuning fits) makes one
+search per path: a staircase (``_node_staircase``) scans the widest window
+once and walks the leaf size up from 1, each step taking the best split
+under its leaf size and the next step starting one past that split's
+smaller side. Of the scan it keeps only the boundaries some step can take
+as near-tie candidates, so a step costs a few list operations, not a pass
+over the scan. A cache without L (the configured tree and its refit) keeps,
+per path, each one-leaf search with the leaf sizes [l, m] it holds for. A
+fit runs its own purity, depth and split-gate checks before it looks a node
+up, so the cache changes how much a fit searches, never the tree it grows.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,8 +200,7 @@ def _class_ids(y: np.ndarray, n_classes: int) -> np.ndarray:
     return y.astype(np.min_scalar_type(max(n_classes - 1, 0)))
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     feature: int
     threshold: float
     n_left: int
@@ -255,6 +263,40 @@ def _gini_scan(
     return scores, mid, sum_left_sq, sum_right_sq
 
 
+def _window_floor(scan_best: float) -> float:
+    """Lowest float score that may be exactly best when the best float score
+    of a scan is ``scan_best``: float scores round the exact ones, so every
+    boundary that may be exactly best lies within this window."""
+    return scan_best - 1e-9 * max(1.0, scan_best)
+
+
+def _exact_best(candidates: list[_Candidate], n: int, sum_sq_parent: int) -> _Candidate | None:
+    """The candidate of the highest exact score, the lowest (feature,
+    threshold) among exact ties, or None when there is none or it does not
+    strictly improve on its node of ``n`` rows and class-count square sum
+    ``sum_sq_parent``.
+
+    score(c) = L2/nl + R2/nr; a/b and c/d compare exactly by
+    cross-multiplying Python ints.
+    """
+    best: _Candidate | None = None
+    best_num = best_den = 0
+    for cand in candidates:
+        feature, threshold, nl, sum_left_sq, sum_right_sq = cand
+        nr = n - nl
+        num, den = sum_left_sq * nr + sum_right_sq * nl, nl * nr
+        if best is not None:
+            lhs = num * best_den
+            rhs = best_num * den
+            if lhs < rhs or (lhs == rhs and (feature, threshold) >= best[:2]):
+                continue
+        best, best_num, best_den = cand, num, den
+    # strict improvement: score > sum_sq_parent / n, exactly
+    if best is None or best_num * n <= sum_sq_parent * best_den:
+        return None
+    return best
+
+
 def _node_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -262,13 +304,12 @@ def _node_split(
     order: np.ndarray,
     min_samples_leaf: int,
     feature_ids: np.ndarray,
-) -> tuple[int, float, float] | None:
+) -> _Candidate | None:
     """Best legal split of a node, or None when no split strictly improves.
 
     ``counts`` is the node's class-count vector and ``order[f]`` its rows
     sorted by (value of feature f, row id); ``y`` holds class ids as
-    ``_class_ids`` gives them. Returns (feature index, threshold, impurity
-    decrease).
+    ``_class_ids`` gives them.
     """
     n = int(order.shape[1])
     # a boundary after sorted row i splits off rows 0..i; rows lo..hi-1 end
@@ -289,10 +330,7 @@ def _node_split(
         scan_best = float(scores.max())
         if scan_best == -np.inf:
             continue
-        # float scores round the exact ones, so every boundary that may be
-        # exactly best lies within this window of the float best
-        near = scores >= scan_best - 1e-9 * max(1.0, scan_best)
-        for f, j in zip(*np.nonzero(near)):
+        for f, j in zip(*np.nonzero(scores >= _window_floor(scan_best))):
             candidates.append(
                 _Candidate(
                     feature=int(scanned[f]),
@@ -302,42 +340,127 @@ def _node_split(
                     sum_right_sq=int(sum_right_sq[f, j]),
                 )
             )
-    if not candidates:
-        return None
+    return _exact_best(candidates, n, sum_sq_parent)
 
-    # Exact selection among near-tied candidates. score(c) = L2/nl + R2/nr;
-    # comparing a/b vs c/d exactly via cross-multiplication of Python ints.
-    def exact_key(c: _Candidate) -> tuple[int, int]:
-        nl = c.n_left
-        nr = n - nl
-        return (c.sum_left_sq * nr + c.sum_right_sq * nl, nl * nr)
 
-    best: _Candidate | None = None
-    best_num = best_den = 0
-    for cand in candidates:
-        num, den = exact_key(cand)
+class _StairScan:
+    """One scan chunk of ``_node_staircase``: the chunk's near-tie
+    candidates under a rising leaf size, up to ``max_leaf``.
+
+    Boundary j splits off sorted rows 0..j, so the boundaries legal under
+    leaf size l are the middle columns l-1..n-1-l of the scan, and the
+    chunk's float best under l is their maximum: a running maximum from the
+    middle outwards gives it for every l at once. A boundary with smaller
+    side m (capped at ``max_leaf``) is legal only up to leaf size m, where
+    the window floor is lowest, so one that lies below the floor there is
+    never a candidate and is dropped. The rest are sorted by float score
+    with their capped smaller sides, and a pointer skips the leading ones
+    that the rising leaf size has made illegal, so the first one left is
+    the chunk's float best under the leaf size.
+    """
+
+    __slots__ = ("scores", "sides", "candidates", "skip")
+
+    def __init__(
+        self, scanned: np.ndarray, scores: np.ndarray, sums: list[np.ndarray], max_leaf: int
+    ) -> None:
+        """``scores`` and ``sums`` are a ``_gini_scan`` of the features
+        ``scanned`` over every boundary of a node of at least 2 rows."""
+        n = scores.shape[1] + 1
+        top = min(max_leaf, n // 2)  # largest leaf size with a legal boundary
+        column_best = scores.max(axis=0)
+        middle = column_best[top - 1 : n - top].max()
+        # best under leaf size l, at index l - 1
+        ends = np.maximum(column_best[: top - 1], column_best[n - 2 : n - 1 - top : -1])
+        best = np.maximum.accumulate(np.append(ends, middle)[::-1])[::-1]
+        # _window_floor of each, in the same float operations
+        floor = np.where(best > -np.inf, best - 1e-9 * np.maximum(1.0, best), np.inf)
+        column = np.arange(n - 1)
+        side = np.minimum(np.minimum(column + 1, n - 1 - column), max_leaf)
+        f, j = np.nonzero(scores >= floor[side - 1])
+        kept = scores[f, j]
+        by_score = np.argsort(-kept, kind="stable")
+        f, j = f[by_score], j[by_score]
+        self.scores = kept[by_score].tolist()
+        self.sides = side[j].tolist()
+        # nearly every kept boundary is some step's candidate: build them all
+        # with a few whole-array gathers rather than cell by cell
+        mid, sum_left_sq, sum_right_sq = sums
+        cells = zip(
+            scanned[f].tolist(),
+            mid[f, j].tolist(),
+            (j + 1).tolist(),
+            sum_left_sq[f, j].tolist(),
+            sum_right_sq[f, j].tolist(),
+        )
+        self.candidates = [_Candidate(*cell) for cell in cells]
+        self.skip = 0
+
+    def near(self, leaf: int) -> list[_Candidate]:
+        """The candidates ``_node_split`` takes from this chunk under
+        ``leaf``; leaf sizes must not fall from call to call."""
+        scores, sides = self.scores, self.sides
+        i, size = self.skip, len(sides)
+        while i < size and sides[i] < leaf:
+            i += 1
+        self.skip = i
+        if i == size:
+            return []
+        floor = _window_floor(scores[i])
+        near = []
+        while i < size and scores[i] >= floor:
+            if sides[i] >= leaf:
+                near.append(self.candidates[i])
+            i += 1
+        return near
+
+
+def _node_staircase(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    order: np.ndarray,
+    max_leaf: int,
+) -> list[tuple[int, int, float]]:
+    """``_node_split`` of a node, over every feature, under every leaf size
+    1..``max_leaf`` from one scan, as steps (high, feature, threshold): a
+    step holds from one past the previous step's high (from 1) through its
+    high, and feature -1 means no split strictly improves. Steps cover every
+    leaf size up to ``max_leaf`` that leaves a legal boundary, and no high
+    exceeds ``max_leaf``.
+
+    A boundary whose smaller side holds m rows is legal for leaf sizes
+    1..m. Each step takes the near-tie candidates of every scan chunk under
+    its leaf size (``_StairScan``) and selects among them as ``_node_split``
+    does. The winner, with smaller side m, stays the winner through leaf
+    size m (see the module docstring), so the next step starts at m + 1.
+    """
+    n = int(order.shape[1])
+    counts = counts.astype(np.int64)
+    sum_sq_parent = int((counts**2).sum())
+    features = np.arange(order.shape[0])
+    per_scan = max(1, _SCAN_CELLS // n)
+    chunks = []
+    for first in range(0, features.size, per_scan):
+        scanned = features[first : first + per_scan]
+        scores, *sums = _gini_scan(X, y, counts, sum_sq_parent, order, scanned, 0, n - 1)
+        chunks.append(_StairScan(scanned, scores, sums, max_leaf))
+
+    steps: list[tuple[int, int, float]] = []
+    leaf = 1
+    while 2 * leaf <= n and leaf <= max_leaf:
+        if len(chunks) == 1:
+            candidates = chunks[0].near(leaf)
+        else:
+            candidates = [cand for chunk in chunks for cand in chunk.near(leaf)]
+        best = _exact_best(candidates, n, sum_sq_parent)
         if best is None:
-            best, best_num, best_den = cand, num, den
-            continue
-        lhs = num * best_den
-        rhs = best_num * den
-        if lhs > rhs:
-            best, best_num, best_den = cand, num, den
-        elif lhs == rhs:
-            if (cand.feature, cand.threshold) < (best.feature, best.threshold):
-                best, best_num, best_den = cand, num, den
-
-    # Strict improvement: score > sum_sq_parent / n, exactly.
-    if best_num * n <= sum_sq_parent * best_den:
-        return None
-
-    nl = best.n_left
-    nr = n - nl
-    gini_parent = 1.0 - sum_sq_parent / (float(n) * float(n))
-    gini_left = 1.0 - best.sum_left_sq / (float(nl) * float(nl))
-    gini_right = 1.0 - best.sum_right_sq / (float(nr) * float(nr))
-    decrease = gini_parent - (nl / n) * gini_left - (nr / n) * gini_right
-    return best.feature, best.threshold, float(decrease)
+            steps.append((max_leaf, -1, math.nan))
+            break
+        side = min(best.n_left, n - best.n_left)
+        steps.append((min(side, max_leaf), best.feature, best.threshold))
+        leaf = side + 1
+    return steps
 
 
 def best_split(
@@ -357,14 +480,25 @@ def best_split(
         raise DataError("cannot split an empty row set")
     X_node = X[rows]
     y_node = y[rows]
-    return _node_split(
+    counts = np.bincount(y_node, minlength=n_classes)
+    best = _node_split(
         X_node,
         _class_ids(y_node, n_classes),
-        np.bincount(y_node, minlength=n_classes),
+        counts,
         _presort(X_node),
         params.min_samples_leaf,
         np.arange(X.shape[1]),
     )
+    if best is None:
+        return None
+    n = rows.size
+    nl = best.n_left
+    nr = n - nl
+    gini_parent = 1.0 - int((counts**2).sum()) / (float(n) * float(n))
+    gini_left = 1.0 - best.sum_left_sq / (float(nl) * float(nl))
+    gini_right = 1.0 - best.sum_right_sq / (float(nr) * float(nr))
+    decrease = gini_parent - (nl / n) * gini_left - (nr / n) * gini_right
+    return best.feature, best.threshold, float(decrease)
 
 
 class SplitCache:
@@ -373,14 +507,25 @@ class SplitCache:
     matrix and labels; a fit on other contents raises. Forests never use a
     cache: they search sampled features.
 
+    A cache made with ``max_leaf`` L answers leaf sizes 1..L from one
+    staircase per path (``_node_staircase``), searched on the path's first
+    lookup, and stored as one bytes string of (high, feature + 1, threshold)
+    records in the narrowest integers that hold L and the feature count.
+    Larger leaf sizes, and every leaf size of a cache without L, take one
+    search per leaf size, recorded with the leaf sizes it holds for.
+
     Fits in several threads may share a cache. A node's split does not
     depend on what the cache holds, so a race costs at most a repeated
-    search. A path's entries are an immutable tuple that an insertion
-    replaces under a lock, so a lookup needs no lock.
+    search. A path's entries are an immutable object that an insertion
+    replaces (under a lock where it extends the path's one-leaf entries),
+    so a lookup needs no lock.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_leaf: int = 0) -> None:
+        self.max_leaf = max_leaf
         self._training_set: tuple[np.ndarray, np.ndarray] | None = None
+        self._record: struct.Struct | None = None
+        self._stairs: dict[tuple, bytes] = {}
         # path -> entries (leaf size searched under, largest leaf size it
         # holds for, feature or -1 when no split strictly improves, threshold)
         self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
@@ -390,6 +535,10 @@ class SplitCache:
         with self._lock:
             if self._training_set is None:
                 self._training_set = (X, y)
+                integer = np.min_scalar_type
+                self._record = struct.Struct(
+                    f"<{integer(self.max_leaf).char}{integer(X.shape[1]).char}d"
+                )
         # fits on one training set pass the same arrays: compare contents
         # only when they are other objects
         for bound, given in zip(self._training_set, (X, y)):
@@ -399,24 +548,39 @@ class SplitCache:
                 raise DataError("split cache was filled on another training set")
 
     def split(
-        self, path: tuple, leaf: int, X: np.ndarray, rows: np.ndarray, search: Callable
+        self,
+        path: tuple,
+        leaf: int,
+        X: np.ndarray,
+        y: np.ndarray,
+        counts: np.ndarray,
+        order: np.ndarray,
     ) -> tuple[int, float] | None:
-        """The split of the node at ``path``, holding ``rows`` of ``X``, under
-        leaf size ``leaf``: a recorded one that holds for ``leaf``, else
-        ``search()``, recorded with the leaf sizes it holds for. A node of
-        fewer than 2 * ``leaf`` rows has no legal split; its search costs
-        nothing and is not recorded."""
-        if rows.size < 2 * leaf:
-            return search()
+        """The split under leaf size ``leaf`` of the node at ``path``, which
+        has class ids ``y``, class ``counts`` and presorted rows ``order``
+        (as ``_node_split`` takes them) of the bound feature matrix ``X``.
+        A node of fewer than 2 * ``leaf`` rows has no legal split."""
+        n = order.shape[1]
+        if n < 2 * leaf:
+            return None
+        if leaf <= self.max_leaf:
+            stairs = self._stairs.get(path)
+            if stairs is None:
+                steps = _node_staircase(X, y, counts, order, self.max_leaf)
+                stairs = b"".join(self._record.pack(h, f + 1, t) for h, f, t in steps)
+                self._stairs[path] = stairs
+            for high, code, threshold in self._record.iter_unpack(stairs):
+                if leaf <= high:
+                    return None if code == 0 else (code - 1, threshold)
         for low, high, feature, threshold in self._found.get(path, ()):
             if low <= leaf <= high:
                 return None if feature < 0 else (feature, threshold)
-        found = search()
-        if found is None:
-            entry = (leaf, math.inf, -1, math.nan)
+        best = _node_split(X, y, counts, order, leaf, np.arange(X.shape[1]))
+        if best is None:
+            entry, found = (leaf, math.inf, -1, math.nan), None
         else:
-            n_left = int(np.count_nonzero(X[rows, found[0]] <= found[1]))
-            entry = (leaf, min(n_left, rows.size - n_left), *found)
+            found = (best.feature, best.threshold)
+            entry = (leaf, min(best.n_left, n - best.n_left), *found)
         with self._lock:
             self._found[path] = self._found.get(path, ()) + (entry,)
         return found
@@ -509,16 +673,14 @@ def _grow_gini(
             or rows.size < params.min_samples_split
         ):
             return None
+        if splits is not None:
+            return splits.split(path, leaf, X, class_ids, counts, order)
         if sample_features:
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
         else:
             feature_ids = np.arange(n_features)
-
-        def search() -> tuple[int, float] | None:
-            found = _node_split(X, class_ids, counts, order, leaf, feature_ids)
-            return None if found is None else found[:2]
-
-        return search() if splits is None else splits.split(path, leaf, X, rows, search)
+        best = _node_split(X, class_ids, counts, order, leaf, feature_ids)
+        return None if best is None else (best.feature, best.threshold)
 
     tree = _grow(X, order, class_counts, find_split)
     return _prune(tree, params.ccp_alpha) if params.ccp_alpha > 0.0 else tree
@@ -585,29 +747,9 @@ def fit_tree(
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 
 
-def _route(
-    tree: Tree,
-    X: np.ndarray,
-    max_depth: int | None = None,
-    min_samples_split: int | None = None,
-) -> np.ndarray:
-    """Id of the node where each row of ``X`` stops.
-
-    A row stops at the first leaf, or at the first node at depth >= max_depth
-    or holding fewer than min_samples_split training rows; None cuts nothing.
-    Split choice depends only on a node's rows and min_samples_leaf, so an
-    unpruned gini tree grown with no depth limit and a split gate no larger
-    than min_samples_split, cut this way, predicts exactly like the tree grown
-    with these limits and the same min_samples_leaf. A cut changes where rows
-    stop; a larger leaf size changes which splits survive, which is why trees
-    of different leaf sizes share node searches (see the module docstring)
-    but are grown one per leaf size.
-    """
+def _route(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Id of the leaf where each row of ``X`` stops."""
     stop = tree.feature < 0
-    if max_depth is not None:
-        stop |= tree.node_depth >= max_depth
-    if min_samples_split is not None:
-        stop |= tree.value.sum(axis=1) < min_samples_split
     node = np.zeros(X.shape[0], dtype=np.int64)
     moving = np.flatnonzero(~stop[node])
     while moving.size:
@@ -619,15 +761,59 @@ def _route(
     return node
 
 
-def _classify(
-    tree: Tree,
-    X: np.ndarray,
-    max_depth: int | None = None,
-    min_samples_split: int | None = None,
-) -> np.ndarray:
+def _classify(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Class of each row of ``X``: the class-count argmax (lowest class id on
-    ties) of the node where ``_route`` stops it."""
-    return np.argmax(tree.value, axis=1)[_route(tree, X, max_depth, min_samples_split)]
+    ties) of the leaf where ``_route`` stops it."""
+    return np.argmax(tree.value, axis=1)[_route(tree, X)]
+
+
+class CutAccuracy:
+    """Accuracy on labelled rows of a gini tree cut at any depth limit and
+    split gate, from one route of the rows through the uncut tree.
+
+    Cut at (d, s), a row stops at the first node on its path that is a leaf,
+    lies at depth >= d or holds fewer than s training rows, and takes that
+    node's class-count argmax (lowest class id on ties). Split choice depends
+    only on a node's rows and min_samples_leaf, so an unpruned tree grown
+    with no depth limit and a split gate no larger than s, cut this way,
+    predicts exactly like the tree grown with these limits and the same
+    min_samples_leaf.
+
+    Each node keeps ``correct``, the rows through it whose label is its
+    class, summed from the leaves up. A child is deeper than its parent and
+    holds no more training rows, so every descendant of a stopping node
+    stops too, and each row stops at the one stopping node on its path whose
+    parent does not stop (the root counts when it stops). The cut's accuracy
+    is the sum of ``correct`` over those nodes, over the row count.
+    """
+
+    def __init__(self, tree: Tree, X: np.ndarray, labels: np.ndarray) -> None:
+        n_nodes, n_classes = tree.value.shape
+        labels = np.asarray(labels, dtype=np.int64)
+        hits = np.bincount(
+            _route(tree, X) * n_classes + labels, minlength=n_nodes * n_classes
+        ).reshape(n_nodes, n_classes)
+        internal = tree.feature >= 0
+        # sum children into parents, deepest parents first
+        for depth in range(tree.depth() - 1, -1, -1):
+            level = np.flatnonzero(internal & (tree.node_depth == depth))
+            hits[level] = hits[level + 1] + hits[tree.right[level]]
+        self.correct = hits[np.arange(n_nodes), np.argmax(tree.value, axis=1)]
+        self.leaf = ~internal
+        self.depth = tree.node_depth
+        self.rows = tree.value.sum(axis=1)
+        self.parent = np.zeros(n_nodes, dtype=np.int64)
+        split = np.flatnonzero(internal)
+        self.parent[split + 1] = split
+        self.parent[tree.right[split]] = split
+        self.n_rows = labels.size
+
+    def accuracy(self, max_depth: int, min_samples_split: int) -> float:
+        """Accuracy of the tree cut at ``max_depth`` and ``min_samples_split``."""
+        stop = self.leaf | (self.depth >= max_depth) | (self.rows < min_samples_split)
+        first = stop & ~stop[self.parent]
+        first[0] = stop[0]
+        return int(self.correct[first].sum()) / self.n_rows
 
 
 def predict_tree(model: DecisionTreeModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:

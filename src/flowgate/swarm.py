@@ -17,15 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, FlowgateError
-from .metrics import confusion_matrix, accuracy
-from .models.tree import (
-    DecisionTreeModel,
-    SplitCache,
-    TreeHyperparams,
-    _classify,
-    _presort,
-    fit_tree,
-)
+from .models.tree import CutAccuracy, SplitCache, TreeHyperparams, _presort, fit_tree
 from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
@@ -310,13 +302,16 @@ def dt_objective(
     are scored as -inf by the swarm machinery.
 
     The objective grows one tree per distinct min_samples_leaf, with no depth
-    limit and the smallest split gate, and scores every (max_depth,
-    min_samples_split) by routing the holdout through that tree cut at those
-    limits. The score is exactly that of a tree fitted with the point's
-    hyperparameters, at the cost of one fit per leaf size. The trees share
-    one ``SplitCache``: a node search made for one leaf size serves every
-    larger leaf size that keeps its result (see ``models.tree``). Each tree
-    grown counts in ``counters.trees_grown`` when ``counters`` is given.
+    limit and the smallest split gate, and routes the holdout through it
+    once. Every (max_depth, min_samples_split) of that leaf size is then
+    scored from per-node holdout tallies (``models.tree.CutAccuracy``), and
+    the score is exactly that of a tree fitted with the point's
+    hyperparameters. The trees share one ``SplitCache`` that knows the
+    box's largest leaf size: the first search at a split path finds the
+    node's split for every leaf size of ``dt_search_space`` in one scan, so
+    each distinct path is searched once per run (see ``models.tree``). Each
+    tree grown counts in ``counters.trees_grown`` when ``counters`` is
+    given.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -329,28 +324,28 @@ def dt_objective(
     fit_order = _presort(fit_table.feature_matrix())  # shared by every fit
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
-    n_classes = inner.test.n_classes
-    splits = SplitCache()  # shared by every fit
+    splits = SplitCache(max_leaf=dt_search_space().uppers[-1])  # shared by every fit
 
-    grown: dict[int, DecisionTreeModel] = {}
+    scored: dict[int, CutAccuracy] = {}
     leaf_locks: dict[int, threading.Lock] = {}
     locks_guard = threading.Lock()
 
-    def grown_tree(min_leaf: int) -> DecisionTreeModel:
+    def scores(min_leaf: int) -> CutAccuracy:
         # one lock per leaf size: concurrent workers never grow a tree twice,
         # while trees for different leaf sizes still grow in parallel
         with locks_guard:
             lock = leaf_locks.setdefault(min_leaf, threading.Lock())
         with lock:
-            if min_leaf not in grown:
+            if min_leaf not in scored:
                 params = TreeHyperparams(
                     min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
                 )
-                grown[min_leaf] = fit_tree(fit_table, params, order=fit_order, splits=splits)
+                tree = fit_tree(fit_table, params, order=fit_order, splits=splits).root
+                scored[min_leaf] = CutAccuracy(tree, holdout_X, holdout_labels)
                 if counters is not None:
                     with locks_guard:  # trees of other leaf sizes grow alongside
                         counters.trees_grown += 1
-            return grown[min_leaf]
+            return scored[min_leaf]
 
     def objective(point: tuple[int, ...]) -> float:
         depth, min_split, min_leaf = (int(v) for v in point)
@@ -359,7 +354,6 @@ def dt_objective(
             min_samples_split=min_split,
             min_samples_leaf=min_leaf,
         )
-        predicted = _classify(grown_tree(min_leaf).root, holdout_X, depth, min_split)
-        return accuracy(confusion_matrix(holdout_labels, predicted, n_classes))
+        return scores(min_leaf).accuracy(depth, min_split)
 
     return objective

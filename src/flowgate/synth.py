@@ -51,6 +51,12 @@ class SynthSpec:
             raise DataError("class ratios must be non-negative")
         if abs(sum(self.class_ratios) - 1.0) > 1e-9:
             raise DataError(f"class ratios must sum to 1, got {sum(self.class_ratios)}")
+        nonzero = sum(1 for r in self.class_ratios if r > 0)
+        if self.n_rows < nonzero:
+            raise DataError(
+                f"n_rows={self.n_rows} cannot give each of {nonzero} nonzero-ratio "
+                "classes at least one row; increase n_rows"
+            )
 
     @classmethod
     def from_profile_name(cls, profile_name: str, n_rows: int, **settings: Any) -> "SynthSpec":
@@ -81,17 +87,11 @@ class SynthSpec:
 def class_quotas(spec: SynthSpec) -> tuple[int, ...]:
     """Largest-remainder apportionment of n_rows over the class ratios.
 
-    Every class with a nonzero ratio receives at least one row; the rows are
-    reclaimed from the classes whose quota most exceeds its real-valued
-    target. Errors when n_rows cannot cover the nonzero-ratio classes.
+    Every class with a nonzero ratio receives at least one row (a spec has
+    at least as many rows as such classes); the rows are reclaimed from the
+    classes whose quota most exceeds its real-valued target.
     """
     targets = [spec.n_rows * r for r in spec.class_ratios]
-    nonzero = sum(1 for r in spec.class_ratios if r > 0)
-    if spec.n_rows < nonzero:
-        raise DataError(
-            f"n_rows={spec.n_rows} cannot give each of {nonzero} nonzero-ratio "
-            "classes at least one row; increase n_rows"
-        )
     quotas = [int(np.floor(t)) for t in targets]
     short = spec.n_rows - sum(quotas)
     remainders = sorted(
@@ -193,6 +193,18 @@ class CorruptionLedger:
         )
 
 
+def hazard_rows(
+    n_rows: int, dup_rate: float, nan_rate: float, inf_rate: float
+) -> tuple[int, int, int]:
+    """floor(rate * n_rows) duplicate, NaN and inf rows that ``corrupt``
+    appends to a table of ``n_rows`` rows; errors when together they exceed
+    the rows they are copied from."""
+    counts = tuple(int(np.floor(rate * n_rows)) for rate in (dup_rate, nan_rate, inf_rate))
+    if sum(counts) > n_rows:
+        raise DataError("combined corruption rates exceed the available rows")
+    return counts
+
+
 def corrupt(
     table: ColumnarTable,
     dup_rate: float = 0.0,
@@ -215,11 +227,7 @@ def corrupt(
         raise DataError(f"n_constant_cols must be >= 0, got {n_constant_cols}")
     n = table.n_rows
     d = table.n_features
-    n_dup = int(np.floor(dup_rate * n))
-    n_nan = int(np.floor(nan_rate * n))
-    n_inf = int(np.floor(inf_rate * n))
-    if n_dup + n_nan + n_inf > n:
-        raise DataError("combined corruption rates exceed the available rows")
+    n_dup, n_nan, n_inf = hazard_rows(n, dup_rate, nan_rate, inf_rate)
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n, size=n_dup + n_nan + n_inf, replace=False)

@@ -328,11 +328,13 @@ def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides
         ({"kind": "synthetic", "n_rows": 100, "profile": "cse2019"}, {}),
         ({"kind": "csv", "path": "rows.csv", "profile": "cse2018", "n_rows": 100}, {}),
         ({"kind": "csv", "path": "rows.csv", "profile": "cse2018"}, {"dup_rate": 0.05}),
+        ({"kind": "synthetic", "n_rows": 5, "profile": "cse2018"}, {}),
+        ({"n_rows": 200}, {"dup_rate": 0.6, "nan_rate": 0.6}),
     ],
     ids=[
         "misspelt-key", "path-on-synthetic", "profile-and-classes", "one-feature",
         "ratio-sum", "negative-separation", "unknown-profile", "rows-on-csv",
-        "corruption-on-csv",
+        "corruption-on-csv", "rows-below-classes", "corruption-above-rows",
     ],
 )
 def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset, corruption):

@@ -164,13 +164,15 @@ _FIT_SETTINGS = st.tuples(
     st.integers(1, 4),
     st.lists(_FIT_SETTINGS, min_size=2, max_size=6),
     st.booleans(),
+    st.sampled_from([0, 1, 4, 9]),
 )
 @settings(max_examples=60, deadline=None)
-def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared_order):
+def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared_order, max_leaf):
     # each fit meets the searches of earlier fits with other leaf sizes,
-    # gates, depths and pruning strengths, and must not depend on them
+    # gates, depths and pruning strengths, and must not depend on them;
+    # leaf sizes above the cache's max_leaf search one leaf size at a time
     X, y, k = _training_set(seed, n, d, k)
-    splits = SplitCache()
+    splits = SplitCache(max_leaf)
     order = _presort(X) if shared_order else None
     for leaf, more_gate, depth, alpha in fits:
         params = TreeHyperparams(
@@ -183,6 +185,43 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
         _assert_same_tree(got, fit_tree(X, params, labels=y).root, bitwise_values=True)
         want = reference_tree.grow_gini(X, y, k, params)
         _assert_same_tree(got, tree_module._prune(want, alpha) if alpha > 0.0 else want)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 160),
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.integers(1, 40),
+    st.sampled_from(["pool", "adjacent doubles", "mirrored"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_staircase_matches_the_search_at_every_leaf_size(seed, n, d, k, max_leaf, layout):
+    X, y, k = _training_set(seed, n, d, k)
+    rng = np.random.default_rng(seed)
+    if layout == "adjacent doubles":
+        # midpoints of neighbouring doubles round onto the upper one
+        X = 1.0 + rng.integers(0, 3, size=(n, d)) * np.spacing(1.0)
+    elif layout == "mirrored":
+        # equal features, and classes mirrored about the middle row: every
+        # boundary ties exactly with its mirror image and across features
+        X = np.repeat(np.arange(n, dtype=np.float64)[:, np.newaxis], d, axis=1)
+        half = rng.integers(0, k, size=(n + 1) // 2)
+        y = np.concatenate([half, half[: n // 2][::-1]])
+        k = int(y.max()) + 1
+    ids = tree_module._class_ids(y, k)
+    counts = np.bincount(y, minlength=k)
+    order = _presort(X)
+    steps = tree_module._node_staircase(X, ids, counts, order, max_leaf)
+    highs = [high for high, _, _ in steps]
+    assert highs == sorted(set(highs)) and highs[-1] <= max_leaf
+    for leaf in range(1, min(max_leaf, n // 2) + 1):
+        high, feature, threshold = next(step for step in steps if leaf <= step[0])
+        best = tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
+        if best is None:
+            assert feature == -1, leaf
+        else:
+            assert (feature, threshold) == (best.feature, best.threshold), leaf
 
 
 def test_a_split_cache_from_another_training_set_is_rejected():

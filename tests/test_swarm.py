@@ -9,6 +9,7 @@ import pytest
 
 import flowgate.swarm
 from flowgate.errors import DataError
+from flowgate.models import tree as tree_module
 from flowgate.metrics import accuracy, confusion_matrix
 from flowgate.models.tree import TreeHyperparams, fit_tree, predict_tree
 from flowgate.prep import PrepOptions, preprocess_pipeline, stratified_split
@@ -410,6 +411,33 @@ def test_trees_sharing_a_split_cache_grow_once_and_count_once_under_contention()
     assert counters.trees_grown == 4
     for scores in results:
         assert [scores[p] for p in points] == expected
+
+
+def test_a_tuning_run_searches_each_split_path_once(monkeypatch):
+    # one staircase per path serves every leaf size of the box, so no node
+    # is searched twice, whichever leaf sizes reach it
+    monkeypatch.setenv("FLOWGATE_THREADS", "1")
+    searches = []
+    for name in ("_node_staircase", "_node_split"):
+        search = getattr(tree_module, name)
+        counted = lambda *args, search=search: searches.append(1) or search(*args)
+        monkeypatch.setattr(tree_module, name, counted)
+    paths = set()
+    lookup = tree_module.SplitCache.split
+
+    def recorded(self, path, leaf, X, y, counts, order):
+        if order.shape[1] >= 2 * leaf:  # smaller nodes have no legal split
+            paths.add(path)
+        return lookup(self, path, leaf, X, y, counts, order)
+
+    monkeypatch.setattr(tree_module.SplitCache, "split", recorded)
+    split = _toy_split(seed=7, separation=1.5)
+    counters = SwarmCounters()
+    objective = dt_objective(split, seed=7, counters=counters)
+    config = EpsoConfig(n_particles=10, n_iterations=8)
+    optimize(dt_search_space(), config, objective, counters, seed=7, seed_point=DT_DEFAULT_POINT)
+    assert counters.trees_grown > 3
+    assert len(searches) == len(paths) > 0
 
 
 def test_optimize_reports_its_counters():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowgate.errors import DataError
 from flowgate.models.tree import (
+    CutAccuracy,
     DecisionTreeModel,
     Tree,
     TreeHyperparams,
@@ -322,12 +323,33 @@ def test_route_matches_a_scalar_walk(seed):
     tree = fit_tree(X, labels=y).root
     # half-integer probes land exactly on the midpoint thresholds too
     probe = rng.integers(-2, 14, size=(60, d)) / 2.0
-    for max_depth in (None, 1, int(rng.integers(1, 8))):
-        for min_split in (None, 2, int(rng.integers(2, n + 2))):
-            want = [_walk(tree, x, max_depth, min_split) for x in probe]
-            assert _route(tree, probe, max_depth, min_split).tolist() == want
-    empty = _route(tree, np.zeros((0, d)), 3, 5)
+    assert _route(tree, probe).tolist() == [_walk(tree, x) for x in probe]
+    empty = _route(tree, np.zeros((0, d)))
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cut_accuracy_matches_a_scalar_walk(seed):
+    # the accuracy of the walk's stopping nodes' classes at every cut
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    d = int(rng.integers(1, 4))
+    X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+    k = int(rng.integers(2, 4))
+    y = rng.integers(0, k, size=n)
+    leaf = int(rng.integers(1, 4))
+    params = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+    tree = fit_tree(X, params, labels=y).root
+    probe = rng.integers(-2, 14, size=(60, d)) / 2.0
+    labels = rng.integers(0, tree.value.shape[1], size=60)
+    scores = CutAccuracy(tree, probe, labels)
+    majority = np.argmax(tree.value, axis=1)
+    for max_depth in (1, int(rng.integers(1, 8)), 64):
+        for min_split in (2, int(rng.integers(2, n + 2)), n + 1):
+            stops = [_walk(tree, x, max_depth, min_split) for x in probe]
+            want = int(np.count_nonzero(majority[stops] == labels)) / labels.size
+            assert scores.accuracy(max_depth, min_split) == want
 
 
 # -- pruning -----------------------------------------------------------------------
