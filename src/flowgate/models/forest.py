@@ -51,9 +51,10 @@ def fit_forest(
 ) -> ForestModel:
     """Fit params.n_trees trees on seeded bootstrap resamples.
 
-    Per-tree seeds derive from the master seed, so the result is identical
-    for any worker count. Passing features_per_split = d (or disabling
-    bootstrap with one tree) reduces the forest to a plain fit_tree.
+    Per-tree seeds derive from the master seed, and the trees grow one after
+    another through ``parallel_map``. Passing features_per_split = d (or
+    disabling bootstrap with one tree) reduces the forest to a plain
+    fit_tree.
     """
     X = train.feature_matrix()
     y = train.labels

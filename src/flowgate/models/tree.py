@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -513,12 +512,6 @@ class SplitCache:
     records in the narrowest integers that hold L and the feature count.
     Larger leaf sizes, and every leaf size of a cache without L, take one
     search per leaf size, recorded with the leaf sizes it holds for.
-
-    Fits in several threads may share a cache. A node's split does not
-    depend on what the cache holds, so a race costs at most a repeated
-    search. A path's entries are an immutable object that an insertion
-    replaces (under a lock where it extends the path's one-leaf entries),
-    so a lookup needs no lock.
     """
 
     def __init__(self, max_leaf: int = 0) -> None:
@@ -529,16 +522,14 @@ class SplitCache:
         # path -> entries (leaf size searched under, largest leaf size it
         # holds for, feature or -1 when no split strictly improves, threshold)
         self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
-        self._lock = threading.Lock()
 
     def bind(self, X: np.ndarray, y: np.ndarray) -> None:
-        with self._lock:
-            if self._training_set is None:
-                self._training_set = (X, y)
-                integer = np.min_scalar_type
-                self._record = struct.Struct(
-                    f"<{integer(self.max_leaf).char}{integer(X.shape[1]).char}d"
-                )
+        if self._training_set is None:
+            self._training_set = (X, y)
+            integer = np.min_scalar_type
+            self._record = struct.Struct(
+                f"<{integer(self.max_leaf).char}{integer(X.shape[1]).char}d"
+            )
         # fits on one training set pass the same arrays: compare contents
         # only when they are other objects
         for bound, given in zip(self._training_set, (X, y)):
@@ -581,8 +572,7 @@ class SplitCache:
         else:
             found = (best.feature, best.threshold)
             entry = (leaf, min(best.n_left, n - best.n_left), *found)
-        with self._lock:
-            self._found[path] = self._found.get(path, ()) + (entry,)
+        self._found[path] = self._found.get(path, ()) + (entry,)
         return found
 
 

@@ -1,16 +1,16 @@
-"""Worker-pool helpers.
+"""The map that per-tree forest fits and swarm objective evaluations go
+through.
 
-FLOWGATE_THREADS caps the number of worker threads used for embarrassingly
-parallel work (per-tree forest fits, swarm objective evaluations). Every
-parallelized task is a pure function of its inputs, so results are identical
-for any worker count.
+All work runs on the calling thread, so no state needs a lock. Every mapped
+task is a pure function of its inputs, and ``parallel_map`` is a plain
+order-preserving map. FLOWGATE_THREADS is still checked, so a malformed value
+fails fast, but it no longer changes what runs.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ConfigError
 
@@ -21,8 +21,8 @@ ENV_THREADS = "FLOWGATE_THREADS"
 
 
 def worker_count() -> int:
-    """Number of worker threads to use, capped by FLOWGATE_THREADS."""
-    limit = os.cpu_count() or 1
+    """1, once FLOWGATE_THREADS, when set, is checked to be a positive
+    integer."""
     raw = os.environ.get(ENV_THREADS)
     if raw is not None:
         try:
@@ -31,15 +31,10 @@ def worker_count() -> int:
             raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
         if cap < 1:
             raise ConfigError(f"{ENV_THREADS} must be >= 1, got {cap}")
-        limit = min(limit, cap)
-    return limit
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Order-preserving map, threaded when more than one worker is allowed."""
-    seq: Sequence[T] = list(items)
-    workers = min(worker_count(), len(seq))
-    if workers <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """Order-preserving map on the calling thread."""
+    worker_count()  # a malformed FLOWGATE_THREADS fails here, as in the CLI
+    return [fn(item) for item in items]

@@ -10,7 +10,6 @@ objective that raises scores that point as -inf.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -327,25 +326,17 @@ def dt_objective(
     splits = SplitCache(max_leaf=dt_search_space().uppers[-1])  # shared by every fit
 
     scored: dict[int, CutAccuracy] = {}
-    leaf_locks: dict[int, threading.Lock] = {}
-    locks_guard = threading.Lock()
 
     def scores(min_leaf: int) -> CutAccuracy:
-        # one lock per leaf size: concurrent workers never grow a tree twice,
-        # while trees for different leaf sizes still grow in parallel
-        with locks_guard:
-            lock = leaf_locks.setdefault(min_leaf, threading.Lock())
-        with lock:
-            if min_leaf not in scored:
-                params = TreeHyperparams(
-                    min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
-                )
-                tree = fit_tree(fit_table, params, order=fit_order, splits=splits).root
-                scored[min_leaf] = CutAccuracy(tree, holdout_X, holdout_labels)
-                if counters is not None:
-                    with locks_guard:  # trees of other leaf sizes grow alongside
-                        counters.trees_grown += 1
-            return scored[min_leaf]
+        if min_leaf not in scored:
+            params = TreeHyperparams(
+                min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
+            )
+            tree = fit_tree(fit_table, params, order=fit_order, splits=splits).root
+            scored[min_leaf] = CutAccuracy(tree, holdout_X, holdout_labels)
+            if counters is not None:
+                counters.trees_grown += 1
+        return scored[min_leaf]
 
     def objective(point: tuple[int, ...]) -> float:
         depth, min_split, min_leaf = (int(v) for v in point)

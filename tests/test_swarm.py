@@ -1,9 +1,5 @@
 """Integer-lattice particle swarm: convergence, caching, failure handling."""
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -358,65 +354,42 @@ def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
     assert runs["4"] == runs["1"]
 
 
-def test_dt_objective_grows_each_tree_once_under_contention(monkeypatch):
+def test_dt_objective_grows_each_tree_once_over_rotated_point_orders(monkeypatch):
+    # one objective answers eight rotations of the same points: a leaf size
+    # seen before is scored from its memoized tree, never grown again
     split = _toy_split(seed=6)
     points = [(d, s, l) for l in (1, 3, 8) for s in (8, 20) for d in (2, 5, 64)]
     expected = [dt_objective(split, seed=6)(p) for p in points]
     fits = _count_fits(monkeypatch)
     objective = dt_objective(split, seed=6)
-    start = threading.Barrier(8)
-
-    def worker(shift):
-        start.wait(timeout=30)
+    for shift in range(8):
         order = points[shift:] + points[:shift]
-        return dict(zip(order, (objective(p) for p in order)))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(worker, shift) for shift in range(8)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert sorted(fits) == [1, 3, 8]
-    for scores in results:
+        scores = dict(zip(order, map(objective, order)))
         assert [scores[p] for p in points] == expected
+    assert sorted(fits) == [1, 3, 8]
 
 
-def test_trees_sharing_a_split_cache_grow_once_and_count_once_under_contention():
-    # trees of four leaf sizes grow in parallel workers and read and fill
-    # one split cache; each grows once, counts once (a lost update would
-    # miscount) and scores as it does grown alone
+def test_trees_sharing_a_split_cache_grow_once_and_count_once_over_rotated_point_orders():
+    # trees of four leaf sizes read and fill one split cache in eight point
+    # orders; each grows once, counts once and scores as it does grown alone
     split = _toy_split(seed=7, separation=1.5)
     points = [(d, s, l) for l in (1, 2, 5, 9) for s in (9, 30) for d in (3, 64)]
     expected = [dt_objective(split, seed=7)(p) for p in points]
     counters = SwarmCounters()
     objective = dt_objective(split, seed=7, counters=counters)
-    start = threading.Barrier(8)
-
-    def worker(shift):
-        start.wait(timeout=30)
+    for shift in range(8):
         order = points[::-1][shift:] + points[::-1][:shift]
-        return dict(zip(order, (objective(p) for p in order)))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(worker, shift) for shift in range(8)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert counters.trees_grown == 4
-    for scores in results:
+        scores = dict(zip(order, map(objective, order)))
         assert [scores[p] for p in points] == expected
+    assert counters.trees_grown == 4
 
 
-def test_a_tuning_run_searches_each_split_path_once(monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_a_tuning_run_searches_each_split_path_once(monkeypatch, threads):
     # one staircase per path serves every leaf size of the box, so no node
-    # is searched twice, whichever leaf sizes reach it
-    monkeypatch.setenv("FLOWGATE_THREADS", "1")
+    # is searched twice, whichever leaf sizes reach it and whatever
+    # FLOWGATE_THREADS says
+    monkeypatch.setenv("FLOWGATE_THREADS", threads)
     searches = []
     for name in ("_node_staircase", "_node_split"):
         search = getattr(tree_module, name)
