@@ -1,8 +1,9 @@
 """Immutable columnar datasets: schema, label encoding, descriptive statistics.
 
-A table is a column-major collection of float64 feature arrays plus an int64
-class-id vector. Transforms elsewhere in the package always build new tables;
-arrays are marked read-only at construction so accidental mutation fails fast.
+A table is one column-major float64 feature block, whose columns are the
+feature arrays, plus an int64 class-id vector. Transforms elsewhere in the
+package always build new tables; arrays are marked read-only at construction
+so accidental mutation fails fast.
 """
 
 from __future__ import annotations
@@ -90,11 +91,17 @@ class ColumnarTable:
         One entry per column including the label column; indices must be the
         contiguous range 0..len(schema)-1 in order.
     columns:
-        Float64 arrays for every non-label column, in schema order.
+        Float64 arrays for every non-label column, in schema order, or the
+        (n_rows, n_features) matrix of them.
     labels:
         Int64 class ids, one per row, each in [0, n_classes).
     encoding:
         Class-name mapping; per-class counts are recomputed from ``labels``.
+
+    The features are held as one Fortran-order float64 block, and
+    ``columns`` are views of its columns. A column-major matrix given as
+    ``columns`` becomes the block without a copy; separate arrays are copied
+    into a new block.
     """
 
     __slots__ = ("schema", "columns", "labels", "encoding", "_matrix")
@@ -102,7 +109,7 @@ class ColumnarTable:
     def __init__(
         self,
         schema: Sequence[ColumnSchema],
-        columns: Sequence[np.ndarray],
+        columns: Sequence[np.ndarray] | np.ndarray,
         labels: np.ndarray,
         encoding: LabelEncoding,
     ) -> None:
@@ -112,31 +119,36 @@ class ColumnarTable:
             if col.index != pos:
                 raise DataError(f"schema indices must be contiguous, column {col.name!r} at {pos}")
         feature_schema = tuple(c for c in schema if c.kind != KIND_LABEL)
-        if len(columns) != len(feature_schema):
-            raise DataError(
-                f"expected {len(feature_schema)} feature columns, got {len(columns)}"
-            )
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise DataError("labels must be one-dimensional")
-        frozen = []
-        for col_schema, arr in zip(feature_schema, columns):
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            if arr.shape != labels.shape:
-                raise DataError(f"column {col_schema.name!r} length differs from labels")
-            arr.setflags(write=False)
-            frozen.append(arr)
+        given = isinstance(columns, np.ndarray) and columns.ndim == 2
+        n_given = columns.shape[1] if given else len(columns)
+        if n_given != len(feature_schema):
+            raise DataError(f"expected {len(feature_schema)} feature columns, got {n_given}")
+        if given:
+            matrix = np.asfortranarray(columns, dtype=np.float64)
+            if matrix.shape[0] != labels.size:
+                raise DataError("feature matrix rows differ from labels")
+        else:
+            matrix = np.empty((labels.size, n_given), dtype=np.float64, order="F")
+            for j, (col_schema, arr) in enumerate(zip(feature_schema, columns)):
+                arr = np.asarray(arr, dtype=np.float64)
+                if arr.shape != labels.shape:
+                    raise DataError(f"column {col_schema.name!r} length differs from labels")
+                matrix[:, j] = arr
         if labels.size and (labels.min() < 0 or labels.max() >= encoding.n_classes):
             raise DataError("label ids out of range for the encoding")
+        matrix.setflags(write=False)
         labels.setflags(write=False)
 
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", tuple(frozen))
+        object.__setattr__(self, "columns", tuple(matrix.T))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(
             self, "encoding", LabelEncoding.from_labels(encoding.class_names, labels)
         )
-        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover - guard
         raise AttributeError("ColumnarTable is immutable")
@@ -174,15 +186,8 @@ class ColumnarTable:
         raise DataError(f"no feature column named {name!r}")
 
     def feature_matrix(self) -> np.ndarray:
-        """Row-major (n_rows, n_features) view of the feature columns."""
-        if self._matrix is None:
-            mat = (
-                np.column_stack(self.columns)
-                if self.columns
-                else np.empty((self.n_rows, 0), dtype=np.float64)
-            )
-            mat.setflags(write=False)
-            object.__setattr__(self, "_matrix", mat)
+        """The (n_rows, n_features) feature block, column-major: the one
+        float64 copy of the features, whose columns are ``columns``."""
         return self._matrix
 
     # -- derivation helpers ------------------------------------------------
@@ -194,12 +199,10 @@ class ColumnarTable:
     def take_rows(self, indices: np.ndarray) -> "ColumnarTable":
         """New table holding the given rows (in the given order)."""
         indices = np.asarray(indices, dtype=np.int64)
-        return ColumnarTable(
-            self.schema,
-            [col[indices] for col in self.columns],
-            self.labels[indices],
-            self.encoding,
-        )
+        matrix = np.empty((indices.size, self.n_features), dtype=np.float64, order="F")
+        for j, col in enumerate(self.columns):
+            matrix[:, j] = col[indices]
+        return ColumnarTable(self.schema, matrix, self.labels[indices], self.encoding)
 
 
 @dataclass(frozen=True)

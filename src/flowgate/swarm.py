@@ -310,7 +310,8 @@ def dt_objective(
     node's split for every leaf size of ``dt_search_space`` in one scan, so
     each distinct path is searched once per run (see ``models.tree``). Each
     tree grown counts in ``counters.trees_grown`` when ``counters`` is
-    given.
+    given. The tuning rows are sorted once; each fit copies that presort
+    into the buffer it partitions, so no fit's partitions outlive it.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -320,7 +321,7 @@ def dt_objective(
             if count == 0:
                 raise DataError(f"class {name!r} vanished from the {side} side")
     fit_table = inner.train
-    fit_order = _presort(fit_table.feature_matrix())  # shared by every fit
+    fit_order = _presort(fit_table.feature_matrix())  # each fit partitions its own copy
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
     splits = SplitCache(max_leaf=dt_search_space().uppers[-1])  # shared by every fit

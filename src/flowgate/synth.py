@@ -84,6 +84,11 @@ class SynthSpec:
         }
 
 
+# Gaussian draws that generate_flows makes per call, in cells: its
+# temporaries stay a few hundred KB at any table size.
+_DRAW_CELLS = 1 << 14
+
+
 def class_quotas(spec: SynthSpec) -> tuple[int, ...]:
     """Largest-remainder apportionment of n_rows over the class ratios.
 
@@ -119,28 +124,37 @@ def generate_flows(spec: SynthSpec) -> ColumnarTable:
     Cluster centers sit on a common diagonal with consecutive spacing equal
     to cluster_separation, so all pairwise center distances are >= the
     separation. Rows are shuffled once so classes interleave.
+
+    The features are drawn class by class, in slices of about _DRAW_CELLS
+    cells (a seeded stream gives the same numbers in slices as in one draw),
+    into the column-major block the table keeps, and each column is then
+    shuffled through one column-sized temporary.
     """
     quotas = class_quotas(spec)
     rng = np.random.default_rng(spec.seed)
     d = spec.n_features
     direction = np.ones(d) / np.sqrt(d)
-    features = np.empty((spec.n_rows, d), dtype=np.float64)
+    features = np.empty((spec.n_rows, d), dtype=np.float64, order="F")
     labels = np.empty(spec.n_rows, dtype=np.int64)
+    per_draw = max(1, _DRAW_CELLS // d)
     row = 0
     for class_id, quota in enumerate(quotas):
         center = class_id * spec.cluster_separation * direction
-        features[row : row + quota] = center + rng.standard_normal((quota, d))
+        for start in range(row, row + quota, per_draw):
+            stop = min(start + per_draw, row + quota)
+            features[start:stop] = center + rng.standard_normal((stop - start, d))
         labels[row : row + quota] = class_id
         row += quota
     perm = rng.permutation(spec.n_rows)
-    features = features[perm]
+    for j in range(d):
+        features[:, j] = features[perm, j]
     labels = labels[perm]
 
     schema = [ColumnSchema(f"f{j:02d}", KIND_NUMERIC, j) for j in range(d)]
     schema.append(ColumnSchema("label", KIND_LABEL, d))
     return ColumnarTable(
         schema,
-        [features[:, j] for j in range(d)],
+        features,
         labels,
         LabelEncoding(spec.class_names, tuple(0 for _ in spec.class_names)),
     )
@@ -237,33 +251,31 @@ def corrupt(
 
     feature_names = table.feature_names
     appended = np.concatenate([dup_src, nan_src, inf_src])
-    features = np.vstack([table.feature_matrix(), table.feature_matrix()[appended]]) \
-        if appended.size else table.feature_matrix().copy()
-    label_ids = np.concatenate([table.labels, table.labels[appended]]) \
-        if appended.size else table.labels.copy()
+    total_rows = n + len(appended)
+    columns = []
+    for source in table.columns:
+        column = np.empty(total_rows, dtype=np.float64)
+        column[:n] = source
+        column[n:] = source[appended]
+        columns.append(column)
 
     nan_cells = []
     inf_cells = []
     for offset in range(n_nan):
         row = n + n_dup + offset
         col = int(rng.integers(d))
-        features[row, col] = np.nan
+        columns[col][row] = np.nan
         nan_cells.append((row, feature_names[col]))
     for offset in range(n_inf):
         row = n + n_dup + n_nan + offset
         col = int(rng.integers(d))
-        features[row, col] = np.inf if rng.integers(2) == 0 else -np.inf
+        columns[col][row] = np.inf if rng.integers(2) == 0 else -np.inf
         inf_cells.append((row, feature_names[col]))
 
-    total_rows = n + len(appended)
-    schema: list[ColumnSchema] = []
-    cells: list[np.ndarray] = []
-    for j, name in enumerate(feature_names):
-        schema.append(ColumnSchema(name, KIND_NUMERIC, len(schema)))
-        cells.append(features[:, j])
+    schema = [ColumnSchema(name, KIND_NUMERIC, j) for j, name in enumerate(feature_names)]
     schema.append(ColumnSchema(table.label_name, KIND_LABEL, len(schema)))
     class_names = np.asarray(table.encoding.class_names, dtype=object)
-    cells.append(class_names[label_ids])
+    cells = [*columns, class_names[np.concatenate([table.labels, table.labels[appended]])]]
     constant_names = []
     for j in range(n_constant_cols):
         cname = f"const_{j:02d}"

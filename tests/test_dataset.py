@@ -104,6 +104,18 @@ def test_table_is_immutable():
         table.labels[0] = 1
 
 
+def test_features_are_one_column_major_block():
+    table = make_table(np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1]))
+    for derived in (table, table.take_rows(np.array([3, 1])), table.replace_columns(table.columns)):
+        matrix = derived.feature_matrix()
+        assert matrix.flags["F_CONTIGUOUS"] and not matrix.flags["WRITEABLE"]
+        assert all(np.shares_memory(column, matrix) for column in derived.columns)
+        assert [column.tolist() for column in derived.columns] == matrix.T.tolist()
+    # a column-major matrix becomes the block itself
+    block = np.asfortranarray(np.arange(9.0).reshape(3, 3))
+    assert table.take_rows(np.arange(3)).replace_columns(block).feature_matrix() is block
+
+
 def test_encoding_counts_recomputed_from_labels():
     enc = LabelEncoding.from_labels(("a", "b"), np.array([0, 0, 1]))
     table = ColumnarTable(

@@ -405,6 +405,18 @@ def test_metrics_json_excludes_timings(tmp_path):
     assert manifest_doc["metrics"]["config_hash"] == config.config_hash()
 
 
+def test_manifest_records_the_peak_rss_after_each_stage(tmp_path):
+    manifest, _ = run_and_emit(_config(models=["baseline", "dt", "rf"]), tmp_path)
+    # one entry per timed stage, in stage order; a high-water mark never falls
+    assert list(manifest.peak_rss_mb) == list(manifest.timings)
+    peaks = list(manifest.peak_rss_mb.values())
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    doc = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert set(doc["peak_rss_mb"]) == set(doc["timings_seconds"])
+    metrics = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+    assert "peak_rss_mb" not in metrics
+
+
 def test_formats_filter_table_outputs(tmp_path):
     config = _config(formats=["csv"])
     _, paths = run_and_emit(config, tmp_path)

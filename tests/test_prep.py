@@ -239,12 +239,15 @@ def test_encode_label_follows_profile_order_not_occurrence():
 
 
 def test_encode_unknown_label_value():
-    raw = RawTable(
-        (ColumnSchema("x", KIND_NUMERIC, 0), ColumnSchema("Label", KIND_LABEL, 1)),
-        [np.array([1.0]), np.array(["C"], dtype=object)],
-    )
-    with pytest.raises(DataError, match="'C'"):
-        encode_categoricals(raw, PROFILE)
+    # the error names the lowest unknown value, whatever the row order
+    for labels, named in ((["C"], "C"), (["Zed", "A", "C", "Bee", "B", "Bee"], "Bee")):
+        raw = RawTable(
+            (ColumnSchema("x", KIND_NUMERIC, 0), ColumnSchema("Label", KIND_LABEL, 1)),
+            [np.zeros(len(labels)), np.array(labels, dtype=object)],
+        )
+        with pytest.raises(DataError) as info:
+            encode_categoricals(raw, PROFILE)
+        assert str(info.value) == f"unknown label value {named!r}"
 
 
 # -- normalization ------------------------------------------------------------

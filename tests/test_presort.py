@@ -194,9 +194,14 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
     st.integers(2, 4),
     st.integers(1, 40),
     st.sampled_from(["pool", "adjacent doubles", "mirrored"]),
+    st.sampled_from([1, 7, 50, tree_module._SCAN_CELLS]),
 )
 @settings(max_examples=80, deadline=None)
-def test_staircase_matches_the_search_at_every_leaf_size(seed, n, d, k, max_leaf, layout):
+def test_staircase_matches_the_search_at_every_leaf_size(
+    seed, n, d, k, max_leaf, layout, scan_cells
+):
+    # scan_cells below the node size scans each feature in pieces, whose
+    # near ties the staircase and the search gather chunk by chunk
     X, y, k = _training_set(seed, n, d, k)
     rng = np.random.default_rng(seed)
     if layout == "adjacent doubles":
@@ -212,7 +217,8 @@ def test_staircase_matches_the_search_at_every_leaf_size(seed, n, d, k, max_leaf
     ids = tree_module._class_ids(y, k)
     counts = np.bincount(y, minlength=k)
     order = _presort(X)
-    steps = tree_module._node_staircase(X, ids, counts, order, max_leaf)
+    with mock.patch.object(tree_module, "_SCAN_CELLS", scan_cells):
+        steps = tree_module._node_staircase(X, ids, counts, order, max_leaf)
     highs = [high for high, _, _ in steps]
     assert highs == sorted(set(highs)) and highs[-1] <= max_leaf
     for leaf in range(1, min(max_leaf, n // 2) + 1):
