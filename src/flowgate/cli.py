@@ -158,7 +158,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     profile = resolve_profile(args.profile)
     raw = load_csv(args.csv, profile)
-    table, _ = encode_categoricals(raw, profile)
+    table = encode_categoricals(raw, profile)
     summary = column_stats(table)
     print(f"rows: {summary.n_rows}")
     print(f"features: {summary.n_features}")
@@ -262,7 +262,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     profile = resolve_profile(args.profile)
     model = load_model(args.model)
     raw = load_csv(args.csv, profile)
-    table, _ = encode_categoricals(raw, profile)
+    table = encode_categoricals(raw, profile)
     predicted = model.predict(table)
     matrix = confusion_matrix(
         table.labels, predicted, table.n_classes,

@@ -270,21 +270,6 @@ def column_stats(table: ColumnarTable) -> DatasetSummary:
     return DatasetSummary(table.n_rows, table.n_features, tuple(entries))
 
 
-def _row_code_matrix(table: ColumnarTable) -> np.ndarray:
-    """uint64 matrix whose rows are equal iff table rows are bitwise equal."""
-    parts = [col.view(np.uint64) for col in table.columns]
-    parts.append(table.labels.astype(np.uint64))
-    return np.column_stack(parts)
-
-
-def count_unique_rows(table: ColumnarTable) -> int:
-    """Number of distinct (features, label) row tuples, by bitwise equality."""
-    if table.n_rows == 0:
-        return 0
-    codes = _row_code_matrix(table)
-    return int(np.unique(codes, axis=0).shape[0])
-
-
 def class_distribution(table: ColumnarTable) -> list[tuple[str, int, float]]:
     """(class name, count, count/n_rows) for every class in id order."""
     if table.n_rows == 0:

@@ -163,9 +163,9 @@ def fit_model(
 ):
     """Fit one configured classifier; returns (model, resolved hyperparameters).
 
-    A ``dt`` fit shares node searches with the other fits on ``train`` that
-    get the same ``splits`` (see ``fit_tree``); the model is the same with
-    or without it.
+    A ``dt`` fit shares node searches with the other fits that get the same
+    ``splits``, a cache made for ``train`` (see ``fit_tree``); the model is
+    the same with or without it.
     """
     params = spec.hyperparams()
     if spec.type == MODEL_BASELINE:
@@ -254,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         return split
 
     split = run_stage("preprocess", do_prep)
-    splits = SplitCache()  # shared by the configured DT and the EPSO DT
+    splits = SplitCache(split.train)  # shared by the configured DT and the EPSO DT
 
     for spec in config.models:
         result = run_stage(

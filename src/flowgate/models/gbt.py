@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
-from .tree import Tree, _as_matrix, _as_training_set, _grow, _presort, _route
+from .tree import Tree, _as_matrix, _as_training_set, _candidates, _grow, _presort, _route
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,7 @@ def _gradient_split(
     best: tuple[int, float] | None = None
     for feature in range(X.shape[1]):
         o = order[feature]
-        vs = X[o, feature]
-        # a boundary is realizable when the midpoint of its two values lies
-        # below the upper one (equal values and adjacent doubles are not)
-        mid = (vs[:-1] + vs[1:]) / 2.0
-        boundary = mid < vs[1:]
+        mid, boundary = _candidates(X[o, feature])
         if not boundary.any():
             continue
         gl = np.cumsum(g[o])[:-1][boundary]

@@ -7,6 +7,7 @@ float strings, so a save/load round trip reproduces the model bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -183,7 +184,24 @@ def model_from_dict(doc: dict) -> AnyModel:
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    """Write ``model`` to ``path`` as an indented JSON document.
+
+    The document is streamed into a temporary file beside ``path``, which
+    then replaces ``path``, so a save that fails leaves no partial model
+    file. A tree nested too deeply for JSON (near a thousand levels) raises
+    DataError.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as out:
+            json.dump(model_to_dict(model), out, indent=2)
+            out.write("\n")
+        os.replace(tmp, path)
+    except RecursionError as exc:
+        raise DataError(f"cannot save {path}: a tree is nested too deeply for JSON") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_model(path: str | Path) -> AnyModel:
@@ -194,4 +212,6 @@ def load_model(path: str | Path) -> AnyModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: a tree is nested too deeply for JSON") from exc
     return model_from_dict(doc)

@@ -228,6 +228,16 @@ class _Candidate(NamedTuple):
 _SCAN_CELLS = 1 << 13
 
 
+def _candidates(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate thresholds between consecutive sorted ``values``, along
+    the last axis: each boundary's midpoint, and whether it can split, which
+    holds where the midpoint lies below the upper value (equal values and
+    adjacent doubles cannot split)."""
+    upper = values[..., 1:]
+    mid = (values[..., :-1] + upper) / 2.0
+    return mid, mid < upper
+
+
 def _gini_scans(
     X: np.ndarray,
     y: np.ndarray,
@@ -292,13 +302,8 @@ def _gini_scans(
                 cross += int((counts * below).sum())
             if begin < end:
                 window = slice(begin - start, end - start)
-                upper = values[:, 1:]
-                mid = (values[:, :-1] + upper) / 2.0
-                # a boundary can split when the midpoint of its two values
-                # lies below the upper one: equal values and adjacent doubles
-                # cannot
-                blocked = ~(mid < upper)
-                del values, upper
+                mid, can_split = _candidates(values)
+                del values
                 sum_left = sum_left_sq[:, window]
                 sum_right = cross[:, window]
                 sum_right *= -2
@@ -307,8 +312,8 @@ def _gini_scans(
                 nl = np.arange(begin + 1, end + 1, dtype=np.float64)
                 scores = sum_left / nl
                 scores += sum_right / (float(n) - nl)
-                scores[blocked] = -np.inf
-                del blocked, nl
+                scores[~can_split] = -np.inf
+                del can_split, nl
                 yield scanned, begin, scores, mid, sum_left, sum_right
                 del scores, mid, sum_left, sum_right
             del sum_left_sq, cross
@@ -548,43 +553,36 @@ def best_split(
     params: TreeHyperparams = TreeHyperparams(),
     labels: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over the given row ids.
+    """Best (feature, threshold, impurity decrease) over the given row ids:
+    the root split of a one-level ``fit_tree`` on those rows (``max_depth``
+    1, split gate max(2, leaf)), whose decrease is taken from the children's
+    class counts.
 
     ``table`` is a ColumnarTable, or a feature matrix with ``labels`` given
     separately. Returns None when no legal split strictly improves impurity.
     """
-    X, y, n_classes = _as_training_set(table, labels)
+    X, y, _ = _as_training_set(table, labels)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise DataError("cannot split an empty row set")
-    X_node = X[rows]
-    y_node = y[rows]
-    counts = np.bincount(y_node, minlength=n_classes)
-    best = _node_split(
-        X_node,
-        _class_ids(y_node, n_classes),
-        counts,
-        _presort(X_node),
-        params.min_samples_leaf,
-        np.arange(X.shape[1]),
-    )
-    if best is None:
+    leaf = params.min_samples_leaf
+    stump = TreeHyperparams(max_depth=1, min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+    tree = fit_tree(X[rows], stump, labels=y[rows]).root
+    if tree.feature[0] < 0:
         return None
     n = rows.size
-    nl = best.n_left
-    nr = n - nl
-    gini_parent = 1.0 - int((counts**2).sum()) / (float(n) * float(n))
-    gini_left = 1.0 - best.sum_left_sq / (float(nl) * float(nl))
-    gini_right = 1.0 - best.sum_right_sq / (float(nr) * float(nr))
-    decrease = gini_parent - (nl / n) * gini_left - (nr / n) * gini_right
-    return best.feature, best.threshold, float(decrease)
+    parent, left, right = tree.value
+    nl, nr = int(left.sum()), int(right.sum())
+    decrease = gini_impurity(parent) - nl / n * gini_impurity(left) - nr / n * gini_impurity(right)
+    return int(tree.feature[0]), float(tree.threshold[0]), float(decrease)
 
 
 class SplitCache:
     """Node searches of gini fits on one training set, keyed by split path
-    (see the module docstring). The first fit binds the cache to its feature
-    matrix and labels; a fit on other contents raises. Forests never use a
-    cache: they search sampled features.
+    (see the module docstring). A cache is made for one ``train`` and
+    ``labels``, as ``fit_tree`` takes them, and ``fit_tree`` takes it only
+    with those same objects: an equal copy counts as another training set.
+    Forests never use a cache: they search sampled features.
 
     A cache made with ``max_leaf`` L answers leaf sizes 1..L from one
     staircase per path (``_node_staircase``), searched on the path's first
@@ -594,43 +592,30 @@ class SplitCache:
     search per leaf size, recorded with the leaf sizes it holds for.
     """
 
-    def __init__(self, max_leaf: int = 0) -> None:
-        self.max_leaf = max_leaf
-        self._training_set: tuple[np.ndarray, np.ndarray] | None = None
-        self._record: struct.Struct | None = None
+    def __init__(
+        self,
+        train: "ColumnarTable | np.ndarray",
+        labels: np.ndarray | None = None,
+        max_leaf: int = 0,
+    ) -> None:
+        self.train, self.labels, self.max_leaf = train, labels, max_leaf
+        X, y, n_classes = _as_training_set(train, labels)
+        self._X, self._class_ids = X, _class_ids(y, n_classes)
+        integer = np.min_scalar_type
+        self._record = struct.Struct(f"<{integer(max_leaf).char}{integer(X.shape[1]).char}d")
         self._stairs: dict[tuple, bytes] = {}
         # path -> entries (leaf size searched under, largest leaf size it
         # holds for, feature or -1 when no split strictly improves, threshold)
         self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
 
-    def bind(self, X: np.ndarray, y: np.ndarray) -> None:
-        if self._training_set is None:
-            self._training_set = (X, y)
-            integer = np.min_scalar_type
-            self._record = struct.Struct(
-                f"<{integer(self.max_leaf).char}{integer(X.shape[1]).char}d"
-            )
-        # fits on one training set pass the same arrays: compare contents
-        # only when they are other objects
-        for bound, given in zip(self._training_set, (X, y)):
-            if bound is not given and not (
-                bound.shape == given.shape and np.array_equal(bound, given)
-            ):
-                raise DataError("split cache was filled on another training set")
-
     def split(
-        self,
-        path: tuple,
-        leaf: int,
-        X: np.ndarray,
-        y: np.ndarray,
-        counts: np.ndarray,
-        order: np.ndarray,
+        self, path: tuple, leaf: int, counts: np.ndarray, order: np.ndarray
     ) -> tuple[int, float] | None:
         """The split under leaf size ``leaf`` of the node at ``path``, which
-        has class ids ``y``, class ``counts`` and presorted rows ``order``
-        (as ``_node_split`` takes them) of the bound feature matrix ``X``.
-        A node of fewer than 2 * ``leaf`` rows has no legal split."""
+        has class ``counts`` and presorted rows ``order`` (as ``_node_split``
+        takes them). A node of fewer than 2 * ``leaf`` rows has no legal
+        split."""
+        X, y = self._X, self._class_ids
         n = order.shape[1]
         if n < 2 * leaf:
             return None
@@ -768,7 +753,7 @@ def _grow_gini(
         ):
             return None
         if splits is not None:
-            return splits.split(path, leaf, X, class_ids, counts, order)
+            return splits.split(path, leaf, counts, order)
         if sample_features:
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
         else:
@@ -826,17 +811,18 @@ def fit_tree(
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
     training set can share its presort: pass ``_presort`` of its feature
-    matrix as ``order``. They can also share node searches: pass one
-    ``SplitCache`` as ``splits`` (see the module docstring). The fitted tree
-    is the same either way.
+    matrix as ``order``. They can also share node searches: pass as
+    ``splits`` one ``SplitCache`` made for these ``train`` and ``labels``
+    objects (see the module docstring); a cache made for others, equal
+    copies included, raises. The fitted tree is the same either way.
     """
+    if splits is not None and (splits.train is not train or splits.labels is not labels):
+        raise DataError("split cache was made for another training set")
     X, y, n_classes = _as_training_set(train, labels)
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    if splits is not None:
-        splits.bind(X, y)
     root = _grow_gini(X, y, n_classes, params, order=order, splits=splits)
     return DecisionTreeModel(root, params, n_classes, X.shape[1])
 

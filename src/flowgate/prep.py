@@ -511,15 +511,14 @@ def drop_invalid_rows(raw: RawTable) -> tuple[RawTable, str]:
     return out, f"removed {removed} rows with NaN or infinite values"
 
 
-def _token_codes(tokens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+def _token_codes(tokens: np.ndarray) -> np.ndarray:
     """Each token's index among the column's distinct tokens, numbered in
-    order of first occurrence, and those tokens. The tokens are coded
-    through a dict, one lookup per cell, so the column is never copied into
-    a fixed-width string array (which costs 4 bytes per character of its
-    longest token in every cell) and never sorted."""
+    order of first occurrence. The tokens are coded through a dict, one
+    lookup per cell, so the column is never copied into a fixed-width
+    string array (which costs 4 bytes per character of its longest token in
+    every cell) and never sorted."""
     index = {token: code for code, token in enumerate(dict.fromkeys(tokens))}
-    codes = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
-    return codes, tuple(index)
+    return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
 
 
 def _column_codes(col: ColumnSchema, arr: np.ndarray) -> np.ndarray:
@@ -528,7 +527,7 @@ def _column_codes(col: ColumnSchema, arr: np.ndarray) -> np.ndarray:
     first-occurrence index among the column's distinct tokens."""
     if col.kind in (KIND_NUMERIC, KIND_TIMESTAMP):
         return arr.view(np.uint64)
-    return _token_codes(arr)[0].view(np.uint64)
+    return _token_codes(arr).view(np.uint64)
 
 
 def _row_hashes(raw: RawTable) -> np.ndarray:
@@ -606,9 +605,7 @@ def drop_zero_variance_columns(raw: RawTable) -> tuple[RawTable, str]:
 # -- encoding -----------------------------------------------------------------
 
 
-def encode_categoricals(
-    raw: RawTable, profile: DatasetProfile
-) -> tuple[ColumnarTable, dict[str, LabelEncoding]]:
+def encode_categoricals(raw: RawTable, profile: DatasetProfile) -> ColumnarTable:
     """Encode token columns as integer codes and the label via the profile.
 
     Categorical codes follow first-occurrence order; the label column maps
@@ -616,7 +613,6 @@ def encode_categoricals(
     the lowest such value. Numeric columns pass through bit-for-bit. Tokens
     are coded through dicts (``_token_codes``), not as a string array.
     """
-    encodings: dict[str, LabelEncoding] = {}
     feature_columns: list[np.ndarray] = []
     labels: np.ndarray | None = None
     schema: list[ColumnSchema] = []
@@ -630,25 +626,18 @@ def encode_categoricals(
             schema.append(ColumnSchema(col.name, KIND_LABEL, len(schema)))
             continue
         if col.kind == KIND_CATEGORICAL:
-            codes, ordered_values = _token_codes(arr)
-            counts = np.bincount(codes, minlength=len(ordered_values))
-            encodings[col.name] = LabelEncoding(
-                ordered_values, tuple(int(c) for c in counts)
-            )
-            feature_columns.append(codes.astype(np.float64))
+            feature_columns.append(_token_codes(arr).astype(np.float64))
         else:
             feature_columns.append(arr)
         schema.append(ColumnSchema(col.name, col.kind, len(schema)))
     if labels is None:  # pragma: no cover - schema validation forbids this
         raise DataError("no label column present")
-    table = ColumnarTable(
+    return ColumnarTable(
         schema,
         feature_columns,
         labels,
         LabelEncoding(tuple(profile.class_names), tuple(0 for _ in profile.class_names)),
     )
-    encodings[profile.label_column] = table.encoding
-    return table, encodings
 
 
 # -- normalization --------------------------------------------------------------
@@ -777,7 +766,7 @@ def preprocess_pipeline(
         report.add(stage, table, out, details)
         table = out
 
-    out, _ = encode_categoricals(table, profile)
+    out = encode_categoricals(table, profile)
     n_categorical = sum(1 for c in out.feature_schema if c.kind == KIND_CATEGORICAL)
     report.add(
         STAGE_ENCODE,

@@ -324,7 +324,7 @@ def dt_objective(
     fit_order = _presort(fit_table.feature_matrix())  # each fit partitions its own copy
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
-    splits = SplitCache(max_leaf=dt_search_space().uppers[-1])  # shared by every fit
+    splits = SplitCache(fit_table, max_leaf=dt_search_space().uppers[-1])  # shared by every fit
 
     scored: dict[int, CutAccuracy] = {}
 

@@ -11,7 +11,7 @@ checked count for count and the original row set recovered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -195,16 +195,6 @@ class CorruptionLedger:
             "inf_cells": [[r, c] for r, c in self.inf_cells],
             "constant_columns": list(self.constant_columns),
         }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "CorruptionLedger":
-        return cls(
-            n_original_rows=int(doc["n_original_rows"]),
-            duplicate_rows=tuple((int(a), int(b)) for a, b in doc["duplicate_rows"]),
-            nan_cells=tuple((int(r), str(c)) for r, c in doc["nan_cells"]),
-            inf_cells=tuple((int(r), str(c)) for r, c in doc["inf_cells"]),
-            constant_columns=tuple(str(c) for c in doc["constant_columns"]),
-        )
 
 
 def hazard_rows(

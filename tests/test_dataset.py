@@ -1,4 +1,4 @@
-"""Column stats, row dedup counting, and table immutability."""
+"""Column stats and table immutability."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from flowgate.dataset import (
     LabelEncoding,
     class_distribution,
     column_stats,
-    count_unique_rows,
     validate_schema,
 )
 from flowgate.errors import DataError
@@ -56,29 +55,6 @@ def test_column_stats_rejects_empty():
     table = make_table(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(DataError):
         column_stats(table)
-
-
-def test_count_unique_rows_collapses_exact_duplicates():
-    X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-    table = make_table(X, np.array([0, 0, 1]))
-    assert count_unique_rows(table) == 2
-
-
-def test_count_unique_rows_label_distinguishes():
-    X = np.array([[1.0, 2.0], [1.0, 2.0]])
-    table = make_table(X, np.array([0, 1]))
-    assert count_unique_rows(table) == 2
-
-
-def test_count_unique_rows_empty_is_zero():
-    table = make_table(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
-    assert count_unique_rows(table) == 0
-
-
-def test_count_unique_rows_all_distinct():
-    rng = np.random.default_rng(7)
-    table = make_table(rng.normal(size=(100, 3)), rng.integers(0, 2, size=100))
-    assert count_unique_rows(table) == 100
 
 
 def test_class_distribution_single_class():

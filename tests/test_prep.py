@@ -222,9 +222,8 @@ def test_encode_categoricals_first_occurrence_order():
             np.array(["A", "B", "A"], dtype=object),
         ],
     )
-    table, encodings = encode_categoricals(raw, PROFILE)
+    table = encode_categoricals(raw, PROFILE)
     assert table.columns[0].tolist() == [0.0, 1.0, 0.0]
-    assert encodings["proto"].class_names == ("tcp", "udp")
     assert table.labels.tolist() == [0, 1, 0]
 
 
@@ -233,7 +232,7 @@ def test_encode_label_follows_profile_order_not_occurrence():
         (ColumnSchema("x", KIND_NUMERIC, 0), ColumnSchema("Label", KIND_LABEL, 1)),
         [np.array([1.0, 2.0]), np.array(["B", "A"], dtype=object)],
     )
-    table, _ = encode_categoricals(raw, PROFILE)
+    table = encode_categoricals(raw, PROFILE)
     assert table.labels.tolist() == [1, 0]
     assert table.encoding.class_names == ("A", "B")
 

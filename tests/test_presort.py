@@ -172,7 +172,7 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
     # gates, depths and pruning strengths, and must not depend on them;
     # leaf sizes above the cache's max_leaf search one leaf size at a time
     X, y, k = _training_set(seed, n, d, k)
-    splits = SplitCache(max_leaf)
+    splits = SplitCache(X, y, max_leaf)
     order = _presort(X) if shared_order else None
     for leaf, more_gate, depth, alpha in fits:
         params = TreeHyperparams(
@@ -231,20 +231,16 @@ def test_staircase_matches_the_search_at_every_leaf_size(
 
 
 def test_a_split_cache_from_another_training_set_is_rejected():
+    # a cache is made for one train and labels pair of objects: other
+    # contents and equal copies are both another training set
     X, y, _ = _training_set(7, 60, 3, 3)
-    splits = SplitCache()
+    splits = SplitCache(X, y)
     fit_tree(X, TreeHyperparams(), labels=y, splits=splits)
     relabelled = np.where(y == 0, 1, y)  # other root class counts
-    for other_X, other_y in ((X, relabelled), (X[:, :2], y)):
+    for other_X, other_y in ((X, relabelled), (X[:, :2], y), (X.copy(), y), (X, y.copy())):
         with pytest.raises(DataError, match="another training set"):
             fit_tree(other_X, TreeHyperparams(min_samples_leaf=2), labels=other_y, splits=splits)
-    # equal copies are the same training set
-    fit_tree(X.copy(), TreeHyperparams(min_samples_leaf=2), labels=y.copy(), splits=splits)
-    # other rows under the same labels: equal class counts and feature count
-    rng = np.random.default_rng(3)
-    X1, X2 = rng.standard_normal((2, 2000, 4))
-    y = rng.integers(0, 3, size=2000)
-    splits = SplitCache()
-    fit_tree(X1, TreeHyperparams(max_depth=4), labels=y, splits=splits)
+    fit_tree(X, TreeHyperparams(min_samples_leaf=2), labels=y, splits=splits)
+    table = make_table(X, y)
     with pytest.raises(DataError, match="another training set"):
-        fit_tree(X2, TreeHyperparams(max_depth=4), labels=y, splits=splits)
+        fit_tree(table, TreeHyperparams(), splits=SplitCache(table.take_rows(np.arange(60))))

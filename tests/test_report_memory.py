@@ -110,7 +110,7 @@ def test_a_tree_fit_stays_near_its_training_matrix(tuning):
     del source
     train = stratified_split(split.train, 0.5, 1).train if tuning else split.train
     order = _presort(train.feature_matrix()) if tuning else None
-    splits = SplitCache(max_leaf=50) if tuning else None
+    splits = SplitCache(train, max_leaf=50) if tuning else None
     fit_tree(train.take_rows(np.arange(200)), TreeHyperparams())
     _, peak = _peak(fit_tree, train, TreeHyperparams(), order=order, splits=splits)
     matrix = train.feature_matrix().nbytes

@@ -398,10 +398,10 @@ def test_a_tuning_run_searches_each_split_path_once(monkeypatch, threads):
     paths = set()
     lookup = tree_module.SplitCache.split
 
-    def recorded(self, path, leaf, X, y, counts, order):
+    def recorded(self, path, leaf, counts, order):
         if order.shape[1] >= 2 * leaf:  # smaller nodes have no legal split
             paths.add(path)
-        return lookup(self, path, leaf, X, y, counts, order)
+        return lookup(self, path, leaf, counts, order)
 
     monkeypatch.setattr(tree_module.SplitCache, "split", recorded)
     split = _toy_split(seed=7, separation=1.5)
