@@ -26,6 +26,7 @@ from .harness import (
     StageFailure,
     emit_reports,
     format_real,
+    make_output_dir,
     run_and_emit,
     run_experiment,
 )
@@ -39,7 +40,7 @@ from .prep import (
     preprocess_pipeline,
     write_csv,
 )
-from .profiles import resolve_profile
+from .profiles import resolve_profile, settings_dict
 from .synth import SynthSpec, corrupt, generate_flows
 
 EXIT_OK = 0
@@ -147,8 +148,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"train rows: {split.train.n_rows}")
     print(f"test rows: {split.test.n_rows}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_output_dir(args.out)
         write_csv(split.train, out / "train.csv")
         write_csv(split.test, out / "test.csv")
         print(f"wrote {out / 'train.csv'} and {out / 'test.csv'}")
@@ -196,14 +196,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         generate_flows(spec), **dataclasses.asdict(corruption), seed=args.seed + 1
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out.parent)
     write_csv(raw, out)
     sidecar = Path(str(out) + ".spec.json")
-    doc = {"spec": spec.to_dict(), "corruption": ledger.to_dict()}
+    doc = {"spec": settings_dict(spec), "corruption": settings_dict(ledger)}
     sidecar.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     profile_path = Path(str(out) + ".profile.json")
     profile_path.write_text(
-        json.dumps(spec.profile().to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(settings_dict(spec.profile()), indent=2) + "\n", encoding="utf-8"
     )
     print(json.dumps(doc["spec"], indent=2))
     print(f"wrote {raw.n_rows} rows to {out}")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import ConfigError, DataError
 from .models import ForestParams, GbtParams, TreeHyperparams
@@ -20,11 +20,15 @@ from .prep import FIT_FULL_DATASET, PrepOptions
 from .profiles import (
     BUILTIN_PROFILES,
     DatasetProfile,
+    as_int,
     as_list,
     as_names,
     as_object,
     as_str,
+    read_settings,
+    require,
     resolve_profile,
+    settings_dict,
 )
 from .swarm import EpsoConfig
 from .synth import SynthSpec, hazard_rows
@@ -46,73 +50,6 @@ MODEL_TYPES: dict[str, tuple[str, type | None]] = {
 _FORMATS = ("csv", "md", "json")
 
 
-def _require(doc: Mapping, key: str, where: str) -> Any:
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return doc[key]
-
-
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _as_int(value: Any, where: str) -> int:
-    # bools are ints in Python; reject them so "true" seeds fail loudly
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value: Any, where: str) -> int | float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return value
-
-
-def _as_numbers(value: Any, where: str) -> tuple[int | float, ...]:
-    return tuple(_as_number(v, f"{where} item") for v in as_list(value, where, "numbers"))
-
-
-# the reader of each field annotation a settings class uses; a reader checks
-# the JSON type and converts nothing (a converted value would change the
-# config hash) but a list, which becomes a tuple
-_READERS: dict[str, Callable[[Any, str], Any]] = {
-    "bool": _as_bool,
-    "int": _as_int,
-    "float": _as_number,
-    "str": as_str,
-    "tuple[str, ...]": as_names,
-    "tuple[float, ...]": _as_numbers,
-}
-
-
-def _read_settings(cls: type, doc: Any, where: str, keys: str = "keys") -> Any:
-    """Build the settings class ``cls`` from the config block ``doc``.
-
-    The block must be an object whose keys are fields of ``cls``, holding
-    every field without a default, and whose values have the JSON types of
-    the fields' annotations (``X | None`` admits null too). A range check
-    that fails in ``cls`` is a configuration error.
-    """
-    settings = fields(cls)
-    as_object(doc, where, (f.name for f in settings), keys)
-    values = {}
-    for f in settings:
-        if f.default is MISSING:
-            _require(doc, f.name, where)
-        if f.name in doc:
-            value, annotation = doc[f.name], f.type.removesuffix(" | None")
-            if value is not None or annotation == f.type:  # null where optional
-                value = _READERS[annotation](value, f"{where}.{f.name}")
-            values[f.name] = value
-    try:
-        return cls(**values)
-    except DataError as exc:
-        raise ConfigError(f"{where} settings are invalid: {exc}") from None
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One classifier to train: a type tag plus keyword overrides.
@@ -131,7 +68,7 @@ class ModelSpec:
             )
         settings = MODEL_TYPES[self.type][1]
         if settings is not None:
-            _read_settings(settings, self.params_dict(), self.type, "hyperparameters")
+            read_settings(settings, self.params_dict(), self.type, "hyperparameters")
         elif self.params:  # the baseline has no settings
             unknown = sorted(self.params_dict())
             raise ConfigError(f"{self.type} has unknown hyperparameters {unknown}")
@@ -154,7 +91,7 @@ class ModelSpec:
             return cls(type=value)
         if isinstance(value, Mapping):
             doc = dict(value)
-            kind = as_str(_require(doc, "type", where), f"{where}.type")
+            kind = as_str(require(doc, "type", where), f"{where}.type")
             doc.pop("type")
             return cls(type=kind, params=tuple(sorted(doc.items())))
         raise ConfigError(f"{where} must be a model name or an object with a 'type' key")
@@ -204,11 +141,7 @@ class SyntheticDataset:
         return SynthSpec(self.n_rows, self.class_names, self.class_ratios, **shape)
 
     def to_dict(self) -> dict:
-        doc: dict[str, Any] = {"kind": "synthetic"}
-        for key, value in asdict(self).items():
-            if value is not None:
-                doc[key] = list(value) if isinstance(value, tuple) else value
-        return doc
+        return {"kind": "synthetic", **settings_dict(self)}
 
 
 @dataclass(frozen=True)
@@ -222,7 +155,7 @@ class CsvDataset:
         # a builtin is echoed by name, any other profile (even a document
         # equal to a builtin) as its document
         builtin = BUILTIN_PROFILES.get(self.profile.name) is self.profile
-        profile = self.profile.name if builtin else self.profile.to_dict()
+        profile = self.profile.name if builtin else settings_dict(self.profile)
         return {"kind": "csv", "path": self.path, "profile": profile}
 
 
@@ -231,14 +164,14 @@ def _read_dataset(doc: Any, base_dir: Path) -> SyntheticDataset | CsvDataset:
     file resolves against ``base_dir``."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"dataset must be a JSON object, got {doc!r}")
-    kind = as_str(_require(doc, "kind", "dataset"), "dataset.kind")
+    kind = as_str(require(doc, "kind", "dataset"), "dataset.kind")
     block = {k: v for k, v in doc.items() if k != "kind"}
     if kind == "synthetic":
-        return _read_settings(SyntheticDataset, block, "dataset")
+        return read_settings(SyntheticDataset, block, "dataset")
     if kind == "csv":
         as_object(block, "dataset", ("path", "profile"))
-        profile = resolve_profile(_require(block, "profile", "dataset"), base_dir)
-        path = as_str(_require(block, "path", "dataset"), "dataset.path")
+        profile = resolve_profile(require(block, "profile", "dataset"), base_dir)
+        path = as_str(require(block, "path", "dataset"), "dataset.path")
         return CsvDataset(str(base_dir / path), profile)
     raise ConfigError(f"dataset.kind must be one of ['synthetic', 'csv'], got {kind!r}")
 
@@ -269,6 +202,15 @@ class CorruptionConfig:
 
 
 @dataclass(frozen=True)
+class PreprocessBlock:
+    """The preprocess block's keys; ``ExperimentConfig`` holds them as its
+    ``split_ratio`` and ``fit_scope`` and checks their ranges."""
+
+    split_ratio: float = 0.8
+    fit_scope: str = FIT_FULL_DATASET
+
+
+@dataclass(frozen=True)
 class TuningConfig(EpsoConfig):
     """The tuning block: the swarm's settings plus whether a run tunes, the
     share of the training side held out to score points, and whether one
@@ -290,8 +232,8 @@ class ExperimentConfig:
     dataset: SyntheticDataset | CsvDataset
     models: tuple[ModelSpec, ...]
     corruption: CorruptionConfig = CorruptionConfig()
-    split_ratio: float = 0.8
-    fit_scope: str = FIT_FULL_DATASET
+    split_ratio: float = PreprocessBlock.split_ratio
+    fit_scope: str = PreprocessBlock.fit_scope
     tuning: TuningConfig = TuningConfig()
     metric_mode: str = "weighted"
     output_dir: str = "out"
@@ -333,27 +275,22 @@ class ExperimentConfig:
         )
         as_object(doc, "config", known)
         base = Path(base_dir)
-        seed = _as_int(_require(doc, "seed", "config"), "seed")
-        dataset = _read_dataset(_require(doc, "dataset", "config"), base)
+        seed = as_int(require(doc, "seed", "config"), "seed")
+        dataset = _read_dataset(require(doc, "dataset", "config"), base)
         models = tuple(
             ModelSpec.from_value(v, f"models[{i}]")
             for i, v in enumerate(as_list(doc.get("models", []), "models", "model specs"))
         )
-        corruption = _read_settings(CorruptionConfig, doc.get("corruption", {}), "corruption")
-        prep_keys = ("split_ratio", "fit_scope")
-        prep_doc = as_object(doc.get("preprocess", {}), "preprocess", prep_keys)
+        corruption = read_settings(CorruptionConfig, doc.get("corruption", {}), "corruption")
+        prep = read_settings(PreprocessBlock, doc.get("preprocess", {}), "preprocess")
         return cls(
             seed=seed,
             dataset=dataset,
             models=models,
             corruption=corruption,
-            split_ratio=float(
-                _as_number(prep_doc.get("split_ratio", 0.8), "preprocess.split_ratio")
-            ),
-            fit_scope=as_str(
-                prep_doc.get("fit_scope", FIT_FULL_DATASET), "preprocess.fit_scope"
-            ),
-            tuning=_read_settings(TuningConfig, doc.get("tuning", {}), "tuning"),
+            split_ratio=prep.split_ratio,
+            fit_scope=prep.fit_scope,
+            tuning=read_settings(TuningConfig, doc.get("tuning", {}), "tuning"),
             metric_mode=as_str(doc.get("metric_mode", "weighted"), "metric_mode"),
             output_dir=as_str(doc.get("output_dir", "out"), "output_dir"),
             formats=as_names(doc.get("formats", list(_FORMATS)), "formats", "format names"),
@@ -363,12 +300,12 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except ValueError as exc:  # undecodable bytes or invalid JSON
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(doc, base_dir=path.parent)
 
@@ -377,9 +314,9 @@ class ExperimentConfig:
             "seed": self.seed,
             "dataset": self.dataset.to_dict(),
             "models": [m.to_value() for m in self.models],
-            "corruption": asdict(self.corruption),
-            "preprocess": {"split_ratio": self.split_ratio, "fit_scope": self.fit_scope},
-            "tuning": asdict(self.tuning),
+            "corruption": settings_dict(self.corruption),
+            "preprocess": settings_dict(PreprocessBlock(self.split_ratio, self.fit_scope)),
+            "tuning": settings_dict(self.tuning),
             "metric_mode": self.metric_mode,
             "output_dir": self.output_dir,
             "formats": list(self.formats),

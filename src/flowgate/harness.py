@@ -37,6 +37,7 @@ from .errors import ConfigError, DataError, FlowgateError
 from .metrics import EvalReport, confusion_matrix, evaluate
 from .models import SplitCache, fit_forest, fit_gbt, fit_tree, majority_baseline
 from .prep import PrepOptions, PrepReport, SplitPair, preprocess_pipeline
+from .profiles import settings_dict
 from .swarm import (
     DT_DEFAULT_POINT,
     SwarmCounters,
@@ -77,18 +78,6 @@ class TuningOutcome:
     default_fitness: float
     trace: tuple[TraceEntry, ...]
 
-    def metric_dict(self) -> dict:
-        return {
-            "best_point": list(self.best_point),
-            "best_fitness": self.best_fitness,
-            "default_point": list(self.default_point),
-            "default_fitness": self.default_fitness,
-            "trace": [
-                {"iteration": t.iteration, "fitness": t.fitness, "point": list(t.point)}
-                for t in self.trace
-            ],
-        }
-
 
 @dataclass
 class RunManifest:
@@ -127,9 +116,9 @@ class RunManifest:
             "models": [m.metric_dict() for m in self.models],
         }
         if self.ledger is not None:
-            doc["corruption"] = self.ledger.to_dict()
+            doc["corruption"] = settings_dict(self.ledger)
         if self.tuning is not None:
-            doc["tuning"] = self.tuning.metric_dict()
+            doc["tuning"] = settings_dict(self.tuning)
         return doc
 
     def to_dict(self) -> dict:
@@ -375,6 +364,17 @@ def _write_table(out_dir: Path, stem: str, rows: list[list[str]], formats: tuple
     return written
 
 
+def make_output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents where missing; a path
+    that cannot be one (an existing file, say) is a data error naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def emit_reports(
     manifest: RunManifest, out_dir: str | Path, formats: tuple[str, ...] | None = None
 ) -> list[Path]:
@@ -389,11 +389,7 @@ def emit_reports(
     manifest.json: metrics plus timings, configuration, and tool version.
     """
     formats = tuple(formats) if formats is not None else manifest.config.formats
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from None
+    out = make_output_dir(out_dir)
 
     written: list[Path] = []
     written += _write_table(out, "table_metrics", _table_rows(manifest, False), formats)

@@ -206,11 +206,13 @@ def save_model(model: AnyModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> AnyModel:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing model file: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError:
+        raise DataError(f"missing model file: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DataError(f"{path}: a tree is nested too deeply for JSON") from exc

@@ -19,7 +19,7 @@ from datetime import datetime
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -272,6 +272,20 @@ def _extend_shared(column: list[str], distinct: dict[str, str], tokens: Sequence
     column.extend(map(distinct.setdefault, tokens, tokens))
 
 
+def _records(handle: TextIO, path: Path) -> Iterator[list[str]]:
+    """The records of the open CSV file ``path``. Undecodable bytes and a
+    record the csv module refuses (a field over its size limit, say) raise
+    DataError naming the file, and for the latter the line."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _record_line(path: Path, record: int) -> int:
     """1-based file line on which CSV record ``record`` starts (the header
     is record 1); a quoted field can span lines, so records and lines differ."""
@@ -290,7 +304,10 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     original tokens are kept as a categorical column. The profile's label
     column is always kept as tokens. Duplicate header names and a missing
     label column fail before any data row is read; a ragged row raises an
-    error naming the 1-based file line on which it starts.
+    error naming the 1-based file line on which it starts, and a field over
+    the csv module's size limit one naming the line the reader was on. A
+    path that is not a readable file, or a file that is not UTF-8, is a
+    DataError too.
 
     Rows are read in blocks of _BLOCK_ROWS and parsed column by column:
     each numeric column is written into one float64 buffer whose capacity
@@ -310,10 +327,14 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     raised it by 135 MB.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    try:
+        handle = path.open("r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with handle:
+        reader = _records(handle, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -854,7 +875,11 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     ]
     row_format = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\r\n"
     n_rows = columns[0].shape[0]
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    try:
+        handle = Path(path).open("w", encoding="utf-8", newline="")
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    with handle:
         csv.writer(handle).writerow(names)
         for start in range(0, n_rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_rows)

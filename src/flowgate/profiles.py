@@ -6,16 +6,20 @@ epoch-seconds columns, which column carries the class label, and the class
 vocabulary. Two profiles ship built in, covering the two public flow-record
 benchmarks this package targets; both are plain documents, so variant column
 spellings can be handled with an inline or file-based profile instead.
+
+Profiles and every config block are settings classes: frozen dataclasses
+read from JSON by ``read_settings`` and written back by ``settings_dict``,
+both driven by the class's fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 # Component order is fixed: year, month, day, hour, minute, second.
 TIMESTAMP_COMPONENTS = ("year", "month", "day", "hour", "minute", "second")
@@ -68,8 +72,97 @@ def as_object(value: Any, where: str, known: Iterable[str], keys: str = "keys") 
     return value
 
 
+def as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def as_int(value: Any, where: str) -> int:
+    # bools are ints in Python; reject them so "true" seeds fail loudly
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def as_number(value: Any, where: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def require(doc: Mapping, key: str, where: str) -> Any:
+    if key not in doc:
+        raise ConfigError(f"{where} is missing required key {key!r}")
+    return doc[key]
+
+
+# the reader of each field annotation a settings class uses; a reader checks
+# the JSON type and converts nothing (a converted value would change the
+# config hash) but a list, which becomes a tuple, and a nested object, which
+# becomes its settings class
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "bool": as_bool,
+    "int": as_int,
+    "float": as_number,
+    "str": as_str,
+    "tuple[str, ...]": as_names,
+    "tuple[float, ...]": lambda value, where: tuple(
+        as_number(v, f"{where} item") for v in as_list(value, where, "numbers")
+    ),
+    "TimestampMerge": lambda value, where: read_settings(TimestampMerge, value, where),
+}
+
+
+def read_settings(cls: type, doc: Any, where: str, keys: str = "keys") -> Any:
+    """Build the settings class ``cls`` from the document ``doc``.
+
+    The document must be an object whose keys are fields of ``cls``, holding
+    every field without a default, and whose values have the JSON types of
+    the fields' annotations (``X | None`` admits null too). A range check
+    that fails in ``cls`` is a configuration error.
+    """
+    settings = fields(cls)
+    as_object(doc, where, (f.name for f in settings), keys)
+    values = {}
+    for f in settings:
+        if f.default is MISSING:
+            require(doc, f.name, where)
+        if f.name in doc:
+            value, annotation = doc[f.name], f.type.removesuffix(" | None")
+            if value is not None or annotation == f.type:  # null where optional
+                value = _READERS[annotation](value, f"{where}.{f.name}")
+            values[f.name] = value
+    try:
+        return cls(**values)
+    except DataError as exc:
+        raise ConfigError(f"{where} settings are invalid: {exc}") from None
+
+
+def settings_dict(settings: Any) -> dict:
+    """The JSON document of a dataclass (settings, a ledger, a tuning
+    outcome), as ``read_settings`` reads settings: its fields in field
+    order, tuples as lists and nested dataclasses as objects; a field
+    holding None is left out."""
+    doc = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if value is not None:
+            doc[f.name] = _json_value(value)
+    return doc
+
+
+def _json_value(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return settings_dict(value) if is_dataclass(value) else value
+
+
 @dataclass(frozen=True)
 class DatasetProfile:
+    """What the pipeline needs to know of one dataset; a profile that names
+    no classes, repeats one or drops its own label column is refused."""
+
     name: str
     label_column: str
     class_names: tuple[str, ...]
@@ -77,48 +170,20 @@ class DatasetProfile:
     zero_columns_expected: tuple[str, ...] = ()
     timestamp_merge: TimestampMerge | None = None
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "name": self.name,
-            "label_column": self.label_column,
-            "class_names": list(self.class_names),
-            "drop_columns": list(self.drop_columns),
-            "zero_columns_expected": list(self.zero_columns_expected),
-        }
-        if self.timestamp_merge is not None:
-            doc["timestamp_merge"] = {
-                "start_columns": list(self.timestamp_merge.start_columns),
-                "end_columns": list(self.timestamp_merge.end_columns),
-            }
-        return doc
+    def __post_init__(self) -> None:
+        if not self.class_names:
+            raise ConfigError(f"profile {self.name!r} has no class_names")
+        repeated = sorted({c for c in self.class_names if self.class_names.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"profile {self.name!r} repeats class names {repeated}")
+        if self.label_column in self.drop_columns:
+            raise ConfigError(
+                f"profile {self.name!r} drops its label column {self.label_column!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: Any) -> "DatasetProfile":
-        as_object(doc, "a profile document", (f.name for f in fields(cls)))
-        try:
-            merge = doc.get("timestamp_merge")
-            if merge is not None:
-                as_object(
-                    merge,
-                    "malformed profile document: timestamp_merge",
-                    (f.name for f in fields(TimestampMerge)),
-                )
-                merge = TimestampMerge(
-                    as_names(merge["start_columns"], "profile start_columns"),
-                    as_names(merge["end_columns"], "profile end_columns"),
-                )
-            return cls(
-                name=as_str(doc["name"], "profile name"),
-                label_column=as_str(doc["label_column"], "profile label_column"),
-                class_names=as_names(doc["class_names"], "profile class_names"),
-                drop_columns=as_names(doc.get("drop_columns", ()), "profile drop_columns"),
-                zero_columns_expected=as_names(
-                    doc.get("zero_columns_expected", ()), "profile zero_columns_expected"
-                ),
-                timestamp_merge=merge,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"profile document missing key {exc.args[0]!r}") from exc
+        return read_settings(cls, doc, "profile")
 
 
 # -- built-in profiles ------------------------------------------------------

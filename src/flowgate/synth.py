@@ -10,7 +10,7 @@ checked count for count and the original row set recovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -72,16 +72,6 @@ class SynthSpec:
             label_column="label",
             class_names=self.class_names,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "class_names": list(self.class_names),
-            "class_ratios": list(self.class_ratios),
-            "n_features": self.n_features,
-            "cluster_separation": self.cluster_separation,
-            "seed": self.seed,
-        }
 
 
 # Gaussian draws that generate_flows makes per call, in cells: its
@@ -186,15 +176,6 @@ class CorruptionLedger:
     @property
     def n_constant_columns(self) -> int:
         return len(self.constant_columns)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_original_rows": self.n_original_rows,
-            "duplicate_rows": [list(p) for p in self.duplicate_rows],
-            "nan_cells": [[r, c] for r, c in self.nan_cells],
-            "inf_cells": [[r, c] for r, c in self.inf_cells],
-            "constant_columns": list(self.constant_columns),
-        }
 
 
 def hazard_rows(

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, artifacts, end-to-end round trips."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from flowgate.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(capsys, *argv):
@@ -389,6 +393,117 @@ def test_profile_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsy
     assert code == 1
     assert "configuration error" in err and "JSON object" in err
     assert out == ""
+
+
+def _bad_paths(tmp_path):
+    """Inputs and outputs that cannot be read or written as asked, and a
+    one-class profile and CSV that ingest and eval accept otherwise."""
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("x", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": 1, "note": "caf\xe9"}')
+    (tmp_path / "latin1.csv").write_bytes(b"f,label\n1,calm\n2,caf\xe9\n")
+    # one field over the csv module's 131,072-character limit, on line 3
+    big = "f,label\n1,calm\n" + "2" * 140_000 + ",calm\n"
+    (tmp_path / "big.csv").write_text(big, encoding="utf-8")
+    rows = "".join(f"{i},calm\n" for i in range(10))
+    (tmp_path / "ok.csv").write_text("f,label\n" + rows, encoding="utf-8")
+    profile = {"name": "one", "label_column": "label", "class_names": ["calm"]}
+    (tmp_path / "one.json").write_text(json.dumps(profile), encoding="utf-8")
+    (tmp_path / "latin1.model.json").write_bytes(b'{"kind": "caf\xe9"}')
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["report", "--config", "a-directory"], 1, "cannot read config file"),
+        (["report", "--config", "latin1.json"], 1, "latin1.json is not valid JSON"),
+        (["ingest", "--csv", "latin1.csv", "--profile", "one.json"], 2, "not UTF-8 text"),
+        (["ingest", "--csv", "big.csv", "--profile", "one.json"], 2, "big.csv: line 3: field"),
+        (["ingest", "--csv", "a-directory", "--profile", "one.json"], 2, "cannot read"),
+        (
+            ["eval", "--model", "a-directory", "--csv", "ok.csv", "--profile", "one.json"],
+            2,
+            "cannot read model file",
+        ),
+        (
+            ["eval", "--model", "latin1.model.json", "--csv", "ok.csv", "--profile", "one.json"],
+            2,
+            "latin1.model.json: invalid JSON",
+        ),
+        (
+            ["ingest", "--csv", "ok.csv", "--profile", "one.json", "--out", "a-file"],
+            2,
+            "cannot create output directory",
+        ),
+        (
+            ["synth", "--rows", "20", "--profile", "cse2018", "--out", "a-file/x.csv"],
+            2,
+            "cannot create output directory",
+        ),
+        (
+            ["synth", "--rows", "20", "--profile", "cse2018", "--out", "a-directory"],
+            2,
+            "cannot write a-directory",
+        ),
+    ],
+    ids=[
+        "config-directory", "config-not-utf8", "csv-not-utf8", "csv-field-too-large",
+        "csv-directory", "model-directory", "model-not-utf8", "ingest-out-file",
+        "synth-out-under-file", "synth-out-directory",
+    ],
+)
+def test_bad_paths_are_usage_or_data_errors(tmp_path, capsys, monkeypatch, argv, code, message):
+    _bad_paths(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got, _, err = _run(capsys, *argv)
+    assert got == code, err
+    assert message in err
+
+
+def test_ingest_writes_to_a_new_directory(tmp_path, capsys, monkeypatch):
+    _bad_paths(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, "ingest", "--csv", "ok.csv", "--profile", "one.json", "--out", "new")
+    assert code == 0, err
+    assert (tmp_path / "new" / "train.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"class_names": []}, "profile 'one' has no class_names"),
+        ({"class_names": ["calm", "burst", "calm"]}, r"repeats class names \['calm'\]"),
+        ({"drop_columns": ["f", "label"]}, "drops its label column 'label'"),
+    ],
+    ids=["no-classes", "repeated-class", "drops-label"],
+)
+def test_a_bad_profile_is_a_configuration_error_before_the_csv_is_read(
+    tmp_path, capsys, change, message
+):
+    doc = {"name": "one", "label_column": "label", "class_names": ["calm"], **change}
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps(doc), encoding="utf-8")
+    # the CSV does not exist: reading it would be a data error
+    argv = ["ingest", "--csv", str(tmp_path / "absent.csv"), "--profile", str(profile)]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1, err
+    assert re.search(message, err), err
+
+
+def test_synth_sidecars_and_stdout_are_pinned(tmp_path, capsys, monkeypatch):
+    # recorded before the sidecars were written by settings_dict: the key
+    # order and layout of each file, not only its content, must not move
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(
+        capsys, "synth", "--rows", "20", "--profile", "cse2018", "--dup-rate", "0.1",
+        "--nan-rate", "0.1", "--inf-rate", "0.05", "--constant-cols", "1", "--seed", "4",
+        "--out", "flows.csv",
+    )
+    assert code == 0, err
+    for suffix in ("spec.json", "profile.json"):
+        written = (tmp_path / f"flows.csv.{suffix}").read_bytes()
+        assert written == (DATA / f"synth_sidecar.{suffix}").read_bytes(), suffix
+    assert out == (DATA / "synth_sidecar.stdout.txt").read_text(encoding="utf-8")
 
 
 def test_tune_prints_best_point(tmp_path, capsys):

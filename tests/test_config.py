@@ -559,6 +559,30 @@ CSV_INLINE_CANONICAL = (
     + _CSV_TAIL
 )
 
+_PARTS = ("year", "month", "day", "hour", "minute", "second")
+CSV_MERGE_DOC = _csv_doc(
+    {
+        "name": "merged",
+        "label_column": "attack_t",
+        "class_names": ["none", "Smurf"],
+        "drop_columns": ["ID"],
+        "zero_columns_expected": ["fwd"],
+        "timestamp_merge": {
+            "start_columns": [f"ts_{p}" for p in _PARTS],
+            "end_columns": [f"te_{p}" for p in _PARTS],
+        },
+    }
+)
+CSV_MERGE_CANONICAL = (
+    _CSV_HEAD
+    + '"dataset":{"kind":"csv","path":"/data/flows.csv","profile":{"class_names":["none",'
+    + '"Smurf"],"drop_columns":["ID"],"label_column":"attack_t","name":"merged",'
+    + '"timestamp_merge":{"end_columns":["te_year","te_month","te_day","te_hour",'
+    + '"te_minute","te_second"],"start_columns":["ts_year","ts_month","ts_day","ts_hour",'
+    + '"ts_minute","ts_second"]},"zero_columns_expected":["fwd"]}},'
+    + _CSV_TAIL
+)
+
 
 @pytest.mark.parametrize(
     "doc, canonical, digest",
@@ -583,8 +607,16 @@ CSV_INLINE_CANONICAL = (
             CSV_INLINE_CANONICAL,
             "42ee9a3c36518c70cd07d20ea8ec53b19544ebaed708bcfc08b058768d6bd174",
         ),
+        (
+            CSV_MERGE_DOC,
+            CSV_MERGE_CANONICAL,
+            "eb5d031705ada0181ac1a89d8e9ba07d4af9afb60b438ca53d84cfcfd506a9bb",
+        ),
     ],
-    ids=["gate6", "every-key", "csv-builtin-profile", "csv-inline-profile"],
+    ids=[
+        "gate6", "every-key", "csv-builtin-profile", "csv-inline-profile",
+        "csv-profile-timestamp-merge",
+    ],
 )
 def test_config_identity_is_pinned(doc, canonical, digest):
     config = ExperimentConfig.from_dict(doc)

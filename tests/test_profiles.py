@@ -12,6 +12,7 @@ from flowgate.profiles import (
     builtin_class_ratios,
     builtin_profile,
     resolve_profile,
+    settings_dict,
 )
 
 CSE_CLASSES = (
@@ -83,12 +84,34 @@ def test_unknown_profile_name():
 def test_profile_dict_round_trip():
     for name in ("cse2018", "litnet2020"):
         profile = builtin_profile(name)
-        assert DatasetProfile.from_dict(profile.to_dict()) == profile
+        assert DatasetProfile.from_dict(settings_dict(profile)) == profile
 
 
 def test_profile_document_missing_key():
     with pytest.raises(ConfigError):
         DatasetProfile.from_dict({"name": "x", "label_column": "y"})
+
+
+def test_profile_document_missing_name_names_the_key():
+    with pytest.raises(ConfigError, match="profile is missing required key 'name'"):
+        DatasetProfile.from_dict({"label_column": "y", "class_names": ["a"]})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"class_names": ()}, "has no class_names"),
+        ({"class_names": ("a", "b", "a", "b")}, r"repeats class names \['a', 'b'\]"),
+        ({"drop_columns": ("id", "y")}, "drops its label column 'y'"),
+    ],
+)
+def test_a_profile_checks_its_own_contents(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        DatasetProfile(**{"name": "x", "label_column": "y", "class_names": ("a",), **fields})
+    doc = {"name": "x", "label_column": "y", "class_names": ["a"]}
+    doc.update((key, list(value)) for key, value in fields.items())
+    with pytest.raises(ConfigError, match=message):
+        DatasetProfile.from_dict(doc)
 
 
 def test_timestamp_merge_needs_six_per_side():
@@ -116,7 +139,7 @@ def test_resolve_profile_by_name_file_or_document(tmp_path):
         ('{"name": "x", "label_column": "y", "class_names": ["a"], '
          '"drop_columns": "Timestamp"}', "list of names"),
         ('{"name": "x", "label_column": "y", "class_names": ["a"], '
-         '"timestamp_merge": [1]}', "malformed"),
+         '"timestamp_merge": [1]}', "profile.timestamp_merge must be a JSON object"),
     ],
 )
 def test_resolve_profile_rejects_bad_files(tmp_path, text, message):
@@ -144,13 +167,13 @@ _MERGE = {"start_columns": list("abcdef"), "end_columns": list("ghijkl")}
             {**_MINIMAL, "timestamp_merge": {**_MERGE, "start_column": []}},
             r"timestamp_merge has unknown keys \['start_column'\]",
         ),
-        ({**_MINIMAL, "name": 5}, "profile name must be a string"),
-        ({**_MINIMAL, "label_column": 1}, "profile label_column must be a string"),
-        ({**_MINIMAL, "class_names": ["a", 2]}, "profile class_names item must be a string"),
-        ({**_MINIMAL, "drop_columns": [None]}, "profile drop_columns item must be a string"),
+        ({**_MINIMAL, "name": 5}, "profile.name must be a string"),
+        ({**_MINIMAL, "label_column": 1}, "profile.label_column must be a string"),
+        ({**_MINIMAL, "class_names": ["a", 2]}, "profile.class_names item must be a string"),
+        ({**_MINIMAL, "drop_columns": [None]}, "profile.drop_columns item must be a string"),
         (
             {**_MINIMAL, "timestamp_merge": {**_MERGE, "end_columns": list(range(6))}},
-            "profile end_columns item must be a string",
+            "profile.timestamp_merge.end_columns item must be a string",
         ),
     ],
 )

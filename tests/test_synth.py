@@ -14,6 +14,7 @@ from flowgate.prep import (
     drop_invalid_rows,
     drop_zero_variance_columns,
 )
+from flowgate.profiles import settings_dict
 from flowgate.synth import (
     SynthSpec,
     class_quotas,
@@ -219,7 +220,7 @@ def test_ledger_round_trip():
     table = generate_flows(_spec(n_rows=60))
     _, ledger = corrupt(table, 0.1, 0.05, 0.0, 1, seed=9)
     # the ledger sidecar is this document as JSON: it holds every hazard
-    assert json.loads(json.dumps(ledger.to_dict())) == {
+    assert json.loads(json.dumps(settings_dict(ledger))) == {
         "n_original_rows": 60,
         "duplicate_rows": [list(pair) for pair in ledger.duplicate_rows],
         "nan_cells": [list(cell) for cell in ledger.nan_cells],
@@ -245,7 +246,7 @@ def test_profile_round_trip_via_spec():
     profile = spec.profile()
     assert profile.label_column == "label"
     assert profile.class_names == spec.class_names
-    doc = spec.to_dict()
+    doc = settings_dict(spec)
     rebuilt = SynthSpec(
         n_rows=doc["n_rows"],
         class_names=tuple(doc["class_names"]),
