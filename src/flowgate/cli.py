@@ -29,6 +29,7 @@ from .harness import (
     make_output_dir,
     run_and_emit,
     run_experiment,
+    write_file,
 )
 from .metrics import confusion_matrix, evaluate
 from .models import save_model, load_model
@@ -197,14 +198,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     make_output_dir(out.parent)
-    write_csv(raw, out)
     sidecar = Path(str(out) + ".spec.json")
     doc = {"spec": settings_dict(spec), "corruption": settings_dict(ledger)}
-    sidecar.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     profile_path = Path(str(out) + ".profile.json")
-    profile_path.write_text(
-        json.dumps(settings_dict(spec.profile()), indent=2) + "\n", encoding="utf-8"
-    )
+    written: list[Path] = []
+    try:
+        write_csv(raw, out)
+        written.append(out)
+        for path, content in ((sidecar, doc), (profile_path, settings_dict(spec.profile()))):
+            write_file(path, (json.dumps(content, indent=2) + "\n").encode("utf-8"))
+            written.append(path)
+    except DataError:
+        for path in written:  # leave no CSV without its sidecars
+            path.unlink()
+        raise
     print(json.dumps(doc["spec"], indent=2))
     print(f"wrote {raw.n_rows} rows to {out}")
     print(f"wrote generation record to {sidecar}")

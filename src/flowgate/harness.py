@@ -84,9 +84,10 @@ class RunManifest:
     """Everything one run produced, timings separated from metric content.
 
     metrics_document() is the deterministic part: byte-identical JSON for
-    identical configs regardless of thread count. to_dict() wraps it with
-    timings, the process's peak RSS after each stage, the tuning run's swarm
-    counters and tool provenance for the manifest file.
+    identical configs regardless of the worker cap. to_dict() wraps it with
+    timings, the process's peak RSS after each stage and that of its largest
+    reaped worker process, the tuning run's swarm counters and tool
+    provenance for the manifest file.
     """
 
     config: ExperimentConfig
@@ -100,6 +101,7 @@ class RunManifest:
     swarm: SwarmCounters | None = None
     timings: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
+    children_peak_rss_mb: dict[str, float] = field(default_factory=dict)
 
     def model_named(self, name: str) -> ModelResult:
         for result in self.models:
@@ -127,6 +129,9 @@ class RunManifest:
             "config": self.config.to_dict(),
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "peak_rss_mb": {k: round(v, 3) for k, v in self.peak_rss_mb.items()},
+            "children_peak_rss_mb": {
+                k: round(v, 3) for k, v in self.children_peak_rss_mb.items()
+            },
             "metrics": self.metrics_document(),
         }
         if self.swarm is not None:
@@ -221,8 +226,12 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         except Exception as exc:
             raise StageFailure(stage, exc, manifest) from exc
         manifest.timings[stage] = time.perf_counter() - start
-        # ru_maxrss is in KB on Linux: the process's high-water mark so far
+        # ru_maxrss is in KB on Linux: the process's high-water mark so far,
+        # and the largest of any worker process it has reaped
         manifest.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        manifest.children_peak_rss_mb[stage] = (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        )
         return value
 
     source, profile, ledger = run_stage("dataset", lambda: build_source(config))
@@ -328,7 +337,7 @@ def _write_csv_rows(path: Path, rows: Iterable[Iterable[str]]) -> None:
     for row in rows:
         buf.write(",".join(str(c) for c in row))
         buf.write("\r\n")
-    path.write_bytes(buf.getvalue().encode("utf-8"))
+    write_file(path, buf.getvalue().encode("utf-8"))
 
 
 def _write_markdown_table(path: Path, rows: list[list[str]]) -> None:
@@ -338,13 +347,13 @@ def _write_markdown_table(path: Path, rows: list[list[str]]) -> None:
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     lines.extend("| " + " | ".join(row) + " |" for row in body)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_json_table(path: Path, rows: list[list[str]]) -> None:
     header, *body = rows
     doc = [dict(zip(header, row)) for row in body]
-    path.write_bytes((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+    write_file(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def _write_table(out_dir: Path, stem: str, rows: list[list[str]], formats: tuple[str, ...]) -> list[Path]:
@@ -373,6 +382,15 @@ def make_output_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
+
+
+def write_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``; a path that cannot be written (a
+    directory, say) is a data error naming it."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def emit_reports(
@@ -425,14 +443,15 @@ def emit_reports(
         written.append(target)
 
     target = out / "metrics.json"
-    target.write_bytes(
-        (json.dumps(manifest.metrics_document(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    write_file(
+        target,
+        (json.dumps(manifest.metrics_document(), indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     written.append(target)
 
     target = out / "manifest.json"
-    target.write_bytes(
-        (json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    write_file(
+        target, (json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
     )
     written.append(target)
     return written

@@ -51,10 +51,10 @@ def fit_forest(
 ) -> ForestModel:
     """Fit params.n_trees trees on seeded bootstrap resamples.
 
-    Per-tree seeds derive from the master seed, and the trees grow one after
-    another through ``parallel_map``. Passing features_per_split = d (or
-    disabling bootstrap with one tree) reduces the forest to a plain
-    fit_tree.
+    Per-tree seeds derive from the master seed, so each tree is a pure fit
+    of its own seed, and the trees grow in worker processes through
+    ``parallel_map``. Passing features_per_split = d (or disabling bootstrap
+    with one tree) reduces the forest to a plain fit_tree.
     """
     X = train.feature_matrix()
     y = train.labels

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
+from ..parallel import parallel_map
 from .tree import Tree, _as_matrix, _as_training_set, _candidates, _grow, _presort, _route
 
 
@@ -147,7 +148,12 @@ def fit_gbt(
     params: GbtParams = GbtParams(),
     labels: np.ndarray | None = None,
 ) -> GbtModel:
-    """Boost n_rounds rounds, one regression tree per class per round."""
+    """Boost n_rounds rounds, one regression tree per class per round.
+
+    A round's class trees depend only on the probabilities it starts from,
+    so they grow in worker processes through ``parallel_map``; their scores
+    are then added in class order.
+    """
     X, y, n_classes = _as_training_set(train, labels)
     n = X.shape[0]
     if n == 0:
@@ -162,12 +168,14 @@ def fit_gbt(
     rounds: list[tuple[Tree, ...]] = []
     for _ in range(params.n_rounds):
         probs = _softmax(scores)
-        round_trees: list[Tree] = []
-        for k in range(n_classes):
+
+        def class_tree(k: int) -> Tree:
             g = probs[:, k] - (y == k)
             h = probs[:, k] * (1.0 - probs[:, k])
-            tree = _grow_gradient(X, order, g, h, params.max_depth, params.l2_lambda)
-            round_trees.append(tree)
+            return _grow_gradient(X, order, g, h, params.max_depth, params.l2_lambda)
+
+        round_trees = parallel_map(class_tree, range(n_classes))
+        for k, tree in enumerate(round_trees):
             scores[:, k] += params.learning_rate * tree.value[_route(tree, X)]
         rounds.append(tuple(round_trees))
     return GbtModel(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError, FlowgateError
 from .models.tree import CutAccuracy, SplitCache, TreeHyperparams, _presort, fit_tree
-from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
 Objective = Callable[[tuple[int, ...]], float]
@@ -144,17 +143,14 @@ def _evaluate_points(
     else:
         todo = sorted(set(points))
 
-    def run(point: tuple[int, ...]) -> float:
-        try:
-            return float(objective(point))
-        except FlowgateError:
-            return -np.inf
-
-    results = parallel_map(run, todo)
     counters = state.counters
     counters.cache_hits += len(points) - len(todo)
     counters.evaluations += len(todo)
-    for point, fitness in zip(todo, results):
+    for point in todo:
+        try:
+            fitness = float(objective(point))
+        except FlowgateError:
+            fitness = -np.inf
         state.cache[point] = fitness
         if fitness == -np.inf:
             counters.failed_points += 1

@@ -47,6 +47,9 @@ class SynthSpec:
             raise DataError("class_names and class_ratios length mismatch")
         if not self.class_names:
             raise DataError("at least one class is required")
+        repeated = sorted({c for c in self.class_names if self.class_names.count(c) > 1})
+        if repeated:
+            raise DataError(f"class_names repeats {repeated}")
         if any(r < 0 for r in self.class_ratios):
             raise DataError("class ratios must be non-negative")
         if abs(sum(self.class_ratios) - 1.0) > 1e-9:

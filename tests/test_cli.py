@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, end-to-end round trips."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -334,11 +335,13 @@ def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides
         ({"kind": "csv", "path": "rows.csv", "profile": "cse2018"}, {"dup_rate": 0.05}),
         ({"kind": "synthetic", "n_rows": 5, "profile": "cse2018"}, {}),
         ({"n_rows": 200}, {"dup_rate": 0.6, "nan_rate": 0.6}),
+        ({"class_names": ["calm", "calm", "probe"]}, {}),
     ],
     ids=[
         "misspelt-key", "path-on-synthetic", "profile-and-classes", "one-feature",
         "ratio-sum", "negative-separation", "unknown-profile", "rows-on-csv",
         "corruption-on-csv", "rows-below-classes", "corruption-above-rows",
+        "repeated-class-name",
     ],
 )
 def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset, corruption):
@@ -410,6 +413,12 @@ def _bad_paths(tmp_path):
     profile = {"name": "one", "label_column": "label", "class_names": ["calm"]}
     (tmp_path / "one.json").write_text(json.dumps(profile), encoding="utf-8")
     (tmp_path / "latin1.model.json").write_bytes(b'{"kind": "caf\xe9"}')
+    tiny = {"seed": 1, "dataset": {"kind": "synthetic", "n_rows": 50, "profile": "cse2018"},
+            "models": ["baseline"]}
+    (tmp_path / "tiny.json").write_text(json.dumps(tiny), encoding="utf-8")
+    # a directory where an artifact or a sidecar is to be written
+    (tmp_path / "r" / "metrics.json").mkdir(parents=True)
+    (tmp_path / "s.csv.spec.json").mkdir()
 
 
 @pytest.mark.parametrize(
@@ -445,11 +454,18 @@ def _bad_paths(tmp_path):
             2,
             "cannot write a-directory",
         ),
+        (["report", "--config", "tiny.json", "--out", "r"], 2, "cannot write r/metrics.json"),
+        (
+            ["synth", "--rows", "20", "--profile", "cse2018", "--out", "s.csv"],
+            2,
+            "cannot write s.csv.spec.json",
+        ),
     ],
     ids=[
         "config-directory", "config-not-utf8", "csv-not-utf8", "csv-field-too-large",
         "csv-directory", "model-directory", "model-not-utf8", "ingest-out-file",
-        "synth-out-under-file", "synth-out-directory",
+        "synth-out-under-file", "synth-out-directory", "report-artifact-directory",
+        "synth-sidecar-directory",
     ],
 )
 def test_bad_paths_are_usage_or_data_errors(tmp_path, capsys, monkeypatch, argv, code, message):
@@ -458,6 +474,19 @@ def test_bad_paths_are_usage_or_data_errors(tmp_path, capsys, monkeypatch, argv,
     got, _, err = _run(capsys, *argv)
     assert got == code, err
     assert message in err
+
+
+@pytest.mark.parametrize("sidecar", ["spec.json", "profile.json"])
+def test_synth_removes_what_it_wrote_when_a_sidecar_cannot_be_written(
+    tmp_path, capsys, monkeypatch, sidecar
+):
+    (tmp_path / f"flows.csv.{sidecar}").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--rows", "20", "--profile", "cse2018", "--out", "flows.csv"]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2, err
+    assert f"cannot write flows.csv.{sidecar}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"flows.csv.{sidecar}"]
 
 
 def test_ingest_writes_to_a_new_directory(tmp_path, capsys, monkeypatch):
@@ -529,3 +558,30 @@ def test_report_determinism_across_thread_caps(tmp_path, capsys, monkeypatch):
     assert code == 0
     for name in ("metrics.json", "table_metrics.csv", "table_average.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_train_writes_identical_models_and_tables_at_any_worker_cap(
+    tmp_path, capsys, monkeypatch
+):
+    # four usable CPUs, so caps 2 and 4 fork one and three workers for the
+    # forest's trees and for each boosting round's class trees
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    config = _write_config(
+        tmp_path,
+        models=["baseline", "dt", {"type": "rf", "n_trees": 5}, {"type": "gbt", "n_rounds": 2}],
+    )
+    outputs = {}
+    for cap in ("1", "2", "4"):
+        monkeypatch.setenv("FLOWGATE_THREADS", cap)
+        out = tmp_path / f"threads-{cap}"
+        argv = ["train", "--config", str(config), "--out", str(out), "--save-models"]
+        code, _, err = _run(capsys, *argv)
+        assert code == 0, err
+        outputs[cap] = {
+            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"
+        }
+    assert {"model_rf.json", "model_gbt.json", "metrics.json", "table_metrics.csv"} <= set(
+        outputs["1"]
+    )
+    assert outputs["2"] == outputs["1"]
+    assert outputs["4"] == outputs["1"]

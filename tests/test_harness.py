@@ -1,6 +1,7 @@
 """End-to-end experiment runs and artifact emission."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -405,16 +406,24 @@ def test_metrics_json_excludes_timings(tmp_path):
     assert manifest_doc["metrics"]["config_hash"] == config.config_hash()
 
 
-def test_manifest_records_the_peak_rss_after_each_stage(tmp_path):
+def test_manifest_records_the_peak_rss_after_each_stage(tmp_path, monkeypatch):
+    # two workers, so the forest's trees grow partly in a forked child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("FLOWGATE_THREADS", "2")
     manifest, _ = run_and_emit(_config(models=["baseline", "dt", "rf"]), tmp_path)
     # one entry per timed stage, in stage order; a high-water mark never falls
-    assert list(manifest.peak_rss_mb) == list(manifest.timings)
-    peaks = list(manifest.peak_rss_mb.values())
-    assert peaks[0] > 0 and peaks == sorted(peaks)
+    for recorded in (manifest.peak_rss_mb, manifest.children_peak_rss_mb):
+        assert list(recorded) == list(manifest.timings)
+        peaks = list(recorded.values())
+        assert peaks == sorted(peaks)
+    assert manifest.peak_rss_mb["dataset"] > 0
+    assert manifest.children_peak_rss_mb["model:RF"] > 0
     doc = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert set(doc["peak_rss_mb"]) == set(doc["timings_seconds"])
+    assert set(doc["children_peak_rss_mb"]) == set(doc["timings_seconds"])
     metrics = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
     assert "peak_rss_mb" not in metrics
+    assert "children_peak_rss_mb" not in metrics
 
 
 def test_formats_filter_table_outputs(tmp_path):

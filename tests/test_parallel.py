@@ -1,32 +1,90 @@
-"""flowgate runs on one thread: parallel_map is a serial map and
-FLOWGATE_THREADS is only checked."""
+"""parallel_map: an order-preserving map over forked worker processes, as
+many as the usable CPUs under FLOWGATE_THREADS, with the plain loop's
+results and errors."""
 
 import ast
-import threading
+import os
 from pathlib import Path
 
 import pytest
 
 import flowgate
-from flowgate.errors import ConfigError
+from flowgate.errors import ConfigError, DataError, FlowgateError
 from flowgate.parallel import parallel_map, worker_count
 
 
-def test_parallel_map_runs_every_item_on_the_calling_thread_in_order(monkeypatch):
-    monkeypatch.setenv("FLOWGATE_THREADS", "4")
-    caller = threading.get_ident()
-    assert parallel_map(lambda item: (item, threading.get_ident()), iter(range(9))) == [
-        (item, caller) for item in range(9)
-    ]
+@pytest.fixture(params=[1, 2, 4])
+def cap(request, monkeypatch):
+    """FLOWGATE_THREADS at 1, 2 and 4 on four usable CPUs, so the cap alone
+    sets the number of workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setenv("FLOWGATE_THREADS", str(request.param))
+    return request.param
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_map_matches_the_serial_map_in_item_order(cap):
+    got = parallel_map(lambda item: (item * item, os.getpid()), iter(range(11)))
+    assert [square for square, _ in got] == [item * item for item in range(11)]
+    # item i runs on worker i mod cap; the caller is worker 0
+    pids = [pid for _, pid in got]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == cap
+    assert pids == [pids[item % cap] for item in range(11)]
+    _assert_no_child_left()
+
+
+def test_a_task_error_is_raised_for_the_lowest_failing_item(cap):
+    def task(item):
+        if item == 3:
+            raise DataError("item 3 of 5 is malformed")
+        if item == 4:  # the caller's share at cap 4: a later item fails too
+            raise ValueError("item 4 of 5 fails too")
+        return item
+
+    with pytest.raises(DataError, match=r"^item 3 of 5 is malformed$"):
+        parallel_map(task, range(5))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_a_worker_that_dies_in_a_task_raises_flowgate_error(monkeypatch, threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setenv("FLOWGATE_THREADS", threads)
+    caller = os.getpid()
+
+    def task(item):
+        if os.getpid() != caller:
+            os._exit(5)
+        return item
+
+    with pytest.raises(FlowgateError, match="exited with status 5"):
+        parallel_map(task, range(5))
+    _assert_no_child_left()
+
+
+def test_a_nested_map_runs_in_the_process_of_its_task(cap):
+    def task(item):
+        return os.getpid(), parallel_map(lambda _: os.getpid(), range(4))
+
+    for outer, inner in parallel_map(task, range(4)):
+        assert inner == [outer] * 4
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("raw", ["1", "8", None])
-def test_worker_count_is_one_for_any_valid_thread_cap(monkeypatch, raw):
+def test_worker_count_is_the_usable_cpus_under_the_thread_cap(monkeypatch, raw):
+    usable = len(os.sched_getaffinity(0))
     if raw is None:
         monkeypatch.delenv("FLOWGATE_THREADS", raising=False)
+        assert worker_count() == usable
     else:
         monkeypatch.setenv("FLOWGATE_THREADS", raw)
-    assert worker_count() == 1
+        assert worker_count() == min(usable, int(raw))
 
 
 @pytest.mark.parametrize("raw", ["many", "0"])
