@@ -94,9 +94,10 @@ class ColumnarTable:
         Float64 arrays for every non-label column, in schema order, or the
         (n_rows, n_features) matrix of them.
     labels:
-        Int64 class ids, one per row, each in [0, n_classes).
-    encoding:
-        Class-name mapping; per-class counts are recomputed from ``labels``.
+        Int64 class ids, one per row, each in [0, len(class_names)).
+    class_names:
+        The class of each id, in id order; ``encoding`` pairs them with the
+        per-class counts of ``labels``.
 
     The features are held as one Fortran-order float64 block, and
     ``columns`` are views of its columns. A column-major matrix given as
@@ -111,7 +112,7 @@ class ColumnarTable:
         schema: Sequence[ColumnSchema],
         columns: Sequence[np.ndarray] | np.ndarray,
         labels: np.ndarray,
-        encoding: LabelEncoding,
+        class_names: Sequence[str],
     ) -> None:
         schema = tuple(schema)
         validate_schema(schema)
@@ -137,7 +138,7 @@ class ColumnarTable:
                 if arr.shape != labels.shape:
                     raise DataError(f"column {col_schema.name!r} length differs from labels")
                 matrix[:, j] = arr
-        if labels.size and (labels.min() < 0 or labels.max() >= encoding.n_classes):
+        if labels.size and (labels.min() < 0 or labels.max() >= len(class_names)):
             raise DataError("label ids out of range for the encoding")
         matrix.setflags(write=False)
         labels.setflags(write=False)
@@ -145,9 +146,7 @@ class ColumnarTable:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "columns", tuple(matrix.T))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "encoding", LabelEncoding.from_labels(encoding.class_names, labels)
-        )
+        object.__setattr__(self, "encoding", LabelEncoding.from_labels(class_names, labels))
         object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover - guard
@@ -179,12 +178,6 @@ class ColumnarTable:
     def label_name(self) -> str:
         return next(c.name for c in self.schema if c.kind == KIND_LABEL)
 
-    def column(self, name: str) -> np.ndarray:
-        for col_schema, arr in zip(self.feature_schema, self.columns):
-            if col_schema.name == name:
-                return arr
-        raise DataError(f"no feature column named {name!r}")
-
     def feature_matrix(self) -> np.ndarray:
         """The (n_rows, n_features) feature block, column-major: the one
         float64 copy of the features, whose columns are ``columns``."""
@@ -194,7 +187,7 @@ class ColumnarTable:
 
     def replace_columns(self, new_columns: Sequence[np.ndarray]) -> "ColumnarTable":
         """New table with the same schema/labels and substituted feature data."""
-        return ColumnarTable(self.schema, new_columns, self.labels, self.encoding)
+        return ColumnarTable(self.schema, new_columns, self.labels, self.encoding.class_names)
 
     def take_rows(self, indices: np.ndarray) -> "ColumnarTable":
         """New table holding the given rows (in the given order)."""
@@ -202,7 +195,7 @@ class ColumnarTable:
         matrix = np.empty((indices.size, self.n_features), dtype=np.float64, order="F")
         for j, col in enumerate(self.columns):
             matrix[:, j] = col[indices]
-        return ColumnarTable(self.schema, matrix, self.labels[indices], self.encoding)
+        return ColumnarTable(self.schema, matrix, self.labels[indices], self.encoding.class_names)
 
 
 @dataclass(frozen=True)

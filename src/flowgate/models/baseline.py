@@ -14,6 +14,7 @@ import numpy as np
 
 from ..dataset import ColumnarTable
 from ..errors import DataError
+from .tree import _as_matrix
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class BaselineModel:
     train_ratio: float
     n_classes: int
 
-    def predict(self, data: "ColumnarTable | int") -> np.ndarray:
+    def predict(self, data: "ColumnarTable | np.ndarray") -> np.ndarray:
         return predict_baseline(self, data)
 
 
@@ -39,7 +40,6 @@ def majority_baseline(train: ColumnarTable) -> BaselineModel:
     )
 
 
-def predict_baseline(model: BaselineModel, data: "ColumnarTable | int") -> np.ndarray:
-    """Constant prediction; accepts a table or a bare row count."""
-    n = data if isinstance(data, int) else data.n_rows
-    return np.full(n, model.majority_class, dtype=np.int64)
+def predict_baseline(model: BaselineModel, data: "ColumnarTable | np.ndarray") -> np.ndarray:
+    """The majority class for every row of a table or feature matrix."""
+    return np.full(_as_matrix(data).shape[0], model.majority_class, dtype=np.int64)

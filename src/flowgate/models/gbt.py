@@ -16,7 +16,7 @@ import numpy as np
 from ..dataset import ColumnarTable
 from ..errors import DataError
 from ..parallel import parallel_map
-from .tree import Tree, _as_matrix, _as_training_set, _candidates, _grow, _presort, _route
+from .tree import Tree, _as_matrix, _candidates, _grow, _presort, _route
 
 
 @dataclass(frozen=True)
@@ -143,18 +143,14 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def fit_gbt(
-    train: "ColumnarTable | np.ndarray",
-    params: GbtParams = GbtParams(),
-    labels: np.ndarray | None = None,
-) -> GbtModel:
+def fit_gbt(train: ColumnarTable, params: GbtParams = GbtParams()) -> GbtModel:
     """Boost n_rounds rounds, one regression tree per class per round.
 
     A round's class trees depend only on the probabilities it starts from,
     so they grow in worker processes through ``parallel_map``; their scores
     are then added in class order.
     """
-    X, y, n_classes = _as_training_set(train, labels)
+    X, y, n_classes = train.feature_matrix(), train.labels, train.n_classes
     n = X.shape[0]
     if n == 0:
         raise DataError("cannot fit on zero rows")

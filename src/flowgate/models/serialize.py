@@ -55,19 +55,33 @@ def _tree_to_dict(tree: Tree, payload: tuple, node: int = 0) -> dict:
     return doc
 
 
-def _tree_from_dict(doc: dict, payload: tuple) -> Tree:
+def _tree_from_dict(doc: dict, payload: tuple, n_features: int) -> Tree:
     key, _, read = payload
     nodes = []
     stack = [doc]
     while stack:  # preorder, left child first
         node = stack.pop()
         if "feature" in node:
-            nodes.append((read(node[key]), int(node["feature"]), _unhex(node["threshold"])))
+            feature = int(node["feature"])
+            if not 0 <= feature < n_features:
+                raise DataError(f"tree feature {feature} is not in [0, {n_features})")
+            nodes.append((read(node[key]), feature, _unhex(node["threshold"])))
             stack += [node["right"], node["left"]]
         else:
             nodes.append((read(node[key]), -1, np.nan))
     values, features, thresholds = zip(*nodes)
     return Tree(np.asarray(values), features, thresholds)
+
+
+def _check_class_count(n_classes: int, shapes) -> None:
+    """Every class-count vector, base score vector and boosting round of a
+    model holds one entry per class."""
+    for shape in shapes:
+        if shape != (n_classes,):
+            raise DataError(
+                "a class-count vector, base score vector or boosting round has "
+                f"shape {shape}, not ({n_classes},)"
+            )
 
 
 def _settings_to_dict(settings, cls: type) -> dict:
@@ -135,52 +149,61 @@ def model_to_dict(model: AnyModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> AnyModel:
-    if doc.get("format") != FORMAT_NAME:
+    """The model a document describes; a malformed document raises DataError,
+    KeyError (a missing key), or TypeError or ValueError (a bad value)."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"unsupported model document version {doc.get('version')!r}")
     kind = doc.get("kind")
+    if kind not in (KIND_TREE, KIND_FOREST, KIND_GBT, KIND_BASELINE):
+        raise DataError(f"unknown model kind {kind!r}")
+    n_classes = int(doc["n_classes"])
+    if kind == KIND_BASELINE:
+        return BaselineModel(
+            majority_class=int(doc["majority_class"]),
+            train_ratio=_unhex(doc["train_ratio"]),
+            n_classes=n_classes,
+        )
+    n_features = int(doc["n_features"])
     if kind == KIND_TREE:
+        root = _tree_from_dict(doc["root"], _COUNTS, n_features)
+        _check_class_count(n_classes, [root.value.shape[1:]])
         return DecisionTreeModel(
-            root=_tree_from_dict(doc["root"], _COUNTS),
+            root=root,
             params=TreeHyperparams(**_settings_from_dict(TreeHyperparams, doc["params"])),
-            n_classes=int(doc["n_classes"]),
-            n_features=int(doc["n_features"]),
+            n_classes=n_classes,
+            n_features=n_features,
         )
     if kind == KIND_FOREST:
+        trees = tuple(_tree_from_dict(t, _COUNTS, n_features) for t in doc["trees"])
+        _check_class_count(n_classes, [tree.value.shape[1:] for tree in trees])
         return ForestModel(
-            trees=tuple(_tree_from_dict(t, _COUNTS) for t in doc["trees"]),
+            trees=trees,
             params=ForestParams(
                 **_settings_from_dict(TreeHyperparams, doc["params"]),
                 n_trees=len(doc["trees"]),
                 features_per_split=int(doc["features_per_split"]),
                 bootstrap=bool(doc["bootstrap"]),
             ),
-            n_classes=int(doc["n_classes"]),
-            n_features=int(doc["n_features"]),
+            n_classes=n_classes,
+            n_features=n_features,
             seed=int(doc["seed"]),
         )
-    if kind == KIND_GBT:
-        params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
-        base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
-        trees = tuple(
-            tuple(_tree_from_dict(t, _WEIGHT) for t in round_trees)
-            for round_trees in doc["trees"]
-        )
-        return GbtModel(
-            base_score=base,
-            trees=trees,
-            params=params,
-            n_classes=int(doc["n_classes"]),
-            n_features=int(doc["n_features"]),
-        )
-    if kind == KIND_BASELINE:
-        return BaselineModel(
-            majority_class=int(doc["majority_class"]),
-            train_ratio=_unhex(doc["train_ratio"]),
-            n_classes=int(doc["n_classes"]),
-        )
-    raise DataError(f"unknown model kind {kind!r}")
+    params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
+    base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
+    trees = tuple(
+        tuple(_tree_from_dict(t, _WEIGHT, n_features) for t in round_trees)
+        for round_trees in doc["trees"]
+    )
+    _check_class_count(n_classes, [base.shape, *((len(r),) for r in trees)])
+    return GbtModel(
+        base_score=base,
+        trees=trees,
+        params=params,
+        n_classes=n_classes,
+        n_features=n_features,
+    )
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:
@@ -216,4 +239,11 @@ def load_model(path: str | Path) -> AnyModel:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DataError(f"{path}: a tree is nested too deeply for JSON") from exc
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad value: {exc}") from None

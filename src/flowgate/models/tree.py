@@ -164,8 +164,8 @@ def gini_impurity(class_counts: Sequence[int] | np.ndarray) -> float:
 def _as_matrix(
     data: "ColumnarTable | np.ndarray", n_features: int | None = None
 ) -> np.ndarray:
-    """Feature matrix of a table or a bare matrix; a model passes the
-    ``n_features`` it was fitted on."""
+    """Feature matrix of a table or a bare (n, d) matrix to predict on; a
+    model passes the ``n_features`` it was fitted on."""
     if isinstance(data, np.ndarray):
         if data.ndim != 2:
             raise DataError("feature matrix must be 2-D")
@@ -175,20 +175,6 @@ def _as_matrix(
     if n_features is not None and X.shape[1] != n_features:
         raise DataError(f"model expects {n_features} features, got {X.shape[1]}")
     return X
-
-
-def _as_training_set(
-    data: "ColumnarTable | np.ndarray", labels: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(feature matrix, labels, class count) of a table, or of a bare matrix
-    with ``labels`` given separately."""
-    X = _as_matrix(data)
-    if labels is None:
-        if isinstance(data, np.ndarray):
-            raise DataError("labels are required when passing a bare matrix")
-        return X, data.labels, data.n_classes
-    y = np.asarray(labels, dtype=np.int64)
-    return X, y, int(y.max()) + 1 if y.size else 1
 
 
 def _presort(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -549,25 +535,21 @@ def _node_staircase(
 
 def best_split(
     rows: np.ndarray,
-    table: "ColumnarTable | np.ndarray",
+    table: ColumnarTable,
     params: TreeHyperparams = TreeHyperparams(),
-    labels: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over the given row ids:
-    the root split of a one-level ``fit_tree`` on those rows (``max_depth``
-    1, split gate max(2, leaf)), whose decrease is taken from the children's
-    class counts.
-
-    ``table`` is a ColumnarTable, or a feature matrix with ``labels`` given
-    separately. Returns None when no legal split strictly improves impurity.
+    """Best (feature, threshold, impurity decrease) over the given row ids of
+    ``table``: the root split of a one-level ``fit_tree`` on those rows
+    (``max_depth`` 1, split gate max(2, leaf)), whose decrease is taken from
+    the children's class counts. Returns None when no legal split strictly
+    improves impurity.
     """
-    X, y, _ = _as_training_set(table, labels)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise DataError("cannot split an empty row set")
     leaf = params.min_samples_leaf
     stump = TreeHyperparams(max_depth=1, min_samples_split=max(2, leaf), min_samples_leaf=leaf)
-    tree = fit_tree(X[rows], stump, labels=y[rows]).root
+    tree = fit_tree(table.take_rows(rows), stump).root
     if tree.feature[0] < 0:
         return None
     n = rows.size
@@ -579,10 +561,10 @@ def best_split(
 
 class SplitCache:
     """Node searches of gini fits on one training set, keyed by split path
-    (see the module docstring). A cache is made for one ``train`` and
-    ``labels``, as ``fit_tree`` takes them, and ``fit_tree`` takes it only
-    with those same objects: an equal copy counts as another training set.
-    Forests never use a cache: they search sampled features.
+    (see the module docstring). A cache is made for one ``train`` table, and
+    ``fit_tree`` takes it only with that same object: an equal copy counts
+    as another training set. Forests never use a cache: they search sampled
+    features.
 
     A cache made with ``max_leaf`` L answers leaf sizes 1..L from one
     staircase per path (``_node_staircase``), searched on the path's first
@@ -592,15 +574,10 @@ class SplitCache:
     search per leaf size, recorded with the leaf sizes it holds for.
     """
 
-    def __init__(
-        self,
-        train: "ColumnarTable | np.ndarray",
-        labels: np.ndarray | None = None,
-        max_leaf: int = 0,
-    ) -> None:
-        self.train, self.labels, self.max_leaf = train, labels, max_leaf
-        X, y, n_classes = _as_training_set(train, labels)
-        self._X, self._class_ids = X, _class_ids(y, n_classes)
+    def __init__(self, train: ColumnarTable, max_leaf: int = 0) -> None:
+        self.train, self.max_leaf = train, max_leaf
+        X = train.feature_matrix()
+        self._X, self._class_ids = X, _class_ids(train.labels, train.n_classes)
         integer = np.min_scalar_type
         self._record = struct.Struct(f"<{integer(max_leaf).char}{integer(X.shape[1]).char}d")
         self._stairs: dict[tuple, bytes] = {}
@@ -799,9 +776,8 @@ def _prune(tree: Tree, ccp_alpha: float) -> Tree:
 
 
 def fit_tree(
-    train: "ColumnarTable | np.ndarray",
+    train: ColumnarTable,
     params: TreeHyperparams = TreeHyperparams(),
-    labels: np.ndarray | None = None,
     order: np.ndarray | None = None,
     splits: SplitCache | None = None,
 ) -> DecisionTreeModel:
@@ -812,19 +788,19 @@ def fit_tree(
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
     training set can share its presort: pass ``_presort`` of its feature
     matrix as ``order``. They can also share node searches: pass as
-    ``splits`` one ``SplitCache`` made for these ``train`` and ``labels``
-    objects (see the module docstring); a cache made for others, equal
-    copies included, raises. The fitted tree is the same either way.
+    ``splits`` one ``SplitCache`` made for this ``train`` object (see the
+    module docstring); a cache made for another, an equal copy included,
+    raises. The fitted tree is the same either way.
     """
-    if splits is not None and (splits.train is not train or splits.labels is not labels):
+    if splits is not None and splits.train is not train:
         raise DataError("split cache was made for another training set")
-    X, y, n_classes = _as_training_set(train, labels)
+    X = train.feature_matrix()
     if X.shape[0] == 0:
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    root = _grow_gini(X, y, n_classes, params, order=order, splits=splits)
-    return DecisionTreeModel(root, params, n_classes, X.shape[1])
+    root = _grow_gini(X, train.labels, train.n_classes, params, order=order, splits=splits)
+    return DecisionTreeModel(root, params, train.n_classes, X.shape[1])
 
 
 def _route(tree: Tree, X: np.ndarray) -> np.ndarray:

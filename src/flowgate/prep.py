@@ -30,7 +30,6 @@ from .dataset import (
     KIND_TIMESTAMP,
     ColumnSchema,
     ColumnarTable,
-    LabelEncoding,
     validate_schema,
 )
 from .errors import DataError
@@ -653,12 +652,7 @@ def encode_categoricals(raw: RawTable, profile: DatasetProfile) -> ColumnarTable
         schema.append(ColumnSchema(col.name, col.kind, len(schema)))
     if labels is None:  # pragma: no cover - schema validation forbids this
         raise DataError("no label column present")
-    return ColumnarTable(
-        schema,
-        feature_columns,
-        labels,
-        LabelEncoding(tuple(profile.class_names), tuple(0 for _ in profile.class_names)),
-    )
+    return ColumnarTable(schema, feature_columns, labels, profile.class_names)
 
 
 # -- normalization --------------------------------------------------------------

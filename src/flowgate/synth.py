@@ -15,13 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import (
-    KIND_LABEL,
-    KIND_NUMERIC,
-    ColumnSchema,
-    ColumnarTable,
-    LabelEncoding,
-)
+from .dataset import KIND_LABEL, KIND_NUMERIC, ColumnSchema, ColumnarTable
 from .errors import DataError
 from .prep import RawTable
 from .profiles import DatasetProfile, builtin_class_ratios
@@ -145,12 +139,7 @@ def generate_flows(spec: SynthSpec) -> ColumnarTable:
 
     schema = [ColumnSchema(f"f{j:02d}", KIND_NUMERIC, j) for j in range(d)]
     schema.append(ColumnSchema("label", KIND_LABEL, d))
-    return ColumnarTable(
-        schema,
-        features,
-        labels,
-        LabelEncoding(spec.class_names, tuple(0 for _ in spec.class_names)),
-    )
+    return ColumnarTable(schema, features, labels, spec.class_names)
 
 
 @dataclass(frozen=True)

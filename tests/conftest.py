@@ -8,21 +8,17 @@ compare them directly against the fast implementations.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from flowgate.dataset import (
-    KIND_LABEL,
-    KIND_NUMERIC,
-    ColumnSchema,
-    ColumnarTable,
-    LabelEncoding,
-)
+from flowgate.dataset import KIND_LABEL, KIND_NUMERIC, ColumnSchema, ColumnarTable
 
 
 # GitHub Actions sets CI. Derandomized runs draw the same examples on every
@@ -54,8 +50,7 @@ def make_table(
     ]
     schema.append(ColumnSchema("label", KIND_LABEL, X.shape[1]))
     columns = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-    encoding = LabelEncoding.from_labels(class_names, y)
-    return ColumnarTable(schema, columns, y, encoding)
+    return ColumnarTable(schema, columns, y, class_names)
 
 
 def random_table(
@@ -78,6 +73,36 @@ def conflict_free_table(n: int, d: int, k: int, seed: int) -> ColumnarTable:
     y = rng.integers(0, k, size=n)
     y[:k] = np.arange(k)
     return make_table(X, rng.permutation(y))
+
+
+def malformed_model_documents() -> dict[str, tuple[object, str]]:
+    """Model documents that loading must refuse, by file name, each with the
+    part of the DataError message that names its bad key or value. All but
+    the first two are tests/data/model_v1_dt.json or model_v1_gbt.json (3
+    features, 3 classes) with one change."""
+    data = Path(__file__).parent / "data"
+    dt, gbt = (
+        json.loads((data / f"model_v1_{kind}.json").read_text(encoding="utf-8"))
+        for kind in ("dt", "gbt")
+    )
+    return {
+        "malformed.json": (
+            {"format": "flowgate-model", "version": 1, "kind": "decision_tree"},
+            "missing key 'n_classes'",
+        ),
+        "array.json": ([1, 2], "not a flowgate-model document"),
+        "no-classes.json": (
+            {key: value for key, value in dt.items() if key != "n_classes"},
+            "missing key 'n_classes'",
+        ),
+        "text-feature.json": (dt | {"root": dt["root"] | {"feature": "x"}}, "'x'"),
+        "far-feature.json": (
+            dt | {"root": dt["root"] | {"feature": 99}},
+            "tree feature 99 is not in [0, 3)",
+        ),
+        "fewer-classes.json": (dt | {"n_classes": 2}, "has shape (3,), not (2,)"),
+        "gbt-fewer-classes.json": (gbt | {"n_classes": 2}, "has shape (3,), not (2,)"),
+    }
 
 
 # -- metric oracle -------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_gate_majority_baseline_reproduces_imbalanced_row():
         ("benign", "attack"),
     )
     model = majority_baseline(train)
-    report = evaluate(confusion_matrix(y_true, model.predict(n), 2), mode="weighted")
+    report = evaluate(confusion_matrix(y_true, model.predict(np.zeros((n, 1))), 2), mode="weighted")
     worst = max(abs(g - e) for g, e in zip(report.as_row(), MAJORITY_ROW))
     elapsed = time.perf_counter() - start
     _verdict(
@@ -109,7 +109,7 @@ def test_gate_split_search_matches_exhaustive_oracle():
         y[: min(k, n)] = np.arange(min(k, n))
         msl = int(rng.integers(1, 4))
         params = TreeHyperparams(min_samples_leaf=msl, min_samples_split=2 * msl)
-        got = best_split(np.arange(n), X, params, labels=y)
+        got = best_split(np.arange(n), make_table(X, y), params)
         want = oracle_best_split(X, y, min_samples_leaf=msl)
         if want is None:
             assert got is None, f"case {case}: oracle found nothing, impl split"

@@ -30,7 +30,7 @@ def test_tie_goes_to_lowest_class_id():
 
 def test_predict_is_constant():
     model = majority_baseline(_imbalanced(3, 1))
-    out = predict_baseline(model, 5)
+    out = predict_baseline(model, np.zeros((5, 1)))
     assert out.tolist() == [0, 0, 0, 0, 0]
     table = _imbalanced(2, 2)
     assert model.predict(table).tolist() == [0, 0, 0, 0]

@@ -9,6 +9,8 @@ import pytest
 
 from flowgate.cli import main
 
+from conftest import malformed_model_documents
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -419,6 +421,15 @@ def _bad_paths(tmp_path):
     # a directory where an artifact or a sidecar is to be written
     (tmp_path / "r" / "metrics.json").mkdir(parents=True)
     (tmp_path / "s.csv.spec.json").mkdir()
+    for name, (doc, _) in malformed_model_documents().items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _eval_malformed(name, message):
+    return ["eval", "--model", name, "--csv", "ok.csv", "--profile", "one.json"], 2, message
+
+
+MALFORMED_MODELS = {name: message for name, (_, message) in malformed_model_documents().items()}
 
 
 @pytest.mark.parametrize(
@@ -460,12 +471,14 @@ def _bad_paths(tmp_path):
             2,
             "cannot write s.csv.spec.json",
         ),
+        *(_eval_malformed(name, message) for name, message in MALFORMED_MODELS.items()),
     ],
     ids=[
         "config-directory", "config-not-utf8", "csv-not-utf8", "csv-field-too-large",
         "csv-directory", "model-directory", "model-not-utf8", "ingest-out-file",
         "synth-out-under-file", "synth-out-directory", "report-artifact-directory",
         "synth-sidecar-directory",
+        *(f"model-{name.removesuffix('.json')}" for name in MALFORMED_MODELS),
     ],
 )
 def test_bad_paths_are_usage_or_data_errors(tmp_path, capsys, monkeypatch, argv, code, message):

@@ -93,14 +93,13 @@ def test_features_are_one_column_major_block():
 
 
 def test_encoding_counts_recomputed_from_labels():
-    enc = LabelEncoding.from_labels(("a", "b"), np.array([0, 0, 1]))
     table = ColumnarTable(
         (ColumnSchema("x", KIND_NUMERIC, 0), ColumnSchema("label", KIND_LABEL, 1)),
         [np.zeros(4)],
         np.array([1, 1, 1, 0]),
-        enc,
+        ("a", "b"),
     )
-    assert table.encoding.counts == (1, 3)
+    assert table.encoding == LabelEncoding(("a", "b"), (1, 3))
 
 
 def test_schema_rejects_duplicate_names():
@@ -116,16 +115,15 @@ def test_schema_indices_must_be_contiguous():
             (ColumnSchema("x", KIND_NUMERIC, 1), ColumnSchema("label", KIND_LABEL, 0)),
             [np.zeros(2)],
             np.array([0, 0]),
-            LabelEncoding.from_labels(("a",), np.array([0, 0])),
+            ("a",),
         )
 
 
 def test_label_ids_must_fit_encoding():
-    enc = LabelEncoding.from_labels(("a",), np.array([0]))
     with pytest.raises(DataError):
         ColumnarTable(
             (ColumnSchema("x", KIND_NUMERIC, 0), ColumnSchema("label", KIND_LABEL, 1)),
             [np.zeros(2)],
             np.array([0, 1]),
-            enc,
+            ("a",),
         )

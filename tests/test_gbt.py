@@ -48,7 +48,7 @@ def test_balanced_classes_start_from_equal_base_scores():
 def test_one_shallow_round_separates_a_clean_boundary():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    model = fit_gbt(X, GbtParams(n_rounds=1, max_depth=1), labels=y)
+    model = fit_gbt(make_table(X, y), GbtParams(n_rounds=1, max_depth=1))
     assert predict_gbt(model, X).tolist() == [0, 0, 1, 1]
 
 

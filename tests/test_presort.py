@@ -75,7 +75,7 @@ def test_decision_tree_matches_per_node_sort(seed, n, d, k, leaf, depth, scan_ce
         max_depth=depth, min_samples_split=max(2, leaf), min_samples_leaf=leaf
     )
     with mock.patch.object(tree_module, "_SCAN_CELLS", scan_cells):
-        got = fit_tree(X, params, labels=y).root
+        got = fit_tree(make_table(X, y), params).root
     _assert_same_tree(got, reference_tree.grow_gini(X, y, k, params))
 
 
@@ -111,7 +111,7 @@ def test_forest_matches_per_node_sort(seed, n, d, k, bootstrap):
 def test_boosting_matches_per_node_sort(seed, n, d, k, lam):
     X, y, k = _training_set(seed, n, d, k)
     params = GbtParams(n_rounds=3, learning_rate=0.5, max_depth=3, l2_lambda=lam)
-    model = fit_gbt(X, params, labels=y)
+    model = fit_gbt(make_table(X, y), params)
     want = reference_tree.gbt_trees(X, y, k, params)
     for round_trees, reference_round in zip(model.trees, want, strict=True):
         for tree, reference in zip(round_trees, reference_round, strict=True):
@@ -141,7 +141,7 @@ def _node_rows(tree, X):
 def test_every_split_is_the_oracle_split_of_its_node(seed, n, d, k, leaf):
     X, y, k = _training_set(seed, n, d, k)
     params = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
-    tree = fit_tree(X, params, labels=y).root
+    tree = fit_tree(make_table(X, y), params).root
     for node, rows in enumerate(_node_rows(tree, X)):
         if tree.feature[node] >= 0:
             want = oracle_best_split(X[rows], y[rows], min_samples_leaf=leaf)
@@ -172,7 +172,8 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
     # gates, depths and pruning strengths, and must not depend on them;
     # leaf sizes above the cache's max_leaf search one leaf size at a time
     X, y, k = _training_set(seed, n, d, k)
-    splits = SplitCache(X, y, max_leaf)
+    table = make_table(X, y)
+    splits = SplitCache(table, max_leaf)
     order = _presort(X) if shared_order else None
     for leaf, more_gate, depth, alpha in fits:
         params = TreeHyperparams(
@@ -181,8 +182,8 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
             min_samples_leaf=leaf,
             ccp_alpha=alpha,
         )
-        got = fit_tree(X, params, labels=y, order=order, splits=splits).root
-        _assert_same_tree(got, fit_tree(X, params, labels=y).root, bitwise_values=True)
+        got = fit_tree(table, params, order=order, splits=splits).root
+        _assert_same_tree(got, fit_tree(table, params).root, bitwise_values=True)
         want = reference_tree.grow_gini(X, y, k, params)
         _assert_same_tree(got, tree_module._prune(want, alpha) if alpha > 0.0 else want)
 
@@ -231,16 +232,19 @@ def test_staircase_matches_the_search_at_every_leaf_size(
 
 
 def test_a_split_cache_from_another_training_set_is_rejected():
-    # a cache is made for one train and labels pair of objects: other
-    # contents and equal copies are both another training set
+    # a cache is made for one table object: other contents and equal
+    # copies are both another training set
     X, y, _ = _training_set(7, 60, 3, 3)
-    splits = SplitCache(X, y)
-    fit_tree(X, TreeHyperparams(), labels=y, splits=splits)
-    relabelled = np.where(y == 0, 1, y)  # other root class counts
-    for other_X, other_y in ((X, relabelled), (X[:, :2], y), (X.copy(), y), (X, y.copy())):
-        with pytest.raises(DataError, match="another training set"):
-            fit_tree(other_X, TreeHyperparams(min_samples_leaf=2), labels=other_y, splits=splits)
-    fit_tree(X, TreeHyperparams(min_samples_leaf=2), labels=y, splits=splits)
     table = make_table(X, y)
-    with pytest.raises(DataError, match="another training set"):
-        fit_tree(table, TreeHyperparams(), splits=SplitCache(table.take_rows(np.arange(60))))
+    splits = SplitCache(table)
+    fit_tree(table, TreeHyperparams(), splits=splits)
+    relabelled = np.where(y == 0, 1, y)  # other root class counts
+    for other in (
+        make_table(X, relabelled),
+        make_table(X[:, :2], y),
+        make_table(X, y),
+        table.take_rows(np.arange(60)),
+    ):
+        with pytest.raises(DataError, match="another training set"):
+            fit_tree(other, TreeHyperparams(min_samples_leaf=2), splits=splits)
+    fit_tree(table, TreeHyperparams(min_samples_leaf=2), splits=splits)

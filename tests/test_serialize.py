@@ -21,7 +21,7 @@ from flowgate.models.serialize import (
 )
 from flowgate.models.tree import TreeHyperparams, fit_tree, predict_tree
 
-from conftest import conflict_free_table, make_table
+from conftest import conflict_free_table, make_table, malformed_model_documents
 
 PINNED = Path(__file__).parent / "data"
 
@@ -103,6 +103,17 @@ def test_rejects_unknown_kind():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("name", sorted(malformed_model_documents()))
+def test_a_malformed_model_file_is_a_data_error_naming_it(tmp_path, name):
+    doc, message = malformed_model_documents()[name]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert message in str(caught.value)
+
+
 def test_saved_file_is_plain_json(tmp_path):
     model = fit_tree(_table(), TreeHyperparams(max_depth=3))
     path = tmp_path / "m.json"
@@ -135,7 +146,7 @@ def test_a_forest_save_allocates_about_the_file_it_writes(tmp_path):
 def _chain_tree(n_rows):
     """A tree of depth n_rows - 1: one feature 0..n_rows-1, classes alternating."""
     X = np.arange(n_rows, dtype=np.float64)[:, np.newaxis]
-    return fit_tree(X, labels=np.arange(n_rows) % 2)
+    return fit_tree(make_table(X, np.arange(n_rows) % 2))
 
 
 def test_a_tree_too_deep_for_json_is_not_saved(tmp_path):
@@ -222,8 +233,23 @@ def _current_v1_text(doc):
 def test_pinned_v1_file_loads_and_predicts(kind):
     model = load_model(PINNED / f"model_v1_{kind}.json")
     probe = _pinned_probe()
-    predicted = model.predict(probe.shape[0] if kind == "baseline" else probe)
+    predicted = model.predict(probe)
     assert predicted.tolist() == PINNED_PREDICTIONS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
+def test_a_model_predicts_a_matrix_as_the_table_it_came_from(kind):
+    table = _pinned_table()
+    model = _pinned_fit(kind, table)
+    matrix = np.ascontiguousarray(table.feature_matrix())
+    assert model.predict(matrix).tolist() == model.predict(table).tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
+def test_a_model_counts_the_classes_of_its_table_not_of_its_rows(kind):
+    pinned = _pinned_table()
+    table = make_table(pinned.feature_matrix(), pinned.labels, ("a", "b", "c", "unseen"))
+    assert _pinned_fit(kind, table).n_classes == table.n_classes == 4
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))

@@ -46,7 +46,7 @@ def test_gini_rejects_degenerate_counts():
 def test_stump_split_frozen():
     X = np.array([[1.0], [2.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    got = best_split(np.arange(4), X, labels=y)
+    got = best_split(np.arange(4), make_table(X, y))
     assert got is not None
     feature, threshold, decrease = got
     assert feature == 0
@@ -58,7 +58,7 @@ def test_threshold_tie_prefers_the_lower_one():
     # 0|1 1|0 splits at 0.5 and 2.5 score identically
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 0])
-    got = best_split(np.arange(4), X, labels=y)
+    got = best_split(np.arange(4), make_table(X, y))
     assert got is not None
     feature, threshold, decrease = got
     assert (feature, threshold) == (0, 0.5)
@@ -69,33 +69,33 @@ def test_feature_tie_prefers_the_lower_feature():
     col = np.array([1.0, 2.0, 10.0, 11.0])
     X = np.column_stack([col, col])
     y = np.array([0, 0, 1, 1])
-    got = best_split(np.arange(4), X, labels=y)
+    got = best_split(np.arange(4), make_table(X, y))
     assert got is not None
     assert got[0] == 0
 
 
 def test_pure_node_has_no_split():
     X = np.array([[1.0], [2.0], [3.0]])
-    assert best_split(np.arange(3), X, labels=np.zeros(3, dtype=np.int64)) is None
+    assert best_split(np.arange(3), make_table(X, np.zeros(3))) is None
 
 
 def test_identical_rows_have_no_split():
     X = np.ones((4, 2))
     y = np.array([0, 1, 0, 1])
-    assert best_split(np.arange(4), X, labels=y) is None
+    assert best_split(np.arange(4), make_table(X, y)) is None
 
 
 def test_min_samples_leaf_blocks_narrow_splits():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     params = TreeHyperparams(min_samples_leaf=3, min_samples_split=3)
-    assert best_split(np.arange(4), X, params=params, labels=y) is None
+    assert best_split(np.arange(4), make_table(X, y), params=params) is None
 
 
 def test_split_on_row_subset():
     X = np.array([[1.0], [2.0], [10.0], [11.0], [50.0]])
     y = np.array([0, 0, 1, 1, 0])
-    got = best_split(np.array([0, 1, 2, 3]), X, labels=y)
+    got = best_split(np.array([0, 1, 2, 3]), make_table(X, y))
     assert got is not None
     assert got[1] == 6.0
 
@@ -104,7 +104,7 @@ def test_no_split_when_nothing_improves():
     # any threshold keeps both sides at the same half-half mix
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0, 1, 0, 1])
-    assert best_split(np.arange(4), X, labels=y) is None
+    assert best_split(np.arange(4), make_table(X, y)) is None
 
 
 def test_exact_tie_is_kept_when_rounding_ranks_it_lower():
@@ -118,7 +118,7 @@ def test_exact_tie_is_kept_when_rounding_ranks_it_lower():
     y = np.array([0, 2, 1, 2, 2, 2, 0, 0, 0, 0, 2, 0, 1, 2, 0, 2, 0, 1, 0, 0, 1, 2, 1, 2, 2])
     want = oracle_best_split(X, y)
     assert want[:2] == (0, 4.5)
-    got = best_split(np.arange(y.size), X, labels=y)
+    got = best_split(np.arange(y.size), make_table(X, y))
     assert got[:2] == want[:2]
     assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
 
@@ -135,7 +135,7 @@ def test_adjacent_doubles_do_not_hide_a_real_split():
     X = np.array([[b, 0], [b, 0], [b, 1], [c, 1], [c, 1], [c, 1]])
     y = np.array([0, 0, 0, 1, 1, 1])
     assert oracle_best_split(X, y) == (1, 0.5, 0.25)
-    assert best_split(np.arange(6), X, labels=y) == (1, 0.5, 0.25)
+    assert best_split(np.arange(6), make_table(X, y)) == (1, 0.5, 0.25)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -152,9 +152,8 @@ def test_split_agrees_with_exhaustive_oracle(seed):
     msl = int(rng.integers(1, 3))
     got = best_split(
         np.arange(n),
-        X,
+        make_table(X, y),
         params=TreeHyperparams(min_samples_leaf=msl, min_samples_split=max(2, msl)),
-        labels=y,
     )
     want = oracle_best_split(X, y, min_samples_leaf=msl)
     if want is None:
@@ -259,11 +258,11 @@ def test_hyperparameter_validation():
 
 def test_fit_rejects_empty_inputs():
     with pytest.raises(DataError):
-        fit_tree(np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
+        fit_tree(make_table(np.zeros((0, 2)), np.zeros(0)))
     with pytest.raises(DataError):
-        fit_tree(np.zeros((3, 0)), labels=np.zeros(3, dtype=np.int64))
+        fit_tree(make_table(np.zeros((3, 0)), np.zeros(3)))
     with pytest.raises(DataError):
-        best_split(np.array([], dtype=np.int64), np.zeros((3, 1)), labels=np.zeros(3, dtype=np.int64))
+        best_split(np.array([], dtype=np.int64), make_table(np.zeros((3, 1)), np.zeros(3)))
 
 
 # -- array layout and routing -------------------------------------------------------
@@ -320,7 +319,7 @@ def test_route_matches_a_scalar_walk(seed):
     d = int(rng.integers(1, 4))
     X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
     y = rng.integers(0, int(rng.integers(2, 4)), size=n)
-    tree = fit_tree(X, labels=y).root
+    tree = fit_tree(make_table(X, y)).root
     # half-integer probes land exactly on the midpoint thresholds too
     probe = rng.integers(-2, 14, size=(60, d)) / 2.0
     assert _route(tree, probe).tolist() == [_walk(tree, x) for x in probe]
@@ -340,7 +339,7 @@ def test_cut_accuracy_matches_a_scalar_walk(seed):
     y = rng.integers(0, k, size=n)
     leaf = int(rng.integers(1, 4))
     params = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
-    tree = fit_tree(X, params, labels=y).root
+    tree = fit_tree(make_table(X, y), params).root
     probe = rng.integers(-2, 14, size=(60, d)) / 2.0
     labels = rng.integers(0, tree.value.shape[1], size=60)
     scores = CutAccuracy(tree, probe, labels)
@@ -437,7 +436,7 @@ def test_prune_matches_recursive_weakest_link_pruning(seed):
     d = int(rng.integers(1, 4))
     X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
     y = rng.integers(0, int(rng.integers(2, 4)), size=n)
-    tree = fit_tree(X, labels=y).root
+    tree = fit_tree(make_table(X, y)).root
     for ccp_alpha in (0.0, 0.002, float(rng.uniform(0.0, 0.05)), 1.0):
         pruned = _prune(tree, ccp_alpha)
         keep, collapsed = _reference_prune(tree, ccp_alpha)
