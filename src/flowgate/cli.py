@@ -268,6 +268,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     profile = resolve_profile(args.profile)
     model = load_model(args.model)
+    if model.n_classes != len(profile.class_names):
+        raise DataError(
+            f"{args.model}: the model has {model.n_classes} classes, "
+            f"profile {profile.name!r} has {len(profile.class_names)}"
+        )
     raw = load_csv(args.csv, profile)
     table = encode_categoricals(raw, profile)
     predicted = model.predict(table)

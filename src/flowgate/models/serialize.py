@@ -1,7 +1,8 @@
 """Versioned JSON serialization for every model kind.
 
-Thresholds, leaf weights, and other learned reals are stored as C99 hex
-float strings, so a save/load round trip reproduces the model bit for bit.
+Format 2 stores each tree as the preorder arrays ``Tree`` holds, with reals
+as C99 hex float strings, so a save/load round trip reproduces the model
+bit for bit. Format-1 files, which nest each tree's nodes, still load.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .gbt import GbtModel, GbtParams
 from .tree import DecisionTreeModel, Tree, TreeHyperparams
 
 FORMAT_NAME = "flowgate-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KIND_TREE = "decision_tree"
 KIND_FOREST = "random_forest"
@@ -30,52 +31,45 @@ KIND_BASELINE = "majority_baseline"
 AnyModel = DecisionTreeModel | ForestModel | GbtModel | BaselineModel
 
 
-def _hex(value: float) -> str:
-    return float(value).hex()
+def _tree_arrays(tree: Tree) -> dict:
+    """``tree`` as JSON arrays: the class counts of a gini tree or the leaf
+    weights of a boosting tree, each under its own key, then the splits."""
+    if tree.value.ndim == 2:
+        payload = {"counts": tree.value.tolist()}
+    else:
+        payload = {"value": [w.hex() for w in tree.value.tolist()]}
+    thresholds = [t.hex() for t in tree.threshold.tolist()]
+    return payload | {"feature": tree.feature.tolist(), "threshold": thresholds}
 
 
-def _unhex(text: str) -> float:
-    return float.fromhex(text)
-
-
-# A node's payload is stored under its own key: the class counts of a gini
-# tree as integers, the leaf weight of a boosting tree as a hex float.
-_COUNTS = ("counts", lambda v: [int(c) for c in v], lambda d: np.asarray(d, dtype=np.int64))
-_WEIGHT = ("value", _hex, _unhex)
-
-
-def _tree_to_dict(tree: Tree, payload: tuple, node: int = 0) -> dict:
-    key, write, _ = payload
-    doc: dict = {key: write(tree.value[node])}
-    if tree.feature[node] >= 0:
-        doc["feature"] = int(tree.feature[node])
-        doc["threshold"] = _hex(tree.threshold[node])
-        doc["left"] = _tree_to_dict(tree, payload, node + 1)
-        doc["right"] = _tree_to_dict(tree, payload, int(tree.right[node]))
-    return doc
-
-
-def _tree_from_dict(doc: dict, payload: tuple, n_features: int) -> Tree:
-    key, _, read = payload
-    nodes = []
-    stack = [doc]
-    while stack:  # preorder, left child first
-        node = stack.pop()
-        if "feature" in node:
-            feature = int(node["feature"])
-            if not 0 <= feature < n_features:
-                raise DataError(f"tree feature {feature} is not in [0, {n_features})")
-            nodes.append((read(node[key]), feature, _unhex(node["threshold"])))
-            stack += [node["right"], node["left"]]
-        else:
-            nodes.append((read(node[key]), -1, np.nan))
-    values, features, thresholds = zip(*nodes)
-    return Tree(np.asarray(values), features, thresholds)
+def _tree_from_dict(doc: dict, key: str, n_features: int, version: int) -> Tree:
+    """The tree of a format-2 array object or a format-1 root node, payload
+    under ``key``: each split has a feature below n_features and a threshold."""
+    arrays = doc
+    if version == 1:  # list the nested nodes in preorder, left child first
+        nodes = []
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            nodes.append((node[key], node.get("feature", -1), node.get("threshold", "nan")))
+            if "feature" in node:
+                stack += [node["right"], node["left"]]
+        arrays = dict(zip((key, "feature", "threshold"), zip(*nodes)))
+    if key == "counts":
+        value = np.asarray(arrays[key], dtype=np.int64)
+    else:
+        value = np.asarray([float.fromhex(w) for w in arrays[key]], dtype=np.float64)
+    tree = Tree(value, arrays["feature"], [float.fromhex(t) for t in arrays["threshold"]])
+    foreign = tree.feature[(tree.feature < -1) | (tree.feature >= n_features)]
+    if foreign.size:
+        raise DataError(f"tree feature {foreign[0]} is not in [0, {n_features})")
+    if np.isnan(tree.threshold[tree.feature >= 0]).any():
+        raise DataError("a tree split has threshold nan")
+    return tree
 
 
 def _check_class_count(n_classes: int, shapes) -> None:
-    """Every class-count vector, base score vector and boosting round of a
-    model holds one entry per class."""
+    """Each class-count vector, base score vector and boosting round has n_classes entries."""
     for shape in shapes:
         if shape != (n_classes,):
             raise DataError(
@@ -90,20 +84,21 @@ def _settings_to_dict(settings, cls: type) -> dict:
     doc = {}
     for f in fields(cls):
         value = getattr(settings, f.name)
-        doc[f.name] = _hex(value) if isinstance(f.default, float) else value
+        doc[f.name] = float(value).hex() if isinstance(f.default, float) else value
     return doc
 
 
 def _settings_from_dict(cls: type, doc: dict) -> dict:
     """The field values of ``cls`` stored in ``doc``. Other keys are ignored:
-    older v1 files also carry "criterion" and "seed", which growth never read."""
+    older files also carry "criterion" and "seed", which growth never read."""
     return {
-        f.name: _unhex(doc[f.name]) if isinstance(f.default, float) else doc[f.name]
+        f.name: float.fromhex(doc[f.name]) if isinstance(f.default, float) else doc[f.name]
         for f in fields(cls)
     }
 
 
-def model_to_dict(model: AnyModel) -> dict:
+def _document(model: AnyModel) -> dict:
+    """The document ``save_model`` writes, each tree still a ``Tree``."""
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     if isinstance(model, DecisionTreeModel):
         return header | {
@@ -111,7 +106,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "n_classes": model.n_classes,
             "n_features": model.n_features,
             "params": _settings_to_dict(model.params, TreeHyperparams),
-            "root": _tree_to_dict(model.root, _COUNTS),
+            "root": model.root,
         }
     if isinstance(model, ForestModel):
         # "params" holds the tree keys; the forest's own sit beside it and
@@ -124,7 +119,7 @@ def model_to_dict(model: AnyModel) -> dict:
             "bootstrap": model.params.bootstrap,
             "seed": model.seed,
             "params": _settings_to_dict(model.params, TreeHyperparams),
-            "trees": [_tree_to_dict(t, _COUNTS) for t in model.trees],
+            "trees": model.trees,
         }
     if isinstance(model, GbtModel):
         return header | {
@@ -132,29 +127,32 @@ def model_to_dict(model: AnyModel) -> dict:
             "n_classes": model.n_classes,
             "n_features": model.n_features,
             "params": _settings_to_dict(model.params, GbtParams),
-            "base_score": [_hex(v) for v in model.base_score],
-            "trees": [
-                [_tree_to_dict(t, _WEIGHT) for t in round_trees]
-                for round_trees in model.trees
-            ],
+            "base_score": [float(v).hex() for v in model.base_score],
+            "trees": model.trees,
         }
     if isinstance(model, BaselineModel):
         return header | {
             "kind": KIND_BASELINE,
             "n_classes": model.n_classes,
             "majority_class": model.majority_class,
-            "train_ratio": _hex(model.train_ratio),
+            "train_ratio": float(model.train_ratio).hex(),
         }
     raise DataError(f"cannot serialize object of type {type(model).__name__}")
 
 
+def model_to_dict(model: AnyModel) -> dict:
+    """The document ``save_model`` writes, as JSON values."""
+    return json.loads(json.dumps(_document(model), default=_tree_arrays))
+
+
 def model_from_dict(doc: dict) -> AnyModel:
-    """The model a document describes; a malformed document raises DataError,
-    KeyError (a missing key), or TypeError or ValueError (a bad value)."""
+    """The model a document of either format describes; a malformed one
+    raises DataError, KeyError (a missing key), or TypeError or ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataError(f"unsupported model document version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in (1, FORMAT_VERSION):
+        raise DataError(f"unsupported model document version {version!r}")
     kind = doc.get("kind")
     if kind not in (KIND_TREE, KIND_FOREST, KIND_GBT, KIND_BASELINE):
         raise DataError(f"unknown model kind {kind!r}")
@@ -162,12 +160,12 @@ def model_from_dict(doc: dict) -> AnyModel:
     if kind == KIND_BASELINE:
         return BaselineModel(
             majority_class=int(doc["majority_class"]),
-            train_ratio=_unhex(doc["train_ratio"]),
+            train_ratio=float.fromhex(doc["train_ratio"]),
             n_classes=n_classes,
         )
     n_features = int(doc["n_features"])
     if kind == KIND_TREE:
-        root = _tree_from_dict(doc["root"], _COUNTS, n_features)
+        root = _tree_from_dict(doc["root"], "counts", n_features, version)
         _check_class_count(n_classes, [root.value.shape[1:]])
         return DecisionTreeModel(
             root=root,
@@ -176,7 +174,7 @@ def model_from_dict(doc: dict) -> AnyModel:
             n_features=n_features,
         )
     if kind == KIND_FOREST:
-        trees = tuple(_tree_from_dict(t, _COUNTS, n_features) for t in doc["trees"])
+        trees = tuple(_tree_from_dict(t, "counts", n_features, version) for t in doc["trees"])
         _check_class_count(n_classes, [tree.value.shape[1:] for tree in trees])
         return ForestModel(
             trees=trees,
@@ -191,9 +189,9 @@ def model_from_dict(doc: dict) -> AnyModel:
             seed=int(doc["seed"]),
         )
     params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
-    base = np.asarray([_unhex(v) for v in doc["base_score"]], dtype=np.float64)
+    base = np.asarray([float.fromhex(v) for v in doc["base_score"]], dtype=np.float64)
     trees = tuple(
-        tuple(_tree_from_dict(t, _WEIGHT, n_features) for t in round_trees)
+        tuple(_tree_from_dict(t, "value", n_features, version) for t in round_trees)
         for round_trees in doc["trees"]
     )
     _check_class_count(n_classes, [base.shape, *((len(r),) for r in trees)])
@@ -207,24 +205,25 @@ def model_from_dict(doc: dict) -> AnyModel:
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:
-    """Write ``model`` to ``path`` as an indented JSON document.
+    """Write ``model`` to ``path`` as an indented format-2 JSON document.
 
-    The document is streamed into a temporary file beside ``path``, which
-    then replaces ``path``, so a save that fails leaves no partial model
-    file. A tree nested too deeply for JSON (near a thousand levels) raises
-    DataError.
+    The document is streamed, one tree's arrays at a time, into a temporary
+    file beside ``path``, which then replaces ``path``, so a save that fails
+    leaves no partial model file. A path that cannot be written (a
+    directory, say) is a DataError naming it.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as out:
-            json.dump(model_to_dict(model), out, indent=2)
+            json.dump(_document(model), out, indent=2, default=_tree_arrays)
             out.write("\n")
         os.replace(tmp, path)
-    except RecursionError as exc:
-        raise DataError(f"cannot save {path}: a tree is nested too deeply for JSON") from exc
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.is_file():
+            tmp.unlink()
 
 
 def load_model(path: str | Path) -> AnyModel:
@@ -237,7 +236,7 @@ def load_model(path: str | Path) -> AnyModel:
         raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
+    except RecursionError as exc:  # a format-1 tree nested too deeply
         raise DataError(f"{path}: a tree is nested too deeply for JSON") from exc
     try:
         return model_from_dict(doc)

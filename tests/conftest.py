@@ -78,13 +78,18 @@ def conflict_free_table(n: int, d: int, k: int, seed: int) -> ColumnarTable:
 def malformed_model_documents() -> dict[str, tuple[object, str]]:
     """Model documents that loading must refuse, by file name, each with the
     part of the DataError message that names its bad key or value. All but
-    the first two are tests/data/model_v1_dt.json or model_v1_gbt.json (3
-    features, 3 classes) with one change."""
+    the first two are tests/data/model_v1_dt.json, model_v1_gbt.json or
+    model_v2_dt.json (3 features, 3 classes) with one change."""
     data = Path(__file__).parent / "data"
-    dt, gbt = (
-        json.loads((data / f"model_v1_{kind}.json").read_text(encoding="utf-8"))
-        for kind in ("dt", "gbt")
+    dt, gbt, v2 = (
+        json.loads((data / f"model_{name}.json").read_text(encoding="utf-8"))
+        for name in ("v1_dt", "v1_gbt", "v2_dt")
     )
+
+    def v2_root(**arrays):
+        return v2 | {"root": v2["root"] | arrays}
+
+    feature, threshold = v2["root"]["feature"], v2["root"]["threshold"]
     return {
         "malformed.json": (
             {"format": "flowgate-model", "version": 1, "kind": "decision_tree"},
@@ -102,6 +107,23 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
         ),
         "fewer-classes.json": (dt | {"n_classes": 2}, "has shape (3,), not (2,)"),
         "gbt-fewer-classes.json": (gbt | {"n_classes": 2}, "has shape (3,), not (2,)"),
+        "v2-far-feature.json": (
+            v2_root(feature=[99, *feature[1:]]), "tree feature 99 is not in [0, 3)"
+        ),
+        # the last node is a leaf, so -2 leaves the arrays one preorder tree
+        "v2-negative-feature.json": (
+            v2_root(feature=[*feature[:-1], -2]), "tree feature -2 is not in [0, 3)"
+        ),
+        "v2-unequal-arrays.json": (
+            v2_root(threshold=threshold[:-1]), "tree arrays are not one preorder tree"
+        ),
+        "v2-nan-threshold.json": (
+            v2_root(threshold=["nan", *threshold[1:]]), "a tree split has threshold nan"
+        ),
+        "v2-not-a-tree.json": (
+            v2_root(counts=v2["root"]["counts"][:2], feature=[0, -1], threshold=threshold[:2]),
+            "tree arrays are not one preorder tree",
+        ),
     }
 
 

@@ -420,9 +420,13 @@ def _bad_paths(tmp_path):
     (tmp_path / "tiny.json").write_text(json.dumps(tiny), encoding="utf-8")
     # a directory where an artifact or a sidecar is to be written
     (tmp_path / "r" / "metrics.json").mkdir(parents=True)
+    (tmp_path / "t" / "model_baseline.json").mkdir(parents=True)
     (tmp_path / "s.csv.spec.json").mkdir()
     for name, (doc, _) in malformed_model_documents().items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    # a 3-class model, for the 1-class profile
+    rf = (Path(__file__).parent / "data" / "model_v1_rf.json").read_text(encoding="utf-8")
+    (tmp_path / "rf.json").write_text(rf, encoding="utf-8")
 
 
 def _eval_malformed(name, message):
@@ -467,18 +471,25 @@ MALFORMED_MODELS = {name: message for name, (_, message) in malformed_model_docu
         ),
         (["report", "--config", "tiny.json", "--out", "r"], 2, "cannot write r/metrics.json"),
         (
+            ["train", "--config", "tiny.json", "--out", "t", "--save-models"],
+            2,
+            "cannot write t/model_baseline.json",
+        ),
+        (
             ["synth", "--rows", "20", "--profile", "cse2018", "--out", "s.csv"],
             2,
             "cannot write s.csv.spec.json",
         ),
         *(_eval_malformed(name, message) for name, message in MALFORMED_MODELS.items()),
+        _eval_malformed("rf.json", "rf.json: the model has 3 classes, profile 'one' has 1"),
     ],
     ids=[
         "config-directory", "config-not-utf8", "csv-not-utf8", "csv-field-too-large",
         "csv-directory", "model-directory", "model-not-utf8", "ingest-out-file",
         "synth-out-under-file", "synth-out-directory", "report-artifact-directory",
-        "synth-sidecar-directory",
+        "train-model-directory", "synth-sidecar-directory",
         *(f"model-{name.removesuffix('.json')}" for name in MALFORMED_MODELS),
+        "model-other-class-count",
     ],
 )
 def test_bad_paths_are_usage_or_data_errors(tmp_path, capsys, monkeypatch, argv, code, message):

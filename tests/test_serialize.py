@@ -1,5 +1,6 @@
 """Model persistence: bit-exact round trips and format guards."""
 
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -126,8 +127,9 @@ def test_saved_file_is_plain_json(tmp_path):
 
 
 def test_a_forest_save_allocates_about_the_file_it_writes(tmp_path):
-    # the document is streamed to the file, not built as one text: measured
-    # 1.06x the file here, 5.07x when the save built the whole text
+    # the document is streamed to the file, one tree's arrays at a time, not
+    # built as one text: measured 0.31x the file here, 5.71x when the save
+    # built the whole text of the same document
     rng = np.random.default_rng(5)
     table = make_table(rng.normal(size=(1000, 6)), rng.integers(0, 3, size=1000))
     model = fit_forest(table, ForestParams(n_trees=10), seed=1)
@@ -143,25 +145,44 @@ def test_a_forest_save_allocates_about_the_file_it_writes(tmp_path):
     assert peak <= 1.5 * size, peak / size
 
 
+def test_a_save_onto_a_directory_is_a_data_error_and_leaves_no_file(tmp_path):
+    model = fit_tree(_table(), TreeHyperparams(max_depth=3))
+    (tmp_path / "m.json").mkdir()
+    with pytest.raises(DataError, match="cannot write .*m.json: Is a directory"):
+        save_model(model, tmp_path / "m.json")
+    # no partial file is left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@functools.cache
 def _chain_tree(n_rows):
     """A tree of depth n_rows - 1: one feature 0..n_rows-1, classes alternating."""
     X = np.arange(n_rows, dtype=np.float64)[:, np.newaxis]
     return fit_tree(make_table(X, np.arange(n_rows) % 2))
 
 
-def test_a_tree_too_deep_for_json_is_not_saved(tmp_path):
+def test_a_depth_1999_tree_round_trips_bit_for_bit(tmp_path):
+    # format 1 nested each node's children, so a tree this deep could not
+    # be written as JSON
     model = _chain_tree(2000)
     assert model.root.depth() == 1999
     path = tmp_path / "deep.json"
-    path.write_text("earlier model\n", encoding="utf-8")
-    with pytest.raises(DataError, match="nested too deeply"):
-        save_model(model, path)
-    # the earlier file stands, and no partial file is left beside it
-    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
-    assert path.read_text(encoding="utf-8") == "earlier model\n"
-    with pytest.raises(DataError, match="nested too deeply"):
-        save_model(model, tmp_path / "new.json")
-    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+    save_model(model, path)
+    again = load_model(path)
+    for name in ("value", "feature", "threshold"):
+        assert np.array_equal(getattr(again.root, name), getattr(model.root, name), equal_nan=True)
+    X = np.arange(-1, 2001, 0.5)[:, np.newaxis]
+    assert np.array_equal(predict_tree(again, X), predict_tree(model, X))
+
+
+def test_a_model_file_grows_linearly_with_its_tree(tmp_path):
+    # 4x the nodes: linear growth gives 4x the bytes, quadratic growth 16x
+    # (format 1 indented each node by its depth)
+    sizes = []
+    for n_rows in (500, 2000):
+        save_model(_chain_tree(n_rows), tmp_path / "chain.json")
+        sizes.append((tmp_path / "chain.json").stat().st_size)
+    assert sizes[1] <= 4.5 * sizes[0], sizes
 
 
 def test_a_document_too_deep_for_json_is_not_loaded(tmp_path):
@@ -185,10 +206,11 @@ def test_a_depth_499_tree_round_trips(tmp_path):
         assert np.array_equal(getattr(again, name), getattr(model.root, name), equal_nan=True)
 
 
-# -- pinned v1 files ----------------------------------------------------------
-# tests/data/model_v1_<kind>.json were fitted on _pinned_table() with the
-# hyperparameters in _pinned_fit, by the writer that still stored the unused
-# "criterion" and "seed" tree hyperparameters.
+# -- pinned files --------------------------------------------------------------
+# tests/data/model_v1_<kind>.json and model_v2_<kind>.json were fitted on
+# _pinned_table() with the hyperparameters in _pinned_fit. The v1 files were
+# written in format 1, by the writer that still stored the unused "criterion"
+# and "seed" tree hyperparameters; the v2 files by the format-2 writer.
 
 
 def _pinned_table():
@@ -220,15 +242,6 @@ PINNED_PREDICTIONS = {
 }
 
 
-def _current_v1_text(doc):
-    """The pinned document as written today: dt and rf no longer store the
-    unused "criterion" and "seed" tree hyperparameters."""
-    doc = json.loads(json.dumps(doc))
-    if doc["kind"] in ("decision_tree", "random_forest"):
-        del doc["params"]["criterion"], doc["params"]["seed"]
-    return json.dumps(doc, indent=2) + "\n"
-
-
 @pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
 def test_pinned_v1_file_loads_and_predicts(kind):
     model = load_model(PINNED / f"model_v1_{kind}.json")
@@ -253,13 +266,12 @@ def test_a_model_counts_the_classes_of_its_table_not_of_its_rows(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
-def test_pinned_v1_file_is_reproduced_byte_for_byte(kind, tmp_path):
-    pinned = (PINNED / f"model_v1_{kind}.json").read_text(encoding="utf-8")
-    expected = _current_v1_text(json.loads(pinned))
-    if kind in ("baseline", "gbt"):
-        assert expected == pinned
-    # a load/save round trip and a fresh fit both write the same bytes
-    save_model(load_model(PINNED / f"model_v1_{kind}.json"), tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_text(encoding="utf-8") == expected
+def test_pinned_v2_file_is_reproduced_byte_for_byte(kind, tmp_path):
+    pinned = PINNED / f"model_v2_{kind}.json"
+    expected = pinned.read_text(encoding="utf-8")
+    assert load_model(pinned).predict(_pinned_probe()).tolist() == PINNED_PREDICTIONS[kind]
+    # a fresh fit and a v1 file loaded and saved again both write the v2 bytes
     save_model(_pinned_fit(kind, _pinned_table()), tmp_path / "refit.json")
     assert (tmp_path / "refit.json").read_text(encoding="utf-8") == expected
+    save_model(load_model(PINNED / f"model_v1_{kind}.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == expected
