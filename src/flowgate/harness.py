@@ -393,12 +393,11 @@ def write_file(path: Path, data: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def emit_reports(
-    manifest: RunManifest, out_dir: str | Path, formats: tuple[str, ...] | None = None
-) -> list[Path]:
+def emit_reports(manifest: RunManifest, out_dir: str | Path) -> list[Path]:
     """Write all artifacts for one run; returns the paths written.
 
-    table_metrics.*: one row per classifier with the four metrics.
+    table_metrics.*: one row per classifier with the four metrics, in each
+    of the config's ``formats``.
     table_average.*: the same plus the per-classifier Average column.
     figure_bar_series.csv: long-form (classifier, metric, value) series.
     figure_radar_series.csv: wide per-classifier series with Average.
@@ -406,7 +405,7 @@ def emit_reports(
     metrics.json: the deterministic metric document.
     manifest.json: metrics plus timings, configuration, and tool version.
     """
-    formats = tuple(formats) if formats is not None else manifest.config.formats
+    formats = manifest.config.formats
     out = make_output_dir(out_dir)
 
     written: list[Path] = []

@@ -42,9 +42,30 @@ def _tree_arrays(tree: Tree) -> dict:
     return payload | {"feature": tree.feature.tolist(), "threshold": thresholds}
 
 
+def _int(value, where: str) -> int:
+    """``value`` when it is a JSON integer: a float (2.0 too) or a boolean is
+    refused, never truncated."""
+    if type(value) is not int:
+        raise DataError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    """``value`` when it is a JSON boolean."""
+    if not isinstance(value, bool):
+        raise DataError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _ints(values, where: str) -> list[int]:
+    """``values`` as a list, each one a JSON integer (see ``_int``)."""
+    return [_int(value, where) for value in values]
+
+
 def _tree_from_dict(doc: dict, key: str, n_features: int, version: int) -> Tree:
     """The tree of a format-2 array object or a format-1 root node, payload
-    under ``key``: each split has a feature below n_features and a threshold."""
+    under ``key``: each split has a feature below n_features and a threshold,
+    and feature ids and class counts are JSON integers."""
     arrays = doc
     if version == 1:  # list the nested nodes in preorder, left child first
         nodes = []
@@ -56,10 +77,12 @@ def _tree_from_dict(doc: dict, key: str, n_features: int, version: int) -> Tree:
                 stack += [node["right"], node["left"]]
         arrays = dict(zip((key, "feature", "threshold"), zip(*nodes)))
     if key == "counts":
-        value = np.asarray(arrays[key], dtype=np.int64)
+        counts = [_ints(row, "a class count") for row in arrays[key]]
+        value = np.asarray(counts, dtype=np.int64)
     else:
         value = np.asarray([float.fromhex(w) for w in arrays[key]], dtype=np.float64)
-    tree = Tree(value, arrays["feature"], [float.fromhex(t) for t in arrays["threshold"]])
+    feature = _ints(arrays["feature"], "a tree feature")
+    tree = Tree(value, feature, [float.fromhex(t) for t in arrays["threshold"]])
     foreign = tree.feature[(tree.feature < -1) | (tree.feature >= n_features)]
     if foreign.size:
         raise DataError(f"tree feature {foreign[0]} is not in [0, {n_features})")
@@ -89,12 +112,19 @@ def _settings_to_dict(settings, cls: type) -> dict:
 
 
 def _settings_from_dict(cls: type, doc: dict) -> dict:
-    """The field values of ``cls`` stored in ``doc``. Other keys are ignored:
-    older files also carry "criterion" and "seed", which growth never read."""
-    return {
-        f.name: float.fromhex(doc[f.name]) if isinstance(f.default, float) else doc[f.name]
-        for f in fields(cls)
-    }
+    """The field values of ``cls`` stored in ``doc``: a hex string for a
+    field whose default is a float, else a JSON integer (or null where the
+    default is None). Other keys are ignored: older files also carry
+    "criterion" and "seed", which growth never read."""
+    settings = {}
+    for f in fields(cls):
+        value = doc[f.name]
+        if isinstance(f.default, float):
+            settings[f.name] = float.fromhex(value)
+        else:
+            nullable = f.default is None and value is None
+            settings[f.name] = value if nullable else _int(value, f"params.{f.name}")
+    return settings
 
 
 def _document(model: AnyModel) -> dict:
@@ -147,7 +177,8 @@ def model_to_dict(model: AnyModel) -> dict:
 
 def model_from_dict(doc: dict) -> AnyModel:
     """The model a document of either format describes; a malformed one
-    raises DataError, KeyError (a missing key), or TypeError or ValueError."""
+    raises DataError, KeyError (a missing key), TypeError, ValueError or
+    OverflowError (an integer past int64)."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"not a {FORMAT_NAME} document")
     version = doc.get("version")
@@ -156,14 +187,14 @@ def model_from_dict(doc: dict) -> AnyModel:
     kind = doc.get("kind")
     if kind not in (KIND_TREE, KIND_FOREST, KIND_GBT, KIND_BASELINE):
         raise DataError(f"unknown model kind {kind!r}")
-    n_classes = int(doc["n_classes"])
+    n_classes = _int(doc["n_classes"], "n_classes")
     if kind == KIND_BASELINE:
         return BaselineModel(
-            majority_class=int(doc["majority_class"]),
+            majority_class=_int(doc["majority_class"], "majority_class"),
             train_ratio=float.fromhex(doc["train_ratio"]),
             n_classes=n_classes,
         )
-    n_features = int(doc["n_features"])
+    n_features = _int(doc["n_features"], "n_features")
     if kind == KIND_TREE:
         root = _tree_from_dict(doc["root"], "counts", n_features, version)
         _check_class_count(n_classes, [root.value.shape[1:]])
@@ -181,12 +212,12 @@ def model_from_dict(doc: dict) -> AnyModel:
             params=ForestParams(
                 **_settings_from_dict(TreeHyperparams, doc["params"]),
                 n_trees=len(doc["trees"]),
-                features_per_split=int(doc["features_per_split"]),
-                bootstrap=bool(doc["bootstrap"]),
+                features_per_split=_int(doc["features_per_split"], "features_per_split"),
+                bootstrap=_bool(doc["bootstrap"], "bootstrap"),
             ),
             n_classes=n_classes,
             n_features=n_features,
-            seed=int(doc["seed"]),
+            seed=_int(doc["seed"], "seed"),
         )
     params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
     base = np.asarray([float.fromhex(v) for v in doc["base_score"]], dtype=np.float64)
@@ -244,5 +275,5 @@ def load_model(path: str | Path) -> AnyModel:
         raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: past int64
         raise DataError(f"{path}: bad value: {exc}") from None

@@ -45,7 +45,8 @@ once and walks the leaf size up from 1, each step taking the best split
 under its leaf size and the next step starting one past that split's
 smaller side. Of the scan it keeps only the boundaries some step can take
 as near-tie candidates, so a step costs a few list operations, not a pass
-over the scan. A cache without L (the configured tree and its refit) keeps,
+over the scan. It also sorts its table once, for each fit to copy. A cache
+without L (the configured tree and its refit) holds no presort and keeps,
 per path, each one-leaf search with the leaf sizes [l, m] it holds for. A
 fit runs its own purity, depth and split-gate checks before it looks a node
 up, so the cache changes how much a fit searches, never the tree it grows.
@@ -571,13 +572,16 @@ class SplitCache:
     lookup, and stored as one bytes string of (high, feature + 1, threshold)
     records in the narrowest integers that hold L and the feature count.
     Larger leaf sizes, and every leaf size of a cache without L, take one
-    search per leaf size, recorded with the leaf sizes it holds for.
+    search per leaf size, recorded with the leaf sizes it holds for. A cache
+    with L owns ``order``, its table's ``_presort``, for its fits to copy
+    into their buffers; without L, ``order`` is None and fits sort their own.
     """
 
     def __init__(self, train: ColumnarTable, max_leaf: int = 0) -> None:
         self.train, self.max_leaf = train, max_leaf
         X = train.feature_matrix()
         self._X, self._class_ids = X, _class_ids(train.labels, train.n_classes)
+        self.order = _presort(X) if max_leaf else None
         integer = np.min_scalar_type
         self._record = struct.Struct(f"<{integer(max_leaf).char}{integer(X.shape[1]).char}d")
         self._stairs: dict[tuple, bytes] = {}
@@ -702,14 +706,12 @@ def _grow_gini(
     params: TreeHyperparams,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
-    order: np.ndarray | None = None,
     splits: SplitCache | None = None,
 ) -> Tree:
     """Grow a classification tree, then prune it when ``params.ccp_alpha`` >
     0; with ``features_per_split`` below the feature count, each split
-    searches a fresh ``rng`` sample of features. ``order`` is ``_presort(X)``
-    when the caller already has it. ``splits`` is a cache of node searches
-    on these rows, for fits that search every feature."""
+    searches a fresh ``rng`` sample of features; otherwise a ``splits``
+    cache of these rows may serve its searches and its presort."""
     n_features = X.shape[1]
     sample_features = (
         features_per_split is not None and features_per_split < n_features
@@ -738,7 +740,7 @@ def _grow_gini(
         best = _node_split(X, class_ids, counts, order, leaf, feature_ids)
         return None if best is None else (best.feature, best.threshold)
 
-    tree = _grow(X, order, class_counts, find_split)
+    tree = _grow(X, None if splits is None else splits.order, class_counts, find_split)
     return _prune(tree, params.ccp_alpha) if params.ccp_alpha > 0.0 else tree
 
 
@@ -778,7 +780,6 @@ def _prune(tree: Tree, ccp_alpha: float) -> Tree:
 def fit_tree(
     train: ColumnarTable,
     params: TreeHyperparams = TreeHyperparams(),
-    order: np.ndarray | None = None,
     splits: SplitCache | None = None,
 ) -> DecisionTreeModel:
     """Grow (and optionally prune) a classification tree.
@@ -786,11 +787,10 @@ def fit_tree(
     Growth stops at a node when it is pure, max_depth is reached, it holds
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
-    training set can share its presort: pass ``_presort`` of its feature
-    matrix as ``order``. They can also share node searches: pass as
-    ``splits`` one ``SplitCache`` made for this ``train`` object (see the
-    module docstring); a cache made for another, an equal copy included,
-    raises. The fitted tree is the same either way.
+    training set can share node searches, and with ``max_leaf`` its presort:
+    pass as ``splits`` one ``SplitCache`` made for this ``train`` object
+    (see the module docstring); a cache made for another, an equal copy
+    included, raises. The fitted tree is the same either way.
     """
     if splits is not None and splits.train is not train:
         raise DataError("split cache was made for another training set")
@@ -799,7 +799,7 @@ def fit_tree(
         raise DataError("cannot fit a tree on zero rows")
     if X.shape[1] == 0:
         raise DataError("cannot fit a tree without features")
-    root = _grow_gini(X, train.labels, train.n_classes, params, order=order, splits=splits)
+    root = _grow_gini(X, train.labels, train.n_classes, params, splits=splits)
     return DecisionTreeModel(root, params, train.n_classes, X.shape[1])
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, FlowgateError
-from .models.tree import CutAccuracy, SplitCache, TreeHyperparams, _presort, fit_tree
+from .models.tree import CutAccuracy, SplitCache, TreeHyperparams, fit_tree
 from .prep import SplitPair, stratified_split
 
 Objective = Callable[[tuple[int, ...]], float]
@@ -306,8 +306,8 @@ def dt_objective(
     node's split for every leaf size of ``dt_search_space`` in one scan, so
     each distinct path is searched once per run (see ``models.tree``). Each
     tree grown counts in ``counters.trees_grown`` when ``counters`` is
-    given. The tuning rows are sorted once; each fit copies that presort
-    into the buffer it partitions, so no fit's partitions outlive it.
+    given. The cache sorts the tuning rows once; each fit copies that
+    presort into the buffer it partitions, so no fit's partitions outlive it.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -317,7 +317,6 @@ def dt_objective(
             if count == 0:
                 raise DataError(f"class {name!r} vanished from the {side} side")
     fit_table = inner.train
-    fit_order = _presort(fit_table.feature_matrix())  # each fit partitions its own copy
     holdout_X = inner.test.feature_matrix()
     holdout_labels = inner.test.labels
     splits = SplitCache(fit_table, max_leaf=dt_search_space().uppers[-1])  # shared by every fit
@@ -329,7 +328,7 @@ def dt_objective(
             params = TreeHyperparams(
                 min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
             )
-            tree = fit_tree(fit_table, params, order=fit_order, splits=splits).root
+            tree = fit_tree(fit_table, params, splits=splits).root
             scored[min_leaf] = CutAccuracy(tree, holdout_X, holdout_labels)
             if counters is not None:
                 counters.trees_grown += 1

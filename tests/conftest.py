@@ -78,18 +78,21 @@ def conflict_free_table(n: int, d: int, k: int, seed: int) -> ColumnarTable:
 def malformed_model_documents() -> dict[str, tuple[object, str]]:
     """Model documents that loading must refuse, by file name, each with the
     part of the DataError message that names its bad key or value. All but
-    the first two are tests/data/model_v1_dt.json, model_v1_gbt.json or
-    model_v2_dt.json (3 features, 3 classes) with one change."""
+    the first two are one of tests/data/model_v1_dt.json, model_v1_gbt.json,
+    model_v2_dt.json, model_v2_rf.json and model_v2_baseline.json (3
+    features, 3 classes) with one change. Every integer field must hold a
+    JSON integer: a float, even a whole one, or a boolean is refused, not
+    truncated."""
     data = Path(__file__).parent / "data"
-    dt, gbt, v2 = (
+    dt, gbt, v2, rf, baseline = (
         json.loads((data / f"model_{name}.json").read_text(encoding="utf-8"))
-        for name in ("v1_dt", "v1_gbt", "v2_dt")
+        for name in ("v1_dt", "v1_gbt", "v2_dt", "v2_rf", "v2_baseline")
     )
 
     def v2_root(**arrays):
         return v2 | {"root": v2["root"] | arrays}
 
-    feature, threshold = v2["root"]["feature"], v2["root"]["threshold"]
+    counts, feature, threshold = (v2["root"][key] for key in ("counts", "feature", "threshold"))
     return {
         "malformed.json": (
             {"format": "flowgate-model", "version": 1, "kind": "decision_tree"},
@@ -101,6 +104,10 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
             "missing key 'n_classes'",
         ),
         "text-feature.json": (dt | {"root": dt["root"] | {"feature": "x"}}, "'x'"),
+        "fractional-feature.json": (
+            dt | {"root": dt["root"] | {"feature": 0.7}},
+            "a tree feature must be an integer, got 0.7",
+        ),
         "far-feature.json": (
             dt | {"root": dt["root"] | {"feature": 99}},
             "tree feature 99 is not in [0, 3)",
@@ -121,8 +128,51 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
             v2_root(threshold=["nan", *threshold[1:]]), "a tree split has threshold nan"
         ),
         "v2-not-a-tree.json": (
-            v2_root(counts=v2["root"]["counts"][:2], feature=[0, -1], threshold=threshold[:2]),
+            v2_root(counts=counts[:2], feature=[0, -1], threshold=threshold[:2]),
             "tree arrays are not one preorder tree",
+        ),
+        "v2-fractional-feature.json": (
+            v2_root(feature=[0.7, *feature[1:]]), "a tree feature must be an integer, got 0.7"
+        ),
+        "v2-whole-float-feature.json": (
+            v2_root(feature=[float(feature[0]), *feature[1:]]),
+            "a tree feature must be an integer, got 0.0",
+        ),
+        "v2-boolean-feature.json": (
+            v2_root(feature=[True, *feature[1:]]), "a tree feature must be an integer, got True"
+        ),
+        "v2-huge-feature.json": (
+            v2_root(feature=[2**70, *feature[1:]]), "bad value: Python int too large"
+        ),
+        "v2-fractional-count.json": (
+            v2_root(counts=[[15.5, *counts[0][1:]], *counts[1:]]),
+            "a class count must be an integer, got 15.5",
+        ),
+        "v2-fractional-features.json": (
+            v2 | {"n_features": 3.9}, "n_features must be an integer, got 3.9"
+        ),
+        "v2-whole-float-classes.json": (
+            v2 | {"n_classes": 3.0}, "n_classes must be an integer, got 3.0"
+        ),
+        "v2-fractional-depth.json": (
+            v2 | {"params": v2["params"] | {"max_depth": 2.5}},
+            "params.max_depth must be an integer, got 2.5",
+        ),
+        "gbt-whole-float-rounds.json": (
+            gbt | {"params": gbt["params"] | {"n_rounds": 2.0}},
+            "params.n_rounds must be an integer, got 2.0",
+        ),
+        "rf-fractional-seed.json": (rf | {"seed": 7.5}, "seed must be an integer, got 7.5"),
+        "rf-whole-float-features-per-split.json": (
+            rf | {"features_per_split": 2.0},
+            "features_per_split must be an integer, got 2.0",
+        ),
+        "rf-numeric-bootstrap.json": (
+            rf | {"bootstrap": 1}, "bootstrap must be true or false, got 1"
+        ),
+        "baseline-boolean-majority.json": (
+            baseline | {"majority_class": True},
+            "majority_class must be an integer, got True",
         ),
     }
 

@@ -12,6 +12,7 @@ never part of CI.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 
@@ -195,7 +196,7 @@ def test_gate_swarm_recovers_integer_optimum():
 # -- full-pipeline gates (one shared heavy run) ---------------------------------
 
 
-def _pipeline_config() -> ExperimentConfig:
+def _pipeline_config(cluster_separation: float = 8.0) -> ExperimentConfig:
     # the smallest class lands 2 training rows at this scale, so the tuning
     # holdout must take half of them or the objective's inner split starves
     return ExperimentConfig.from_dict(
@@ -206,7 +207,7 @@ def _pipeline_config() -> ExperimentConfig:
                 "n_rows": 50_000,
                 "profile": "cse2018",
                 "n_features": 6,
-                "cluster_separation": 8.0,
+                "cluster_separation": cluster_separation,
             },
             "corruption": {"dup_rate": 0.05, "nan_rate": 0.01, "n_constant_cols": 2},
             "models": ["dt"],
@@ -317,6 +318,36 @@ def test_gate_reports_survive_reruns_and_thread_caps(corrupted_run, tmp_path_fac
         f"{len(sections)} report sections byte-identical across a rerun and "
         f"FLOWGATE_THREADS in {{1, 8}}"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
+    )
+
+
+# sha256 of the overlap config's report files: a change to any of them is an
+# output change, to be named as one
+OVERLAP_DIGESTS = {
+    "metrics.json": "ea6ca54f37471ce4ad2fc43c9543420217fd89381fe11609516a3ea12acb5808",
+    "table_metrics.csv": "66c4f713f3ef492d38dee4bfe9e6078cb5ceffe4f7869a7401bc347488da3c58",
+    "figure_tuning_trace.csv": "9a183d515047b4c8323e94054a11c36e10a6de56191d03717ace75250c4e1c46",
+}
+
+
+def test_overlap_report_matches_its_pinned_digests(tmp_path, monkeypatch):
+    # the gate-6 config with overlapping classes: its best point (9, 29, 21)
+    # is not the default point, so the EPSO DT refit takes only part of its
+    # splits from the split cache it shares with the configured DT
+    monkeypatch.setenv("FLOWGATE_THREADS", "1")
+    manifest, _ = run_and_emit(_pipeline_config(cluster_separation=1.5), tmp_path)
+    changed = [
+        name
+        for name, digest in OVERLAP_DIGESTS.items()
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
+    ]
+    best = manifest.tuning.best_point
+    _verdict(
+        "overlap report pin",
+        not changed and tuple(best) == (9, 29, 21),
+        f"best point {tuple(best)} (pinned (9, 29, 21)); "
+        f"{len(OVERLAP_DIGESTS) - len(changed)} of {len(OVERLAP_DIGESTS)} files match "
+        "their pinned sha256" + (f"; changed: {changed}" if changed else ""),
     )
 
 

@@ -163,18 +163,19 @@ _FIT_SETTINGS = st.tuples(
     st.integers(1, 4),
     st.integers(1, 4),
     st.lists(_FIT_SETTINGS, min_size=2, max_size=6),
-    st.booleans(),
     st.sampled_from([0, 1, 4, 9]),
 )
 @settings(max_examples=60, deadline=None)
-def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared_order, max_leaf):
+def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, max_leaf):
     # each fit meets the searches of earlier fits with other leaf sizes,
     # gates, depths and pruning strengths, and must not depend on them;
-    # leaf sizes above the cache's max_leaf search one leaf size at a time
+    # leaf sizes above the cache's max_leaf search one leaf size at a time;
+    # a cache with max_leaf holds the presort every fit copies, a cache
+    # without one leaves each fit to sort its own rows
     X, y, k = _training_set(seed, n, d, k)
     table = make_table(X, y)
     splits = SplitCache(table, max_leaf)
-    order = _presort(X) if shared_order else None
+    assert (splits.order is None) == (max_leaf == 0)
     for leaf, more_gate, depth, alpha in fits:
         params = TreeHyperparams(
             max_depth=depth,
@@ -182,7 +183,7 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, shared
             min_samples_leaf=leaf,
             ccp_alpha=alpha,
         )
-        got = fit_tree(table, params, order=order, splits=splits).root
+        got = fit_tree(table, params, splits=splits).root
         _assert_same_tree(got, fit_tree(table, params).root, bitwise_values=True)
         want = reference_tree.grow_gini(X, y, k, params)
         _assert_same_tree(got, tree_module._prune(want, alpha) if alpha > 0.0 else want)

@@ -12,7 +12,7 @@ import pytest
 from flowgate.config import ExperimentConfig
 from flowgate.dataset import KIND_CATEGORICAL, KIND_LABEL, KIND_NUMERIC, ColumnSchema
 from flowgate.harness import build_source
-from flowgate.models.tree import SplitCache, TreeHyperparams, _presort, fit_tree
+from flowgate.models.tree import SplitCache, TreeHyperparams, fit_tree
 from flowgate.prep import (
     PrepOptions,
     RawTable,
@@ -102,16 +102,15 @@ def test_token_stages_code_long_tokens_without_a_string_copy(stage, budget):
 @pytest.mark.parametrize("tuning", [False, True], ids=["configured", "tuning"])
 def test_a_tree_fit_stays_near_its_training_matrix(tuning):
     # measured 1.44x for a fit that sorts its own presort and 1.73x for a
-    # tuning fit, which copies the shared presort and scans every leaf size:
+    # tuning fit, which copies its cache's presort and scans every leaf size:
     # the presort buffer is 9/8 of the matrix here, and the scan chunks and
     # partition moves are a few hundred KB
     source, profile, _ = build_source(_synthetic_config(40_000))
     split, _ = preprocess_pipeline(source, profile, PrepOptions(seed=5))
     del source
     train = stratified_split(split.train, 0.5, 1).train if tuning else split.train
-    order = _presort(train.feature_matrix()) if tuning else None
     splits = SplitCache(train, max_leaf=50) if tuning else None
     fit_tree(train.take_rows(np.arange(200)), TreeHyperparams())
-    _, peak = _peak(fit_tree, train, TreeHyperparams(), order=order, splits=splits)
+    _, peak = _peak(fit_tree, train, TreeHyperparams(), splits=splits)
     matrix = train.feature_matrix().nbytes
     assert peak <= (2.0 if tuning else 1.7) * matrix, peak / matrix
