@@ -1,170 +1,6 @@
 """Flow-record intrusion detection experiments: data preparation, tree-family
 classifiers built from scratch, exact multiclass metrics, and swarm-based
-hyperparameter tuning, all seeded and reproducible."""
+hyperparameter tuning, all seeded and reproducible. The package root holds
+only its version; code imports each name from the module that defines it."""
 
 __version__ = "0.1.0"
-
-from .config import (
-    CorruptionConfig,
-    CsvDataset,
-    ExperimentConfig,
-    ModelSpec,
-    SyntheticDataset,
-    TuningConfig,
-)
-from .dataset import (
-    ColumnSchema,
-    ColumnarTable,
-    DatasetSummary,
-    LabelEncoding,
-    class_distribution,
-    column_stats,
-)
-from .errors import ConfigError, DataError, FlowgateError
-from .harness import (
-    ModelResult,
-    RunManifest,
-    StageFailure,
-    TuningOutcome,
-    emit_reports,
-    run_and_emit,
-    run_experiment,
-)
-from .metrics import (
-    ClassMetrics,
-    ConfusionMatrix,
-    EvalReport,
-    accuracy,
-    aggregate,
-    confusion_matrix,
-    evaluate,
-    per_class_prf,
-)
-from .models import (
-    BaselineModel,
-    DecisionTreeModel,
-    ForestModel,
-    ForestParams,
-    GbtModel,
-    GbtParams,
-    TreeHyperparams,
-    best_split,
-    fit_forest,
-    fit_gbt,
-    fit_tree,
-    gini_impurity,
-    load_model,
-    majority_baseline,
-    predict_baseline,
-    predict_forest,
-    predict_gbt,
-    predict_tree,
-    save_model,
-)
-from .prep import (
-    NormalizationStats,
-    PrepOptions,
-    PrepReport,
-    RawTable,
-    SplitPair,
-    load_csv,
-    minmax_normalize,
-    preprocess_pipeline,
-    stratified_split,
-    write_csv,
-)
-from .profiles import DatasetProfile, builtin_class_ratios, builtin_profile
-from .swarm import (
-    DT_DEFAULT_POINT,
-    EpsoConfig,
-    SearchSpace,
-    SwarmCounters,
-    TraceEntry,
-    dt_objective,
-    dt_search_space,
-    init_swarm,
-    optimize,
-    step,
-)
-from .synth import CorruptionLedger, SynthSpec, class_quotas, corrupt, generate_flows
-
-__all__ = [
-    "__version__",
-    "BaselineModel",
-    "ClassMetrics",
-    "ColumnSchema",
-    "ColumnarTable",
-    "ConfigError",
-    "ConfusionMatrix",
-    "CorruptionConfig",
-    "CorruptionLedger",
-    "CsvDataset",
-    "DT_DEFAULT_POINT",
-    "DataError",
-    "DatasetProfile",
-    "DatasetSummary",
-    "DecisionTreeModel",
-    "EpsoConfig",
-    "EvalReport",
-    "ExperimentConfig",
-    "FlowgateError",
-    "ForestModel",
-    "ForestParams",
-    "GbtModel",
-    "GbtParams",
-    "LabelEncoding",
-    "ModelResult",
-    "ModelSpec",
-    "NormalizationStats",
-    "PrepOptions",
-    "PrepReport",
-    "RawTable",
-    "RunManifest",
-    "SearchSpace",
-    "SwarmCounters",
-    "SplitPair",
-    "StageFailure",
-    "SynthSpec",
-    "SyntheticDataset",
-    "TraceEntry",
-    "TreeHyperparams",
-    "TuningConfig",
-    "TuningOutcome",
-    "accuracy",
-    "aggregate",
-    "best_split",
-    "builtin_class_ratios",
-    "builtin_profile",
-    "class_distribution",
-    "class_quotas",
-    "column_stats",
-    "confusion_matrix",
-    "corrupt",
-    "dt_objective",
-    "dt_search_space",
-    "emit_reports",
-    "evaluate",
-    "fit_forest",
-    "fit_gbt",
-    "fit_tree",
-    "generate_flows",
-    "gini_impurity",
-    "init_swarm",
-    "load_csv",
-    "load_model",
-    "majority_baseline",
-    "minmax_normalize",
-    "optimize",
-    "per_class_prf",
-    "predict_baseline",
-    "predict_forest",
-    "predict_gbt",
-    "predict_tree",
-    "preprocess_pipeline",
-    "run_and_emit",
-    "run_experiment",
-    "save_model",
-    "step",
-    "stratified_split",
-    "write_csv",
-]

@@ -189,11 +189,13 @@ def model_from_dict(doc: dict) -> AnyModel:
         raise DataError(f"unknown model kind {kind!r}")
     n_classes = _int(doc["n_classes"], "n_classes")
     if kind == KIND_BASELINE:
-        return BaselineModel(
-            majority_class=_int(doc["majority_class"], "majority_class"),
-            train_ratio=float.fromhex(doc["train_ratio"]),
-            n_classes=n_classes,
-        )
+        majority = _int(doc["majority_class"], "majority_class")
+        if not 0 <= majority < n_classes:
+            raise DataError(f"majority_class {majority} is not in [0, {n_classes})")
+        train_ratio = float.fromhex(doc["train_ratio"])
+        if not 0.0 <= train_ratio <= 1.0:  # nan too
+            raise DataError(f"train_ratio {train_ratio!r} is not in [0, 1]")
+        return BaselineModel(majority, train_ratio, n_classes)
     n_features = _int(doc["n_features"], "n_features")
     if kind == KIND_TREE:
         root = _tree_from_dict(doc["root"], "counts", n_features, version)
@@ -207,12 +209,17 @@ def model_from_dict(doc: dict) -> AnyModel:
     if kind == KIND_FOREST:
         trees = tuple(_tree_from_dict(t, "counts", n_features, version) for t in doc["trees"])
         _check_class_count(n_classes, [tree.value.shape[1:] for tree in trees])
+        features_per_split = _int(doc["features_per_split"], "features_per_split")
+        if features_per_split > n_features:  # ForestParams refuses one below 1
+            raise DataError(
+                f"features_per_split must be in [1, {n_features}], got {features_per_split}"
+            )
         return ForestModel(
             trees=trees,
             params=ForestParams(
                 **_settings_from_dict(TreeHyperparams, doc["params"]),
                 n_trees=len(doc["trees"]),
-                features_per_split=_int(doc["features_per_split"], "features_per_split"),
+                features_per_split=features_per_split,
                 bootstrap=_bool(doc["bootstrap"], "bootstrap"),
             ),
             n_classes=n_classes,
@@ -225,6 +232,8 @@ def model_from_dict(doc: dict) -> AnyModel:
         tuple(_tree_from_dict(t, "value", n_features, version) for t in round_trees)
         for round_trees in doc["trees"]
     )
+    if len(trees) != params.n_rounds:
+        raise DataError(f"trees hold {len(trees)} rounds, not params.n_rounds {params.n_rounds}")
     _check_class_count(n_classes, [base.shape, *((len(r),) for r in trees)])
     return GbtModel(
         base_score=base,

@@ -79,14 +79,15 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
     """Model documents that loading must refuse, by file name, each with the
     part of the DataError message that names its bad key or value. All but
     the first two are one of tests/data/model_v1_dt.json, model_v1_gbt.json,
-    model_v2_dt.json, model_v2_rf.json and model_v2_baseline.json (3
-    features, 3 classes) with one change. Every integer field must hold a
-    JSON integer: a float, even a whole one, or a boolean is refused, not
-    truncated."""
+    model_v2_dt.json, model_v2_rf.json, model_v2_gbt.json and
+    model_v2_baseline.json (3 features, 3 classes; the gbt file has 2 rounds)
+    with one change. Every integer field must hold a JSON integer: a float,
+    even a whole one, or a boolean is refused, not truncated. A value the
+    model could not have been fitted with is refused too."""
     data = Path(__file__).parent / "data"
-    dt, gbt, v2, rf, baseline = (
+    dt, gbt, v2, rf, v2_gbt, baseline = (
         json.loads((data / f"model_{name}.json").read_text(encoding="utf-8"))
-        for name in ("v1_dt", "v1_gbt", "v2_dt", "v2_rf", "v2_baseline")
+        for name in ("v1_dt", "v1_gbt", "v2_dt", "v2_rf", "v2_gbt", "v2_baseline")
     )
 
     def v2_root(**arrays):
@@ -173,6 +174,28 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
         "baseline-boolean-majority.json": (
             baseline | {"majority_class": True},
             "majority_class must be an integer, got True",
+        ),
+        "baseline-far-majority.json": (
+            baseline | {"majority_class": 7}, "majority_class 7 is not in [0, 3)"
+        ),
+        "baseline-negative-majority.json": (
+            baseline | {"majority_class": -1}, "majority_class -1 is not in [0, 3)"
+        ),
+        "baseline-ratio-above-one.json": (
+            baseline | {"train_ratio": (2.5).hex()}, "train_ratio 2.5 is not in [0, 1]"
+        ),
+        "baseline-nan-ratio.json": (
+            baseline | {"train_ratio": "nan"}, "train_ratio nan is not in [0, 1]"
+        ),
+        "v2-gbt-fewer-rounds.json": (
+            v2_gbt | {"trees": v2_gbt["trees"][:1]},
+            "trees hold 1 rounds, not params.n_rounds 2",
+        ),
+        "v2-gbt-no-rounds.json": (
+            v2_gbt | {"trees": []}, "trees hold 0 rounds, not params.n_rounds 2"
+        ),
+        "rf-features-per-split-above-features.json": (
+            rf | {"features_per_split": 99}, "features_per_split must be in [1, 3], got 99"
         ),
     }
 
