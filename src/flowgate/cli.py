@@ -63,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = _flag_values(lambda seed: dataclasses.replace(config, seed=seed), seed=args.seed)
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=str(args.out))
     if args.format:
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
 
 def _flag_values(build: Callable, **values: Any) -> Any:
     """``build(**values)`` on values from command-line flags, called before
-    any file is read: an out-of-range value is a usage error."""
+    any input they apply to is read: an out-of-range value is a usage error."""
     try:
         return build(**values)
     except (ConfigError, DataError) as exc:

@@ -240,6 +240,8 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("csv", "md", "json")
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.dataset, CsvDataset) and not self.corruption.is_noop:
             raise ConfigError("corruption is only supported for synthetic datasets")
         if isinstance(self.dataset, SyntheticDataset):

@@ -2,7 +2,8 @@
 
 Format 2 stores each tree as the preorder arrays ``Tree`` holds, with reals
 as C99 hex float strings, so a save/load round trip reproduces the model
-bit for bit. Format-1 files, which nest each tree's nodes, still load.
+bit for bit. It is the only format read: a format-1 file, which nested
+each tree's nodes, is refused for its version.
 """
 
 from __future__ import annotations
@@ -62,20 +63,11 @@ def _ints(values, where: str) -> list[int]:
     return [_int(value, where) for value in values]
 
 
-def _tree_from_dict(doc: dict, key: str, n_features: int, version: int) -> Tree:
-    """The tree of a format-2 array object or a format-1 root node, payload
-    under ``key``: each split has a feature below n_features and a threshold,
-    and feature ids and class counts are JSON integers."""
-    arrays = doc
-    if version == 1:  # list the nested nodes in preorder, left child first
-        nodes = []
-        stack = [doc]
-        while stack:
-            node = stack.pop()
-            nodes.append((node[key], node.get("feature", -1), node.get("threshold", "nan")))
-            if "feature" in node:
-                stack += [node["right"], node["left"]]
-        arrays = dict(zip((key, "feature", "threshold"), zip(*nodes)))
+def _tree_from_dict(arrays: dict, key: str, n_features: int) -> Tree:
+    """The tree of a format-2 array object, payload under ``key``: each split
+    has a feature below n_features and a threshold, feature ids and class
+    counts are JSON integers, every node counts at least one row and every
+    leaf weight is finite, as in any fitted tree."""
     if key == "counts":
         counts = [_ints(row, "a class count") for row in arrays[key]]
         value = np.asarray(counts, dtype=np.int64)
@@ -88,6 +80,14 @@ def _tree_from_dict(doc: dict, key: str, n_features: int, version: int) -> Tree:
         raise DataError(f"tree feature {foreign[0]} is not in [0, {n_features})")
     if np.isnan(tree.threshold[tree.feature >= 0]).any():
         raise DataError("a tree split has threshold nan")
+    if key == "counts":
+        if (tree.value < 0).any():
+            raise DataError(f"a class count must be >= 0, got {tree.value.min()}")
+        if (tree.value.sum(axis=1) == 0).any():
+            raise DataError("a tree node has class counts that are all 0")
+    elif not np.isfinite(tree.value).all():
+        bad = tree.value[~np.isfinite(tree.value)][0]
+        raise DataError(f"a leaf weight must be finite, got {bad}")
     return tree
 
 
@@ -114,8 +114,10 @@ def _settings_to_dict(settings, cls: type) -> dict:
 def _settings_from_dict(cls: type, doc: dict) -> dict:
     """The field values of ``cls`` stored in ``doc``: a hex string for a
     field whose default is a float, else a JSON integer (or null where the
-    default is None). Other keys are ignored: older files also carry
-    "criterion" and "seed", which growth never read."""
+    default is None). A key that is not a field of ``cls`` is refused."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DataError(f"params has unknown key {unknown[0]!r}")
     settings = {}
     for f in fields(cls):
         value = doc[f.name]
@@ -176,13 +178,13 @@ def model_to_dict(model: AnyModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> AnyModel:
-    """The model a document of either format describes; a malformed one
+    """The model a format-2 document describes; a malformed one
     raises DataError, KeyError (a missing key), TypeError, ValueError or
     OverflowError (an integer past int64)."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"not a {FORMAT_NAME} document")
     version = doc.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise DataError(f"unsupported model document version {version!r}")
     kind = doc.get("kind")
     if kind not in (KIND_TREE, KIND_FOREST, KIND_GBT, KIND_BASELINE):
@@ -198,7 +200,7 @@ def model_from_dict(doc: dict) -> AnyModel:
         return BaselineModel(majority, train_ratio, n_classes)
     n_features = _int(doc["n_features"], "n_features")
     if kind == KIND_TREE:
-        root = _tree_from_dict(doc["root"], "counts", n_features, version)
+        root = _tree_from_dict(doc["root"], "counts", n_features)
         _check_class_count(n_classes, [root.value.shape[1:]])
         return DecisionTreeModel(
             root=root,
@@ -207,7 +209,7 @@ def model_from_dict(doc: dict) -> AnyModel:
             n_features=n_features,
         )
     if kind == KIND_FOREST:
-        trees = tuple(_tree_from_dict(t, "counts", n_features, version) for t in doc["trees"])
+        trees = tuple(_tree_from_dict(t, "counts", n_features) for t in doc["trees"])
         _check_class_count(n_classes, [tree.value.shape[1:] for tree in trees])
         features_per_split = _int(doc["features_per_split"], "features_per_split")
         if features_per_split > n_features:  # ForestParams refuses one below 1
@@ -228,8 +230,10 @@ def model_from_dict(doc: dict) -> AnyModel:
         )
     params = GbtParams(**_settings_from_dict(GbtParams, doc["params"]))
     base = np.asarray([float.fromhex(v) for v in doc["base_score"]], dtype=np.float64)
+    if not np.isfinite(base).all():
+        raise DataError(f"base_score must be finite, got {base[~np.isfinite(base)][0]}")
     trees = tuple(
-        tuple(_tree_from_dict(t, "value", n_features, version) for t in round_trees)
+        tuple(_tree_from_dict(t, "value", n_features) for t in round_trees)
         for round_trees in doc["trees"]
     )
     if len(trees) != params.n_rounds:
@@ -276,7 +280,7 @@ def load_model(path: str | Path) -> AnyModel:
         raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:  # a format-1 tree nested too deeply
+    except RecursionError as exc:  # any value nested past the parser's limit
         raise DataError(f"{path}: a tree is nested too deeply for JSON") from exc
     try:
         return model_from_dict(doc)

@@ -575,6 +575,19 @@ class SplitCache:
     search per leaf size, recorded with the leaf sizes it holds for. A cache
     with L owns ``order``, its table's ``_presort``, for its fits to copy
     into their buffers; without L, ``order`` is None and fits sort their own.
+
+    The two modes stay because each wins where it is used. Measured in
+    alternated single-process runs at 1 worker (2-core machine, Python 3.11,
+    numpy 2.4):
+    - the swarm's fits ask for many leaf sizes of one table. A one-leaf
+      tuning cache (presort still shared) made gate 6's ``tune`` 0.587-0.600 s
+      against the staircase's 0.469-0.481 s (4 pairs; 573 against 291
+      searches), tied on the overlap config (1.89-2.07 s against 1.85-1.93 s,
+      4 pairs) and took 41.97 s against 40.18 s on the hard config (1 pair);
+    - the configured DT and the tuned refit ask for one leaf size each. A
+      staircase cache for them made the overlap config's two fits 0.92-1.05 s
+      against 0.66-0.67 s (3 pairs); on gate 6 it made them 0.17-0.18 s
+      against 0.20-0.21 s.
     """
 
     def __init__(self, train: ColumnarTable, max_leaf: int = 0) -> None:

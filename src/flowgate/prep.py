@@ -206,6 +206,8 @@ class PrepOptions:
     def __post_init__(self) -> None:
         if not 0.0 < self.split_ratio < 1.0:
             raise DataError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.fit_scope not in (FIT_FULL_DATASET, FIT_TRAIN_ONLY):
             raise DataError(f"unknown fit_scope {self.fit_scope!r}")
 

@@ -10,6 +10,7 @@ checked count for count and the original row set recovered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -35,8 +36,12 @@ class SynthSpec:
             raise DataError(f"n_rows must be >= 1, got {self.n_rows}")
         if self.n_features < 2:
             raise DataError(f"n_features must be >= 2, got {self.n_features}")
-        if self.cluster_separation < 0.0:
-            raise DataError("cluster_separation must be >= 0")
+        if not 0.0 <= self.cluster_separation < math.inf:  # nan too
+            raise DataError(
+                f"cluster_separation must be finite and >= 0, got {self.cluster_separation}"
+            )
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_names) != len(self.class_ratios):
             raise DataError("class_names and class_ratios length mismatch")
         if not self.class_names:

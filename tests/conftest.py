@@ -78,86 +78,112 @@ def conflict_free_table(n: int, d: int, k: int, seed: int) -> ColumnarTable:
 def malformed_model_documents() -> dict[str, tuple[object, str]]:
     """Model documents that loading must refuse, by file name, each with the
     part of the DataError message that names its bad key or value. All but
-    the first two are one of tests/data/model_v1_dt.json, model_v1_gbt.json,
-    model_v2_dt.json, model_v2_rf.json, model_v2_gbt.json and
-    model_v2_baseline.json (3 features, 3 classes; the gbt file has 2 rounds)
-    with one change. Every integer field must hold a JSON integer: a float,
-    even a whole one, or a boolean is refused, not truncated. A value the
-    model could not have been fitted with is refused too."""
+    the first three are one of tests/data/model_v2_dt.json, model_v2_rf.json,
+    model_v2_gbt.json and model_v2_baseline.json (3 features, 3 classes; the
+    gbt file has 2 rounds) with one change. Every integer field must hold a
+    JSON integer: a float, even a whole one, or a boolean is refused, not
+    truncated. A value no fit could have produced is refused too."""
     data = Path(__file__).parent / "data"
-    dt, gbt, v2, rf, v2_gbt, baseline = (
-        json.loads((data / f"model_{name}.json").read_text(encoding="utf-8"))
-        for name in ("v1_dt", "v1_gbt", "v2_dt", "v2_rf", "v2_gbt", "v2_baseline")
+    dt, rf, gbt, baseline = (
+        json.loads((data / f"model_v2_{name}.json").read_text(encoding="utf-8"))
+        for name in ("dt", "rf", "gbt", "baseline")
     )
 
-    def v2_root(**arrays):
-        return v2 | {"root": v2["root"] | arrays}
+    def dt_root(**arrays):
+        return dt | {"root": dt["root"] | arrays}
 
-    counts, feature, threshold = (v2["root"][key] for key in ("counts", "feature", "threshold"))
+    def rf_tree(**arrays):
+        return rf | {"trees": [rf["trees"][0] | arrays, *rf["trees"][1:]]}
+
+    def gbt_tree(**arrays):
+        first, *rest = gbt["trees"]
+        return gbt | {"trees": [[first[0] | arrays, *first[1:]], *rest]}
+
+    counts, feature, threshold = (dt["root"][key] for key in ("counts", "feature", "threshold"))
+    weights = gbt["trees"][0][0]["value"]
     return {
         "malformed.json": (
-            {"format": "flowgate-model", "version": 1, "kind": "decision_tree"},
+            {"format": "flowgate-model", "version": 2, "kind": "decision_tree"},
             "missing key 'n_classes'",
         ),
         "array.json": ([1, 2], "not a flowgate-model document"),
+        # format 1 nested each tree's nodes; nothing writes it any more
+        "v1.json": (
+            {"format": "flowgate-model", "version": 1, "kind": "decision_tree"},
+            "unsupported model document version 1",
+        ),
         "no-classes.json": (
             {key: value for key, value in dt.items() if key != "n_classes"},
             "missing key 'n_classes'",
         ),
-        "text-feature.json": (dt | {"root": dt["root"] | {"feature": "x"}}, "'x'"),
+        "text-feature.json": (gbt_tree(feature="x"), "'x'"),
         "fractional-feature.json": (
-            dt | {"root": dt["root"] | {"feature": 0.7}},
+            gbt_tree(feature=[0.7, *gbt["trees"][0][0]["feature"][1:]]),
             "a tree feature must be an integer, got 0.7",
         ),
         "far-feature.json": (
-            dt | {"root": dt["root"] | {"feature": 99}},
+            rf_tree(feature=[99, *rf["trees"][0]["feature"][1:]]),
             "tree feature 99 is not in [0, 3)",
         ),
         "fewer-classes.json": (dt | {"n_classes": 2}, "has shape (3,), not (2,)"),
         "gbt-fewer-classes.json": (gbt | {"n_classes": 2}, "has shape (3,), not (2,)"),
         "v2-far-feature.json": (
-            v2_root(feature=[99, *feature[1:]]), "tree feature 99 is not in [0, 3)"
+            dt_root(feature=[99, *feature[1:]]), "tree feature 99 is not in [0, 3)"
         ),
         # the last node is a leaf, so -2 leaves the arrays one preorder tree
         "v2-negative-feature.json": (
-            v2_root(feature=[*feature[:-1], -2]), "tree feature -2 is not in [0, 3)"
+            dt_root(feature=[*feature[:-1], -2]), "tree feature -2 is not in [0, 3)"
         ),
         "v2-unequal-arrays.json": (
-            v2_root(threshold=threshold[:-1]), "tree arrays are not one preorder tree"
+            dt_root(threshold=threshold[:-1]), "tree arrays are not one preorder tree"
         ),
         "v2-nan-threshold.json": (
-            v2_root(threshold=["nan", *threshold[1:]]), "a tree split has threshold nan"
+            dt_root(threshold=["nan", *threshold[1:]]), "a tree split has threshold nan"
         ),
         "v2-not-a-tree.json": (
-            v2_root(counts=counts[:2], feature=[0, -1], threshold=threshold[:2]),
+            dt_root(counts=counts[:2], feature=[0, -1], threshold=threshold[:2]),
             "tree arrays are not one preorder tree",
         ),
         "v2-fractional-feature.json": (
-            v2_root(feature=[0.7, *feature[1:]]), "a tree feature must be an integer, got 0.7"
+            dt_root(feature=[0.7, *feature[1:]]), "a tree feature must be an integer, got 0.7"
         ),
         "v2-whole-float-feature.json": (
-            v2_root(feature=[float(feature[0]), *feature[1:]]),
+            dt_root(feature=[float(feature[0]), *feature[1:]]),
             "a tree feature must be an integer, got 0.0",
         ),
         "v2-boolean-feature.json": (
-            v2_root(feature=[True, *feature[1:]]), "a tree feature must be an integer, got True"
+            dt_root(feature=[True, *feature[1:]]), "a tree feature must be an integer, got True"
         ),
         "v2-huge-feature.json": (
-            v2_root(feature=[2**70, *feature[1:]]), "bad value: Python int too large"
+            dt_root(feature=[2**70, *feature[1:]]), "bad value: Python int too large"
         ),
         "v2-fractional-count.json": (
-            v2_root(counts=[[15.5, *counts[0][1:]], *counts[1:]]),
+            dt_root(counts=[[15.5, *counts[0][1:]], *counts[1:]]),
             "a class count must be an integer, got 15.5",
         ),
+        # node 2 is a leaf of counts [15, 0, 0]
+        "v2-negative-count.json": (
+            dt_root(counts=[*counts[:2], [-5, 0, 0], *counts[3:]]),
+            "a class count must be >= 0, got -5",
+        ),
+        "v2-empty-leaf.json": (
+            dt_root(counts=[*counts[:2], [0, 0, 0], *counts[3:]]),
+            "a tree node has class counts that are all 0",
+        ),
         "v2-fractional-features.json": (
-            v2 | {"n_features": 3.9}, "n_features must be an integer, got 3.9"
+            dt | {"n_features": 3.9}, "n_features must be an integer, got 3.9"
         ),
         "v2-whole-float-classes.json": (
-            v2 | {"n_classes": 3.0}, "n_classes must be an integer, got 3.0"
+            dt | {"n_classes": 3.0}, "n_classes must be an integer, got 3.0"
         ),
         "v2-fractional-depth.json": (
-            v2 | {"params": v2["params"] | {"max_depth": 2.5}},
+            dt | {"params": dt["params"] | {"max_depth": 2.5}},
             "params.max_depth must be an integer, got 2.5",
+        ),
+        # format 1 also stored "criterion" and "seed", which growth never read
+        "v2-unknown-param.json": (
+            dt | {"params": dt["params"] | {"criterion": "gini"}},
+            "params has unknown key 'criterion'",
         ),
         "gbt-whole-float-rounds.json": (
             gbt | {"params": gbt["params"] | {"n_rounds": 2.0}},
@@ -188,11 +214,19 @@ def malformed_model_documents() -> dict[str, tuple[object, str]]:
             baseline | {"train_ratio": "nan"}, "train_ratio nan is not in [0, 1]"
         ),
         "v2-gbt-fewer-rounds.json": (
-            v2_gbt | {"trees": v2_gbt["trees"][:1]},
+            gbt | {"trees": gbt["trees"][:1]},
             "trees hold 1 rounds, not params.n_rounds 2",
         ),
         "v2-gbt-no-rounds.json": (
-            v2_gbt | {"trees": []}, "trees hold 0 rounds, not params.n_rounds 2"
+            gbt | {"trees": []}, "trees hold 0 rounds, not params.n_rounds 2"
+        ),
+        "v2-gbt-nan-base-score.json": (
+            gbt | {"base_score": ["nan", *gbt["base_score"][1:]]},
+            "base_score must be finite, got nan",
+        ),
+        "v2-gbt-infinite-weight.json": (
+            gbt_tree(value=[*weights[:2], "inf", *weights[3:]]),
+            "a leaf weight must be finite, got inf",
         ),
         "rf-features-per-split-above-features.json": (
             rf | {"features_per_split": 99}, "features_per_split must be in [1, 3], got 99"

@@ -324,7 +324,7 @@ def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides
 
 
 @pytest.mark.parametrize(
-    "dataset, corruption",
+    "dataset, top",
     [
         ({"n_featurs": 9}, {}),
         ({"path": "rows.csv"}, {}),
@@ -332,21 +332,29 @@ def test_bare_string_for_a_list_fails_at_config_load(tmp_path, capsys, overrides
         ({"n_features": 1}, {}),
         ({"class_ratios": [0.7, 0.3, 0.1]}, {}),
         ({"cluster_separation": -1}, {}),
+        ({"cluster_separation": float("inf")}, {}),
+        ({"cluster_separation": float("nan")}, {}),
+        ({}, {"seed": -4}),
         ({"kind": "synthetic", "n_rows": 100, "profile": "cse2019"}, {}),
         ({"kind": "csv", "path": "rows.csv", "profile": "cse2018", "n_rows": 100}, {}),
-        ({"kind": "csv", "path": "rows.csv", "profile": "cse2018"}, {"dup_rate": 0.05}),
+        (
+            {"kind": "csv", "path": "rows.csv", "profile": "cse2018"},
+            {"corruption": {"dup_rate": 0.05}},
+        ),
         ({"kind": "synthetic", "n_rows": 5, "profile": "cse2018"}, {}),
-        ({"n_rows": 200}, {"dup_rate": 0.6, "nan_rate": 0.6}),
+        ({"n_rows": 200}, {"corruption": {"dup_rate": 0.6, "nan_rate": 0.6}}),
         ({"class_names": ["calm", "calm", "probe"]}, {}),
     ],
     ids=[
         "misspelt-key", "path-on-synthetic", "profile-and-classes", "one-feature",
-        "ratio-sum", "negative-separation", "unknown-profile", "rows-on-csv",
-        "corruption-on-csv", "rows-below-classes", "corruption-above-rows",
-        "repeated-class-name",
+        "ratio-sum", "negative-separation", "infinite-separation", "nan-separation",
+        "negative-seed", "unknown-profile", "rows-on-csv", "corruption-on-csv",
+        "rows-below-classes", "corruption-above-rows", "repeated-class-name",
     ],
 )
-def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset, corruption):
+def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset, top):
+    # top: other top-level keys of the config (Infinity and NaN are JSON
+    # extensions that the config reader accepts)
     import flowgate.harness as harness
 
     def no_dataset(config):
@@ -355,7 +363,7 @@ def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset
     monkeypatch.setattr(harness, "build_source", no_dataset)
     block = json.loads(_write_config(tmp_path).read_text(encoding="utf-8"))["dataset"]
     block = dataset if "kind" in dataset else {**block, **dataset}
-    config = _write_config(tmp_path, dataset=block, corruption=corruption)
+    config = _write_config(tmp_path, dataset=block, **top)
     code, _, err = _run(capsys, "train", "--config", str(config))
     assert code == 1, err
     assert "configuration error" in err
@@ -370,23 +378,33 @@ def test_bad_dataset_fails_at_config_load(tmp_path, capsys, monkeypatch, dataset
         ["synth", "--features", "1"],
         ["synth", "--separation", "-1"],
         ["synth", "--dup-rate", "1.5"],
+        ["synth", "--separation", "nan"],
+        ["synth", "--separation", "inf"],
+        ["synth", "--seed", "-1"],
+        ["ingest", "--seed", "-3"],
+        ["report", "--seed", "-2"],
     ],
-    ids=["split-ratio", "rows", "features", "separation", "dup-rate"],
+    ids=[
+        "split-ratio", "rows", "features", "separation", "dup-rate",
+        "nan-separation", "infinite-separation", "synth-seed", "ingest-seed", "report-seed",
+    ],
 )
 def test_out_of_range_flag_value_is_a_usage_error(tmp_path, capsys, argv):
     command, *flags = argv
-    csv_path = tmp_path / "flows.csv"
+    path = tmp_path / "flows"  # the CSV read or written, or the report's directory
     if command == "ingest":
-        argv = [command, "--csv", str(csv_path), "--profile", "cse2018", *flags]
+        argv = [command, "--csv", str(path), "--profile", "cse2018", *flags]
+    elif command == "report":
+        argv = [command, "--config", str(_write_config(tmp_path)), "--out", str(path), *flags]
     else:
-        argv = [command, "--profile", "cse2018", "--out", str(csv_path), *flags]
+        argv = [command, "--profile", "cse2018", "--out", str(path), *flags]
         if "--rows" not in flags:
             argv += ["--rows", "200"]
     code, out, err = _run(capsys, *argv)
     assert code == 1, err
     assert "usage error" in err
     assert out == ""
-    assert not csv_path.exists()
+    assert not path.exists()
 
 
 def test_profile_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
@@ -425,7 +443,7 @@ def _bad_paths(tmp_path):
     for name, (doc, _) in malformed_model_documents().items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     # a 3-class model, for the 1-class profile
-    rf = (Path(__file__).parent / "data" / "model_v1_rf.json").read_text(encoding="utf-8")
+    rf = (Path(__file__).parent / "data" / "model_v2_rf.json").read_text(encoding="utf-8")
     (tmp_path / "rf.json").write_text(rf, encoding="utf-8")
 
 

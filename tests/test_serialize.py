@@ -186,14 +186,16 @@ def test_a_model_file_grows_linearly_with_its_tree(tmp_path):
 
 
 def test_a_document_too_deep_for_json_is_not_loaded(tmp_path):
-    depth = 2000
-    inner = '{"counts": [1, 1], "feature": 0, "threshold": "0x1.0p+0", "left": '
-    root = inner * depth + '{"counts": [1, 0]}' + ', "right": {"counts": [0, 1]}}' * depth
+    # any value nested past the parser's limit raises RecursionError
+    depth = 200_000
     header = {k: v for k, v in model_to_dict(_chain_tree(2)).items() if k != "root"}
+    root = "[" * depth + "]" * depth
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(header)[:-1] + ', "root": ' + root + "}", encoding="utf-8")
-    with pytest.raises(DataError, match="nested too deeply"):
+    with pytest.raises(DataError) as caught:
         load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert "nested too deeply" in str(caught.value)
 
 
 def test_a_depth_499_tree_round_trips(tmp_path):
@@ -207,10 +209,8 @@ def test_a_depth_499_tree_round_trips(tmp_path):
 
 
 # -- pinned files --------------------------------------------------------------
-# tests/data/model_v1_<kind>.json and model_v2_<kind>.json were fitted on
-# _pinned_table() with the hyperparameters in _pinned_fit. The v1 files were
-# written in format 1, by the writer that still stored the unused "criterion"
-# and "seed" tree hyperparameters; the v2 files by the format-2 writer.
+# tests/data/model_v2_<kind>.json were fitted on _pinned_table() with the
+# hyperparameters in _pinned_fit and written by the format-2 writer.
 
 
 def _pinned_table():
@@ -243,14 +243,6 @@ PINNED_PREDICTIONS = {
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
-def test_pinned_v1_file_loads_and_predicts(kind):
-    model = load_model(PINNED / f"model_v1_{kind}.json")
-    probe = _pinned_probe()
-    predicted = model.predict(probe)
-    assert predicted.tolist() == PINNED_PREDICTIONS[kind]
-
-
-@pytest.mark.parametrize("kind", sorted(PINNED_PREDICTIONS))
 def test_a_model_predicts_a_matrix_as_the_table_it_came_from(kind):
     table = _pinned_table()
     model = _pinned_fit(kind, table)
@@ -270,8 +262,8 @@ def test_pinned_v2_file_is_reproduced_byte_for_byte(kind, tmp_path):
     pinned = PINNED / f"model_v2_{kind}.json"
     expected = pinned.read_text(encoding="utf-8")
     assert load_model(pinned).predict(_pinned_probe()).tolist() == PINNED_PREDICTIONS[kind]
-    # a fresh fit and a v1 file loaded and saved again both write the v2 bytes
+    # a fresh fit and the pinned file loaded and saved again both write its bytes
     save_model(_pinned_fit(kind, _pinned_table()), tmp_path / "refit.json")
     assert (tmp_path / "refit.json").read_text(encoding="utf-8") == expected
-    save_model(load_model(PINNED / f"model_v1_{kind}.json"), tmp_path / "again.json")
+    save_model(load_model(pinned), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text(encoding="utf-8") == expected
