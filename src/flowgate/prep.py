@@ -12,14 +12,16 @@ remain visible.
 from __future__ import annotations
 
 import calendar
+import codecs
 import csv
 import io
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Container, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .dataset import (
     validate_schema,
 )
 from .errors import DataError
+from .parallel import parallel_imap, worker_count
 from .profiles import DatasetProfile
 
 FIT_FULL_DATASET = "full_dataset"
@@ -218,6 +221,10 @@ class PrepOptions:
 # one block of tokens or text (about 5 MB at 80 columns), and the per-cell
 # work runs inside C calls.
 _BLOCK_ROWS = 1024
+# Bytes of data rows per chunk of a parallel load_csv: a worker allocates
+# about six times this while it parses one, and a file of one chunk is not
+# split.
+_CHUNK_BYTES = 1 << 20
 
 
 def _blocks(reader) -> Iterator[list[list[str]]]:
@@ -297,100 +304,240 @@ def _record_line(path: Path, record: int) -> int:
         return reader.line_num + 1
 
 
+def _parse_rows(rows: list[list[str]], reals: Container[int]) -> Iterator[np.ndarray | Sequence[str]]:
+    """Each column of ``rows`` in turn: float64 when it is in ``reals`` and
+    each of its tokens is a real, its tokens otherwise."""
+    for i, column in enumerate(zip(*rows)):
+        values = _parse_tokens(column) if i in reals else None
+        yield column if values is None else values
+
+
+class _Columns:
+    """The columns of one load, filled by successive parts of its rows.
+
+    Each numeric column is written into one float64 buffer whose capacity
+    grows geometrically, in place, as rows arrive and which is cut to the row
+    count at the end. Tokens are kept only for the label and for the columns
+    the first part found categorical, equal tokens of a column sharing one
+    str. A column that first fails to parse in a later part gets its tokens
+    back from one more pass over the file, for that column only."""
+
+    def __init__(self, header: list[str], label: int) -> None:
+        self.header = header
+        self.label = label
+        self.reals = {i: np.empty(_BLOCK_ROWS) for i in range(len(header)) if i != label}
+        self.tokens: dict[int, list[str]] = {label: []}
+        self.distinct: dict[int, dict[str, str]] = {label: {}}
+        self.demoted: list[int] = []
+        self.n_rows = 0
+
+    def add(self, n_rows: int, part: Iterable[np.ndarray | Sequence[str]]) -> None:
+        """Append the next ``n_rows`` rows, their columns given in turn as
+        ``_parse_rows`` gives them, so that one column at a time is held."""
+        for i, values in enumerate(part):
+            if i in self.tokens:
+                _extend_shared(self.tokens[i], self.distinct[i], values)
+            elif i in self.reals:
+                if isinstance(values, np.ndarray):
+                    _store(self.reals[i], self.n_rows, values)
+                    continue
+                del self.reals[i]
+                if self.n_rows == 0:  # the first part: all its tokens are here
+                    self.tokens[i], self.distinct[i] = [], {}
+                    _extend_shared(self.tokens[i], self.distinct[i], values)
+                else:
+                    self.demoted.append(i)
+        self.n_rows += n_rows
+
+    def table(self, path: Path) -> RawTable:
+        del self.distinct
+        if self.demoted:
+            self.tokens.update(_reread_tokens(path, self.demoted))
+        schema: list[ColumnSchema] = []
+        cells: list[np.ndarray] = []
+        for idx, name in enumerate(self.header):
+            if idx in self.reals:
+                schema.append(ColumnSchema(name, KIND_NUMERIC, idx))
+                column = self.reals.pop(idx)
+                column.resize(self.n_rows, refcheck=False)  # gives back the spare capacity
+                cells.append(column)
+            else:
+                kind = KIND_LABEL if idx == self.label else KIND_CATEGORICAL
+                schema.append(ColumnSchema(name, kind, idx))
+                cells.append(np.asarray(self.tokens.pop(idx), dtype=object))
+        return RawTable(schema, cells)
+
+
+def _read_records(handle: TextIO, path: Path, profile: DatasetProfile) -> _Columns:
+    """The columns of the open CSV file ``path``, its records read in
+    blocks of _BLOCK_ROWS by one csv reader."""
+    reader = _records(handle, path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate header names")
+    if profile.label_column not in header:
+        raise DataError(f"{path}: label column {profile.label_column!r} not present")
+    width = len(header)
+    columns = _Columns(header, header.index(profile.label_column))
+    record = 2
+    for block in _blocks(reader):
+        if list(map(len, block)).count(width) != len(block):
+            offset, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
+            raise DataError(
+                f"{path}: line {_record_line(path, record + offset)}: "
+                f"expected {width} fields, found {len(row)}"
+            )
+        columns.add(len(block), _parse_rows(block, columns.reals))
+        record += len(block)
+        del block  # the next block is read without this one
+    return columns
+
+
+def _chunk_records(lines: list[bytes]) -> list[list[str]] | None:
+    """The CSV records in ``lines``, each ending at "\\n", or None when they
+    hold a quote, which may open a field that a cut between chunks splits,
+    bytes that are not UTF-8 or a record the csv module refuses (such as
+    one with a bare "\\r", where a file reader would end the record)."""
+    if any(b'"' in line for line in lines):
+        return None
+    try:
+        return list(csv.reader([line.decode("utf-8") for line in lines]))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+
+
+def _parse_chunk(
+    path: Path, start: int, stop: int, width: int, reals: Container[int]
+) -> tuple[int, list[np.ndarray | Sequence[str]]] | None:
+    """The number of rows in bytes [start, stop) of the file and their
+    columns as ``_parse_rows`` gives them, or None when ``_chunk_records``
+    refuses the rows or one is ragged. The bytes are read line by line: read
+    whole, one buffer of the chunk's size per chunk raised the RSS rise of a
+    2-worker load of a 212,000 × 41 ``flowgate synth`` CSV from 79 to 91 MB."""
+    lines: list[bytes] = []
+    with path.open("rb") as handle:
+        handle.seek(start)
+        while start < stop and (line := handle.readline()):
+            lines.append(line)
+            start += len(line)
+    rows = _chunk_records(lines)
+    del lines
+    if rows is None or list(map(len, rows)).count(width) != len(rows):
+        return None
+    return len(rows), list(_parse_rows(rows, reals))
+
+
+def _chunk_bounds(handle: BinaryIO, start: int) -> list[int]:
+    """Offsets that cut the file from ``start`` to its end into chunks of
+    about _CHUNK_BYTES, each starting just after a newline."""
+    size = handle.seek(0, io.SEEK_END)
+    bounds = [start]
+    while bounds[-1] + _CHUNK_BYTES < size:
+        handle.seek(bounds[-1] + _CHUNK_BYTES - 1)
+        while (piece := handle.readline(_CHUNK_BYTES)) and not piece.endswith(b"\n"):
+            pass
+        bounds.append(handle.tell())
+    if bounds[-1] < size:
+        bounds.append(size)
+    return bounds
+
+
+def _read_chunks(handle: BinaryIO, path: Path, profile: DatasetProfile) -> _Columns | None:
+    """The columns of the open CSV file ``path``, its data rows parsed in
+    chunks over worker processes; None when the record reader must read the
+    file: its header needs it or is not valid, it has one chunk, or a chunk
+    is refused."""
+    line = handle.readline(_CHUNK_BYTES)
+    records = _chunk_records([line.removeprefix(codecs.BOM_UTF8)])
+    if not line.endswith(b"\n") or records is None:
+        return None
+    header = records[0]
+    if len(set(header)) != len(header) or profile.label_column not in header:
+        return None
+    bounds = _chunk_bounds(handle, len(line))
+    if len(bounds) < 3:
+        return None
+    width = len(header)
+    columns = _Columns(header, header.index(profile.label_column))
+    part = _parse_chunk(path, bounds[0], bounds[1], width, columns.reals)
+    if part is None:
+        return None
+    columns.add(*part)  # the first chunk sets the token columns
+    reals = set(columns.reals)
+    chunks = list(zip(bounds[1:-1], bounds[2:]))
+
+    def parse(chunk: tuple[int, int]) -> tuple[int, list[np.ndarray | Sequence[str]]] | None:
+        return _parse_chunk(path, *chunk, width, reals)
+
+    with closing(parallel_imap(parse, chunks)) as parts:
+        for part in parts:
+            if part is None:
+                return None
+            columns.add(*part)
+    return columns
+
+
 def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     """Read an RFC-4180 CSV with a header row into a RawTable.
 
     A column becomes numeric when every cell parses as a 64-bit real
     (empty -> NaN, Infinity/-Infinity -> signed infinities); otherwise its
     original tokens are kept as a categorical column. The profile's label
-    column is always kept as tokens. Duplicate header names and a missing
-    label column fail before any data row is read; a ragged row raises an
-    error naming the 1-based file line on which it starts, and a field over
-    the csv module's size limit one naming the line the reader was on. A
-    path that is not a readable file, or a file that is not UTF-8, is a
-    DataError too.
+    column is always kept as tokens. A UTF-8 byte-order mark before the
+    header is dropped. Duplicate header names and a missing label column
+    fail before any data row is read; a ragged row raises an error naming
+    the 1-based file line on which it starts, and a field over the csv
+    module's size limit one naming the line the reader was on. A path that
+    is not a readable file, or a file that is not UTF-8, is a DataError too.
 
-    Rows are read in blocks of _BLOCK_ROWS and parsed column by column:
-    each numeric column is written into one float64 buffer whose capacity
-    grows geometrically, in place, as rows arrive and which is cut to the
-    row count at the end, and tokens are kept only for the label and for
-    columns already found categorical. A column that first fails to parse
-    after its first block gets its tokens back from one more pass over the
-    file, for that column only.
+    Rows are parsed column by column into ``_Columns``, by one of two
+    readers. The record reader runs one csv reader over the file in blocks
+    of _BLOCK_ROWS rows; it reads every file at one worker, and a file of one
+    chunk. With more workers (``parallel.worker_count``), the data rows of a
+    seekable file are cut into chunks of about _CHUNK_BYTES, each starting
+    just after a newline. The caller parses the first chunk, which sets the
+    token columns, and ``parallel_imap`` the others: each worker reads its
+    byte range, decodes it, parses it with the csv module and returns a
+    float64 array per real column and tokens per token column, which the
+    caller appends in order. A chunk is refused when it holds a quote (a
+    quoted field may span a cut), a ragged row, a record the csv module
+    refuses or bytes that are not UTF-8; so is a header line that is longer
+    than a chunk or holds a quote. Then the chunk results are dropped and the
+    record reader reads the file, returning the same table or raising its
+    error.
 
-    Memory: each block of str tokens is released before the next is read,
-    and equal tokens of a column share one str. So the load holds the
-    float64 columns (up to a quarter more while they grow), one pointer per
-    token cell plus each distinct token once, and one block. No per-block
+    Memory: each block or chunk of str tokens is released before the next
+    is read, and equal tokens of a column share one str. So the load holds
+    the float64 columns (up to a quarter more while they grow), one pointer
+    per token cell plus each distinct token once, and one block, or the
+    chunk results being appended. Each worker holds one chunk: its bytes,
+    its lines, its rows of str tokens and its parsed columns, at most 6.4
+    MiB for a 1 MiB chunk of the ``ingest-csv`` benchmark CSV (tracemalloc),
+    plus one finished result in its pipe. No per-block
     float chunks are left in the heap: on a 212,000 × 41 ``flowgate synth``
-    CSV (a 66 MB table) the process's RSS rises by 72 MB over the load and
-    peaks 78 MB above its start, where per-block chunks joined at the end
-    raised it by 135 MB.
+    CSV (a 66 MB table) the process's RSS rises by 72 MB over a record-reader
+    load and peaks 78 MB above its start, where per-block chunks joined at
+    the end raised it by 135 MB.
     """
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8", newline="")
+        handle = path.open("rb")
     except FileNotFoundError:
         raise DataError(f"missing file: {path}") from None
     except OSError as exc:  # a directory, say
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     with handle:
-        reader = _records(handle, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate header names")
-        if profile.label_column not in header:
-            raise DataError(f"{path}: label column {profile.label_column!r} not present")
-        width = len(header)
-        label = header.index(profile.label_column)
-        tokens: dict[int, list[str]] = {label: []}
-        distinct: dict[int, dict[str, str]] = {label: {}}
-        reals = {i: np.empty(_BLOCK_ROWS) for i in range(width) if i != label}
-        demoted: list[int] = []
-        record = 2
-        for block in _blocks(reader):
-            if list(map(len, block)).count(width) != len(block):
-                offset, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
-                raise DataError(
-                    f"{path}: line {_record_line(path, record + offset)}: "
-                    f"expected {width} fields, found {len(row)}"
-                )
-            for i, column in enumerate(zip(*block)):
-                if i in tokens:
-                    _extend_shared(tokens[i], distinct[i], column)
-                elif i in reals:
-                    values = _parse_tokens(column)
-                    if values is not None:
-                        _store(reals[i], record - 2, values)
-                        continue
-                    del reals[i]
-                    if record == 2:  # the first block: all its tokens are here
-                        tokens[i], distinct[i] = [], {}
-                        _extend_shared(tokens[i], distinct[i], column)
-                    else:
-                        demoted.append(i)
-            record += len(block)
-            del block, column  # the next block is read without this one
-    del distinct
-    if demoted:
-        tokens.update(_reread_tokens(path, demoted))
-
-    schema: list[ColumnSchema] = []
-    cells: list[np.ndarray] = []
-    for idx, name in enumerate(header):
-        if idx in reals:
-            schema.append(ColumnSchema(name, KIND_NUMERIC, idx))
-            column = reals.pop(idx)
-            column.resize(record - 2, refcheck=False)  # gives back the spare capacity
-            cells.append(column)
-        else:
-            kind = KIND_LABEL if idx == label else KIND_CATEGORICAL
-            schema.append(ColumnSchema(name, kind, idx))
-            cells.append(np.asarray(tokens.pop(idx), dtype=object))
-    return RawTable(schema, cells)
+        columns = None
+        if worker_count() > 1 and handle.seekable():
+            columns = _read_chunks(handle, path, profile)
+            handle.seek(0)
+        if columns is None:
+            with io.TextIOWrapper(handle, encoding="utf-8-sig", newline="") as text:
+                columns = _read_records(text, path, profile)
+    return columns.table(path)
 
 
 # -- timestamp merge -----------------------------------------------------------
@@ -851,10 +998,12 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
 
     An encoded table is written as its feature columns followed by the
     label's class names; a raw table as its cells. Rows are formatted in
-    blocks of _BLOCK_ROWS, each with one ``%`` operation. Memory beyond the
-    table is one pointer per token cell, each distinct token's text once,
-    and one block of Python floats and text, released as the next block's
-    list replaces it.
+    blocks of _BLOCK_ROWS, each with one ``%`` operation and encoded to
+    UTF-8 bytes, through ``parallel_imap``: with more than one worker, the
+    workers format the blocks and the caller writes them in order. Memory
+    beyond the table is one pointer per token cell and each distinct
+    token's text once; each worker holds one block of Python floats and
+    text and one formatted block in its pipe.
     """
     if isinstance(table, ColumnarTable):
         names = (*table.feature_names, table.label_name)
@@ -871,15 +1020,20 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     ]
     row_format = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\r\n"
     n_rows = columns[0].shape[0]
+
+    def block(start: int) -> bytes:
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        flat: list = [None] * ((stop - start) * width)
+        for j, source in enumerate(sources):
+            flat[j::width] = source[start:stop].tolist()
+        return ((row_format * (stop - start)) % tuple(flat)).encode("utf-8")
+
+    header = io.StringIO()
+    csv.writer(header).writerow(names)
     try:
-        handle = Path(path).open("w", encoding="utf-8", newline="")
+        handle = Path(path).open("wb")
     except OSError as exc:  # a directory, say
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
-    with handle:
-        csv.writer(handle).writerow(names)
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n_rows)
-            flat: list = [None] * ((stop - start) * width)
-            for j, source in enumerate(sources):
-                flat[j::width] = source[start:stop].tolist()
-            handle.write((row_format * (stop - start)) % tuple(flat))
+    with handle, closing(parallel_imap(block, range(0, n_rows, _BLOCK_ROWS))) as blocks:
+        handle.write(header.getvalue().encode("utf-8"))
+        handle.writelines(blocks)

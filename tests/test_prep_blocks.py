@@ -1,9 +1,13 @@
-"""Block-wise CSV load and write, and the vectorised timestamp merge, against
-the row-at-a-time reference layers in reference_prep.py."""
+"""Block-wise and chunked CSV load, block-wise write, and the vectorised
+timestamp merge, against the row-at-a-time reference layers in
+reference_prep.py, at 1, 2 and 4 worker processes."""
 
 import calendar
+import codecs
 import csv
+import itertools
 import json
+import os
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -41,6 +45,20 @@ _real_token = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 _any_token = st.one_of(_real_token, st.sampled_from(AWKWARD_TOKENS), _text)
+
+
+def _set_workers(mp, cap, chunk_bytes):
+    """``cap`` workers on four usable CPUs, and load chunks of about
+    ``chunk_bytes``."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    mp.setenv("FLOWGATE_THREADS", str(cap))
+    mp.setattr(prep, "_CHUNK_BYTES", chunk_bytes)
+
+
+_caps = st.sampled_from((1, 2, 4))
+# a header line longer than one chunk goes to the record reader, so the
+# chunks are no shorter than the longest header here (22 bytes)
+_chunk_bytes = st.integers(24, 96)
 
 
 def _write_rows(path, rows):
@@ -82,11 +100,12 @@ def _token_grids(draw):
     return [header, *map(list, zip(*columns))]
 
 
-@given(_token_grids(), st.integers(1, 4))
+@given(_token_grids(), st.integers(1, 4), _caps, _chunk_bytes)
 @settings(max_examples=150, deadline=None)
-def test_block_load_and_write_match_the_row_reference(grid, block_rows):
+def test_block_load_and_write_match_the_row_reference(grid, block_rows, cap, chunk_bytes):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(prep, "_BLOCK_ROWS", block_rows)
+        _set_workers(mp, cap, chunk_bytes)
         src = Path(tmp) / "in.csv"
         _write_rows(src, grid)
         got = load_csv(src, PROFILE)
@@ -102,10 +121,14 @@ def test_block_load_and_write_match_the_row_reference(grid, block_rows):
     st.integers(0, 3),
     st.integers(0, 2),
     st.integers(1, 4),
+    _caps,
+    _chunk_bytes,
     st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_block_write_matches_the_row_reference(n_rows, n_reals, n_tokens, block_rows, data):
+def test_block_write_matches_the_row_reference(
+    n_rows, n_reals, n_tokens, block_rows, cap, chunk_bytes, data
+):
     reals = st.one_of(st.sampled_from(EDGE_REALS), st.floats(allow_subnormal=True))
     tokens = st.one_of(st.sampled_from(AWKWARD_TOKENS), _text)
     schema, cells = [], []
@@ -123,10 +146,15 @@ def test_block_write_matches_the_row_reference(n_rows, n_reals, n_tokens, block_
     encoded = make_table(features, labels, class_names=("", 'a "b",\r\n'))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(prep, "_BLOCK_ROWS", block_rows)
+        _set_workers(mp, cap, chunk_bytes)
         for table in (raw, encoded):
             write_csv(table, Path(tmp) / "got.csv")
             reference_prep.write_csv(table, Path(tmp) / "want.csv")
             assert (Path(tmp) / "got.csv").read_bytes() == (Path(tmp) / "want.csv").read_bytes()
+        # and the raw table's file reads back as the reference reads it
+        write_csv(raw, Path(tmp) / "got.csv")
+        got = load_csv(Path(tmp) / "got.csv", PROFILE)
+        _assert_same_raw(got, reference_prep.load_csv(Path(tmp) / "got.csv", PROFILE))
 
 
 def test_header_only_file(tmp_path):
@@ -141,7 +169,6 @@ def test_header_only_file(tmp_path):
 
 
 def test_column_demoted_in_its_third_block_rereads_its_tokens(tmp_path, monkeypatch):
-    monkeypatch.setattr(prep, "_BLOCK_ROWS", 2)
     rereads = []
     reread = prep._reread_tokens
     monkeypatch.setattr(
@@ -151,21 +178,35 @@ def test_column_demoted_in_its_third_block_rereads_its_tokens(tmp_path, monkeypa
     path.write_text(
         "x,y,Label\n1,1e0,A\n2.50,2,B\n-0,3,A\n,4,B\ntcp,5,A\n6,6,B\n", encoding="utf-8"
     )
-    raw = load_csv(path, PROFILE)
-    assert rereads == [[0]]
-    assert raw.kind_of("x") == KIND_CATEGORICAL
-    assert raw.column("x").tolist() == ["1", "2.50", "-0", "", "tcp", "6"]
-    assert raw.column("y").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    _assert_same_raw(raw, reference_prep.load_csv(path, PROFILE))
+    # one worker reads records in blocks of 2 rows, the third of which holds
+    # "tcp"; two read chunks of about 10 bytes, two rows each, and the third
+    # holds it, while the record reader, in one block, would not re-read
+    for cap, block_rows in ((1, 2), (2, 4096)):
+        monkeypatch.setattr(prep, "_BLOCK_ROWS", block_rows)
+        _set_workers(monkeypatch, cap, 10)
+        rereads.clear()
+        raw = load_csv(path, PROFILE)
+        assert rereads == [[0]]
+        assert raw.kind_of("x") == KIND_CATEGORICAL
+        assert raw.column("x").tolist() == ["1", "2.50", "-0", "", "tcp", "6"]
+        assert raw.column("y").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        _assert_same_raw(raw, reference_prep.load_csv(path, PROFILE))
 
 
-@given(st.integers(3, 14), st.integers(1, 4), st.sampled_from(([], ["1"], ["1", "2", "A", "9"])))
+@given(
+    st.integers(3, 14),
+    st.integers(1, 4),
+    st.sampled_from(([], ["1"], ["1", "2", "A", "9"])),
+    _caps,
+    _chunk_bytes,
+)
 @settings(max_examples=40, deadline=None)
-def test_ragged_line_in_a_later_block_names_its_line(n_rows, block_rows, ragged):
+def test_ragged_line_in_a_later_block_names_its_line(n_rows, block_rows, ragged, cap, chunk_bytes):
     rows = [["a", "b", "Label"]] + [[str(i), str(-i), "A"] for i in range(n_rows)]
     rows[n_rows - 1] = ragged  # a blank line reads as a row of no fields
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(prep, "_BLOCK_ROWS", block_rows)
+        _set_workers(mp, cap, chunk_bytes)
         path = Path(tmp) / "r.csv"
         _write_rows(path, rows)
         with pytest.raises(DataError) as want:
@@ -194,10 +235,78 @@ def test_ragged_row_after_a_multiline_field_names_its_file_line(
     message = f"line {line}: expected 3 fields, found 2"
     with pytest.raises(DataError, match=message):
         reference_prep.load_csv(path, PROFILE)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prep, "_BLOCK_ROWS", block_rows)
-        with pytest.raises(DataError, match=message):
-            load_csv(path, PROFILE)
+    for cap in (1, 2, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prep, "_BLOCK_ROWS", block_rows)
+            _set_workers(mp, cap, 12)
+            with pytest.raises(DataError, match=message):
+                load_csv(path, PROFILE)
+
+
+def _load_outcome(path):
+    try:
+        return load_csv(path, PROFILE)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [b'7,z,"p\n8,y,B"', b"7,caf\xe9,B", b"7,a\x00b,B", b"7,\xef\xbb\xbf,B", b"7,z,B\r8,y,A"],
+    ids=["multiline-quoted", "latin-1", "nul", "mid-file-bom", "bare-cr"],
+)
+def test_a_row_in_a_later_chunk_reads_as_at_one_worker(tmp_path, monkeypatch, row):
+    # 40 rows of about 8 bytes, then the row, then one with no newline, in
+    # chunks of 24 to 47 bytes: some cut lands inside each byte of the row,
+    # and on each side of the quoted newline the record reads as 3 fields
+    body = [b"a,b,Label"] + [b"%d,x%d,A" % (i, i) for i in range(40)] + [row, b"9,y,B"]
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"\n".join(body))
+    _set_workers(monkeypatch, 1, 32)
+    want = _load_outcome(path)
+    for cap, chunk_bytes in itertools.product((2, 4), range(24, 48)):
+        _set_workers(monkeypatch, cap, chunk_bytes)
+        got = _load_outcome(path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same_raw(got, want)
+    if isinstance(want, str):
+        assert want.startswith(f"{path}: not UTF-8 text")
+    else:
+        _assert_same_raw(want, reference_prep.load_csv(path, PROFILE))
+
+
+def test_a_pipe_is_read_by_the_record_reader(tmp_path, monkeypatch):
+    # a pipe cannot be cut into chunks by offset; `--csv <(zcat f.csv.gz)` reads one
+    path = tmp_path / "p.csv"
+    _write_rows(path, [["a", "b", "Label"]] + [[str(i), str(i / 7), "AB"[i % 2]] for i in range(200)])
+    _set_workers(monkeypatch, 2, 24)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())  # under the 64 KiB a pipe holds
+        os.close(write_end)
+        got = load_csv(f"/dev/fd/{read_end}", PROFILE)
+    finally:
+        os.close(read_end)
+    _assert_same_raw(got, load_csv(path, PROFILE))
+
+
+@pytest.mark.parametrize("header", ["flow_id,a,Label", "Label,a,b", '"Label",a,b'])
+@pytest.mark.parametrize("cap", [1, 2])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, monkeypatch, header, cap):
+    names = next(csv.reader([header]))
+    rows = [
+        ",".join("AB"[i % 2] if name == "Label" else str(i * k) for k, name in enumerate(names))
+        for i in range(30)
+    ]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    _set_workers(monkeypatch, cap, 64)
+    got = load_csv(marked, PROFILE)
+    assert got.column_names == tuple(names)
+    _assert_same_raw(got, load_csv(plain, PROFILE))
 
 
 @pytest.mark.parametrize(
