@@ -1,32 +1,33 @@
 """Order-preserving maps over forked worker processes.
 
-Both maps run item i on worker i mod W, with W = min(worker_count(), number
-of items) and the calling process as worker 0: the caller forks W - 1
-children and runs its own share. Each child sends its results back pickled
-through its own pipe and ends with ``os._exit``, so it runs no atexit
-handler and no ``finally`` of the caller. No flowgate module starts a
-thread, so no lock of ours can be held across a fork by a thread the child
-lacks; numpy's BLAS thread pool shuts itself down across a fork.
+``parallel_imap(fn, items)`` yields ``fn(item)`` for each item in order, as
+the caller consumes them. Item i runs on worker i mod W, with W =
+min(worker_count(), number of items) and the calling process as worker 0:
+the caller forks W - 1 children and runs its own share. Each child pickles
+each result into its own pipe as soon as it is done, blocks while the pipe
+is full and ends with ``os._exit``, so it runs no atexit handler and no
+``finally`` of the caller. A worker thus holds at most one finished result
+the caller has not read, and a long input streams through in bounded
+memory; the chunks of a CSV load and the row blocks of a CSV write go
+through it. Closing the stream early, an error in it or its end kills its
+children and reaps them. No flowgate module starts a thread, so no lock of
+ours can be held across a fork by a thread the child lacks; numpy's BLAS
+thread pool shuts itself down across a fork.
 
 ``parallel_map(fn, items)`` returns ``[fn(item) for item in items]``; a
-forest's trees and a boosting round's class trees go through it. Each child
-sends all its results at once, when its share is done, so it never waits
-for the caller in the middle of its share: a child that sent a forest's
+forest's trees and a boosting round's class trees go through it. It streams
+worker w's whole share, ``items[w::W]``, as one item of ``parallel_imap``,
+so each child sends all its results at once, when its share is done, and
+never waits for the caller in the middle of it: a child that sent a forest's
 large trees one by one would wait for the caller after each.
-
-``parallel_imap(fn, items)`` yields ``fn(item)`` for each item in order, as
-the caller consumes them; the chunks of a CSV load and the row blocks of a
-CSV write go through it. Each child sends each result as soon as it is done
-and blocks while its pipe is full, so each worker holds at most one finished
-result the caller has not read, and a long input streams through in bounded
-memory. Closing the stream early, or an error in it, kills its children.
 
 A mapped task must be pure and return its result by value: whatever it
 changes in memory stays in the child. A task's exception comes back pickled,
 and a map raises the one of the lowest-index failing item, as the plain loop
-would. A map called inside a mapped task, or while a stream is open, runs as
-the plain loop. FLOWGATE_THREADS caps the workers; the outputs are the same
-for any cap.
+would; a child that dies before its result is read is a FlowgateError
+naming its exit status. A map called inside a mapped task, or while a
+stream is open, runs as the plain loop. FLOWGATE_THREADS caps the workers;
+the outputs are the same for any cap.
 """
 
 from __future__ import annotations
@@ -101,54 +102,28 @@ def _fork(send: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(read_end, "rb")
 
 
-def _reap(pids: list[int], pipes: list[BinaryIO], kill: bool) -> list[int]:
-    """Close the pipes and wait for the children, killing them first when
-    ``kill`` is set; the wait status of each child."""
-    if kill:
-        import signal  # here, so that loading flowgate imports nothing more
+def _reap(pids: list[int], pipes: list[BinaryIO]) -> None:
+    """Kill the children, close the pipes and wait for the children; a
+    child that has sent its last result is exiting anyway."""
+    import signal  # here, so that loading flowgate imports nothing more
 
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
     for pipe in pipes:
         pipe.close()
-    return [os.waitpid(pid, 0)[1] for pid in pids]
-
-
-def _died(pid: int, status: int) -> FlowgateError:
-    code = os.waitstatus_to_exitcode(status)
-    return FlowgateError(f"worker process {pid} exited with status {code} and no result")
+    for pid in pids:
+        os.waitpid(pid, 0)
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Order-preserving map over up to worker_count() processes."""
-    global _mapping
     items = list(items)
     workers = min(worker_count(), len(items))
     if workers <= 1 or _mapping:
         return [fn(item) for item in items]
 
-    pids: list[int] = []
-    pipes: list[BinaryIO] = []
-    done = False
-    _mapping = True
-    try:
-        for worker in range(1, workers):
-            share = items[worker::workers]  # the child runs send as soon as it forks
-            pid, pipe = _fork(lambda pipe: pipe.write(pickle.dumps(list(_outcomes(fn, share)))))
-            pids.append(pid)
-            pipes.append(pipe)
-        own = list(_outcomes(fn, items[0::workers]))
-        payloads = [pipe.read() for pipe in pipes]
-        done = True
-    finally:
-        _mapping = False
-        statuses = _reap(pids, pipes, kill=not done)
-
-    shares = [own]
-    for pid, status, payload in zip(pids, statuses, payloads):
-        if not payload:
-            raise _died(pid, status)
-        shares.append(pickle.loads(payload))
+    share_items = [items[worker::workers] for worker in range(workers)]
+    shares = list(parallel_imap(lambda share: list(_outcomes(fn, share)), share_items))
     # a share stops at its first failure, so the loop raises before it could
     # reach an item that did not run
     results: list[R] = []
@@ -195,10 +170,13 @@ def parallel_imap(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
                 ok, value = pickle.load(pipes[worker - 1])
             except (EOFError, pickle.UnpicklingError):
                 pid = pids.pop(worker - 1)  # reaped here, not killed
-                raise _died(pid, os.waitpid(pid, 0)[1]) from None
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise FlowgateError(
+                    f"worker process {pid} exited with status {code} and no result"
+                ) from None
             if not ok:
                 raise value
             yield value
     finally:
         _mapping = False
-        _reap(pids, pipes, kill=True)
+        _reap(pids, pipes)

@@ -1003,7 +1003,8 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     workers format the blocks and the caller writes them in order. Memory
     beyond the table is one pointer per token cell and each distinct
     token's text once; each worker holds one block of Python floats and
-    text and one formatted block in its pipe.
+    text and one formatted block in its pipe. A path that cannot be opened
+    or written (a directory, a full disk) is a DataError naming it.
     """
     if isinstance(table, ColumnarTable):
         names = (*table.feature_names, table.label_name)
@@ -1031,9 +1032,10 @@ def write_csv(table: RawTable | ColumnarTable, path: str | Path) -> None:
     header = io.StringIO()
     csv.writer(header).writerow(names)
     try:
-        handle = Path(path).open("wb")
-    except OSError as exc:  # a directory, say
+        with Path(path).open("wb") as handle, closing(
+            parallel_imap(block, range(0, n_rows, _BLOCK_ROWS))
+        ) as blocks:
+            handle.write(header.getvalue().encode("utf-8"))
+            handle.writelines(blocks)
+    except OSError as exc:  # a directory or a full disk, say
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
-    with handle, closing(parallel_imap(block, range(0, n_rows, _BLOCK_ROWS))) as blocks:
-        handle.write(header.getvalue().encode("utf-8"))
-        handle.writelines(blocks)

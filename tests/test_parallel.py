@@ -131,6 +131,11 @@ def _big(item):
     return bytes(200_000)  # more than a pipe holds, so each child blocks on it
 
 
+def test_parallel_map_returns_results_larger_than_a_pipe_holds(cap):
+    assert parallel_map(_big, range(12)) == [_big(item) for item in range(12)]
+    _assert_no_child_left()
+
+
 def test_a_consumer_that_raises_leaves_no_child(cap):
     with pytest.raises(_Stop):
         for block in parallel_imap(_big, range(12)):

@@ -456,6 +456,16 @@ def test_write_csv_round_trip(tmp_path):
     assert again.column("Label").tolist() == ["A", "B"]
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("rows", [2, 20_000], ids=["on-close", "mid-write"])
+def test_write_csv_to_a_full_device_is_a_data_error(rows):
+    # two rows stay in the write buffer until the file closes; 20,000 rows
+    # make several blocks, which fail while the stream is open
+    raw = _numeric_raw(np.arange(2.0 * rows).reshape(rows, 2))
+    with pytest.raises(DataError, match="^cannot write /dev/full: No space left on device$"):
+        write_csv(raw, "/dev/full")
+
+
 # -- pinned outputs ------------------------------------------------------------
 
 # tests/data/prep_pinned_*: one CSV with timestamp component columns, a
