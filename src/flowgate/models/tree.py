@@ -40,13 +40,13 @@ under l whose split has smaller side m holds for every leaf size in [l, m]
 (for every leaf size from l on when no split improves).
 
 A ``SplitCache`` made with a largest leaf size L (the tuning fits) makes one
-search per path: a staircase (``_node_staircase``) scans the widest window
-once and walks the leaf size up from 1, each step taking the best split
-under its leaf size and the next step starting one past that split's
-smaller side. Of the scan it keeps only the boundaries some step can take
-as near-tie candidates, so a step costs a few list operations, not a pass
-over the scan. It also sorts its table once, for each fit to copy. A cache
-without L (the configured tree and its refit) holds no presort and keeps,
+search per path in a process: a staircase (``_node_staircase``) scans the
+widest window once and walks the leaf size up from 1, each step taking the
+best split under its leaf size and the next step starting one past that
+split's smaller side. Of the scan it keeps only the boundaries some step can
+take as near-tie candidates, so a step costs a few list operations, not a
+pass over the scan. It also sorts its table once, for each fit to copy. A
+cache without L (the configured tree and its refit) holds no presort and keeps,
 per path, each one-leaf search with the leaf sizes [l, m] it holds for. A
 fit runs its own purity, depth and split-gate checks before it looks a node
 up, so the cache changes how much a fit searches, never the tree it grows.
@@ -307,17 +307,33 @@ def _gini_scans(
             below = in_piece if below is None else below + in_piece
 
 
+_WINDOW = 2.0**-40  # the near-tie window's width relative to the best float score
+
+
 def _window_floor(scan_best: float) -> float:
     """Lowest float score that may be exactly best when the best float score
     of a scan is ``scan_best``: float scores round the exact ones, so every
-    boundary that may be exactly best lies within this window."""
-    return scan_best - 1e-9 * max(1.0, scan_best)
+    boundary that may be exactly best lies within this window.
+
+    A float score is fl(fl(L2 / nl) + fl(R2 / nr)) of integers that floats
+    hold exactly below 2**53 (see the module docstring): each non-negative
+    term is rounded by its division and again by the sum, so it lies within
+    a factor (1 +- u)**2 of the exact score, u = 2**-53, a relative error
+    below 2.01u (about 2.2e-16). When boundary b is exactly best and a has
+    the best float score, their exact scores A <= B give fl(a) <= (1 +
+    2.01u) A <= (1 + 2.01u) B <= fl(b) (1 + 2.01u) / (1 - 2.01u): fl(b)
+    falls short of fl(a) by less than 4.1u of fl(a). ``_WINDOW``, 2**-40 =
+    2**13 u, is about 4000 times the error and 2000 times that gap, and
+    rounding the floor's subtraction moves it by at most u of the best.
+    tests/reference_tree.py keeps its own, wider window.
+    """
+    return scan_best - _WINDOW * max(1.0, scan_best)
 
 
 def _window_floors(best: np.ndarray) -> np.ndarray:
     """``_window_floor`` of each float best, in the same float operations;
     +inf where there is no best."""
-    return np.where(best > -np.inf, best - 1e-9 * np.maximum(1.0, best), np.inf)
+    return np.where(best > -np.inf, best - _WINDOW * np.maximum(1.0, best), np.inf)
 
 
 def _exact_best(candidates: Iterable[_Candidate], n: int, sum_sq_parent: int) -> _Candidate | None:
@@ -575,6 +591,10 @@ class SplitCache:
     search per leaf size, recorded with the leaf sizes it holds for. A cache
     with L owns ``order``, its table's ``_presort``, for its fits to copy
     into their buffers; without L, ``order`` is None and fits sort their own.
+    A forked worker's fits fill the worker's copy of the cache: the worker
+    hands out the staircases searched since a ``mark`` (``added_since``)
+    and the caller ``merge``s them, so two workers may each search a path
+    the caller did not hold when they forked.
 
     The two modes stay because each wins where it is used. Measured in
     alternated single-process runs at 1 worker (2-core machine, Python 3.11,
@@ -633,6 +653,20 @@ class SplitCache:
             entry = (leaf, min(best.n_left, n - best.n_left), *found)
         self._found[path] = self._found.get(path, ()) + (entry,)
         return found
+
+    def mark(self) -> int:
+        """A mark of the staircases held now, for ``added_since``."""
+        return len(self._stairs)
+
+    def added_since(self, mark: int) -> list[tuple[tuple, bytes]]:
+        """The (path, staircase) entries searched since ``mark``, in order."""
+        return list(self._stairs.items())[mark:]
+
+    def merge(self, added: Iterable[tuple[tuple, bytes]]) -> None:
+        """Take in another process's ``added_since`` entries; a path held
+        already keeps its staircase, which is the same bytes."""
+        for path, stairs in added:
+            self._stairs.setdefault(path, stairs)
 
 
 def _subtree_end(tree: Tree) -> np.ndarray:

@@ -15,19 +15,21 @@ ours can be held across a fork by a thread the child lacks; numpy's BLAS
 thread pool shuts itself down across a fork.
 
 ``parallel_map(fn, items)`` returns ``[fn(item) for item in items]``; a
-forest's trees and a boosting round's class trees go through it. It streams
-worker w's whole share, ``items[w::W]``, as one item of ``parallel_imap``,
-so each child sends all its results at once, when its share is done, and
-never waits for the caller in the middle of it: a child that sent a forest's
-large trees one by one would wait for the caller after each.
+forest's trees, a boosting round's class trees and the tuning trees of a
+swarm round's new leaf sizes go through it. It streams worker w's whole
+share, ``items[w::W]``, as one item of ``parallel_imap``, so each child
+sends all its results at once, when its share is done, and never waits for
+the caller in the middle of it: a child that sent a forest's large trees one
+by one would wait for the caller after each.
 
-A mapped task must be pure and return its result by value: whatever it
-changes in memory stays in the child. A task's exception comes back pickled,
-and a map raises the one of the lowest-index failing item, as the plain loop
-would; a child that dies before its result is read is a FlowgateError
-naming its exit status. A map called inside a mapped task, or while a
-stream is open, runs as the plain loop. FLOWGATE_THREADS caps the workers;
-the outputs are the same for any cap.
+A mapped task must return its result by value: whatever it changes in
+memory stays in the child (a tuning tree's task returns the split searches
+it added to its copy of the cache, for the caller to merge). A task's
+exception comes back pickled, and a map raises the one of the lowest-index
+failing item, as the plain loop would; a child that dies before its result
+is read is a FlowgateError naming its exit status. A map called inside a
+mapped task, or while a stream is open, runs as the plain loop.
+FLOWGATE_THREADS caps the workers; the outputs are the same for any cap.
 """
 
 from __future__ import annotations

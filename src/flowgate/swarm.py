@@ -5,18 +5,23 @@ nearest integer lattice point of each position. Four additions to the plain
 canonical swarm are individually toggleable so the baseline is recoverable:
 memoized lattice evaluation, linear inertia decay, velocity clamping, and
 seeding one particle at a known-good point. Maximization throughout; an
-objective that raises scores that point as -inf.
+objective that raises scores that point as -inf. An objective with a
+``prepare`` method gets each round's points to evaluate once, before the
+swarm calls it on them one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .dataset import ColumnarTable
 from .errors import DataError, FlowgateError
 from .models.tree import CutAccuracy, SplitCache, TreeHyperparams, fit_tree
+from .parallel import parallel_map
 from .prep import SplitPair, stratified_split
 
 Objective = Callable[[tuple[int, ...]], float]
@@ -84,6 +89,9 @@ class EpsoConfig:
             raise DataError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.n_iterations < 0:
             raise DataError(f"n_iterations must be >= 0, got {self.n_iterations}")
+        for name in ("inertia_start", "inertia_end", "cognitive", "social", "velocity_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.velocity_fraction <= 0.0:
             raise DataError(
                 f"velocity_fraction must be > 0, got {self.velocity_fraction}"
@@ -146,6 +154,9 @@ def _evaluate_points(
     counters = state.counters
     counters.cache_hits += len(points) - len(todo)
     counters.evaluations += len(todo)
+    prepare = getattr(objective, "prepare", None)
+    if prepare is not None:
+        prepare(todo)
     for point in todo:
         try:
             fitness = float(objective(point))
@@ -288,26 +299,13 @@ def dt_objective(
     holdout_fraction: float = 0.25,
     seed: int = 0,
     counters: SwarmCounters | None = None,
-) -> Objective:
+) -> DtObjective:
     """Holdout-accuracy objective over (max_depth, min_samples_split,
     min_samples_leaf) integer points.
 
     A stratified holdout is carved out of the training side once; the test
     side is never touched. Points encoding invalid hyperparameters raise and
-    are scored as -inf by the swarm machinery.
-
-    The objective grows one tree per distinct min_samples_leaf, with no depth
-    limit and the smallest split gate, and routes the holdout through it
-    once. Every (max_depth, min_samples_split) of that leaf size is then
-    scored from per-node holdout tallies (``models.tree.CutAccuracy``), and
-    the score is exactly that of a tree fitted with the point's
-    hyperparameters. The trees share one ``SplitCache`` that knows the
-    box's largest leaf size: the first search at a split path finds the
-    node's split for every leaf size of ``dt_search_space`` in one scan, so
-    each distinct path is searched once per run (see ``models.tree``). Each
-    tree grown counts in ``counters.trees_grown`` when ``counters`` is
-    given. The cache sorts the tuning rows once; each fit copies that
-    presort into the buffer it partitions, so no fit's partitions outlive it.
+    are scored as -inf by the swarm machinery. See ``DtObjective``.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -316,31 +314,95 @@ def dt_objective(
         for name, count in zip(table.encoding.class_names, table.encoding.counts):
             if count == 0:
                 raise DataError(f"class {name!r} vanished from the {side} side")
-    fit_table = inner.train
-    holdout_X = inner.test.feature_matrix()
-    holdout_labels = inner.test.labels
-    splits = SplitCache(fit_table, max_leaf=dt_search_space().uppers[-1])  # shared by every fit
+    return DtObjective(inner.train, inner.test, counters)
 
-    scored: dict[int, CutAccuracy] = {}
 
-    def scores(min_leaf: int) -> CutAccuracy:
-        if min_leaf not in scored:
-            params = TreeHyperparams(
-                min_samples_split=max(2, min_leaf), min_samples_leaf=min_leaf
-            )
-            tree = fit_tree(fit_table, params, splits=splits).root
-            scored[min_leaf] = CutAccuracy(tree, holdout_X, holdout_labels)
-            if counters is not None:
-                counters.trees_grown += 1
-        return scored[min_leaf]
+def _hyperparams(point: tuple[int, ...]) -> TreeHyperparams:
+    """The tree settings of a (max_depth, min_samples_split,
+    min_samples_leaf) point; raises on an invalid point."""
+    depth, min_split, min_leaf = (int(v) for v in point)
+    return TreeHyperparams(
+        max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf
+    )
 
-    def objective(point: tuple[int, ...]) -> float:
-        depth, min_split, min_leaf = (int(v) for v in point)
-        TreeHyperparams(  # raises on an invalid point
-            max_depth=depth,
-            min_samples_split=min_split,
-            min_samples_leaf=min_leaf,
-        )
-        return scores(min_leaf).accuracy(depth, min_split)
 
-    return objective
+class DtObjective:
+    """The objective ``dt_objective`` returns.
+
+    It grows one tree per distinct min_samples_leaf, with no depth limit and
+    the smallest split gate, and routes the holdout through it once. Every
+    (max_depth, min_samples_split) of that leaf size is then scored from
+    per-node holdout tallies (``models.tree.CutAccuracy``), and the score is
+    exactly that of a tree fitted with the point's hyperparameters. The
+    trees share one ``SplitCache`` that knows the box's largest leaf size:
+    the first search at a split path finds the node's split for every leaf
+    size of ``dt_search_space`` in one scan (see ``models.tree``). The cache
+    sorts the tuning rows once; each fit copies that presort into the
+    buffer it partitions, so no fit's partitions outlive it.
+
+    ``prepare`` grows the trees of a swarm round's new leaf sizes through
+    ``parallel_map``, in ascending order, which balances the workers'
+    shares: a smaller leaf size grows a bigger tree. Each task hands back
+    its ``CutAccuracy`` and the staircases its fit searched, which the
+    caller merges into its cache in item order, so no later round searches
+    those paths again; two workers of one round may each search a path. A
+    tree never depends on what the cache holds, so the scores are the same
+    for any FLOWGATE_THREADS. A leaf size whose fit raises a FlowgateError
+    stays unscored: calling the objective on its points grows it again, in
+    the caller, where it raises for each point. Each tree grown counts in
+    ``counters.trees_grown`` when ``counters`` is given.
+    """
+
+    def __init__(
+        self, fit_table: ColumnarTable, holdout: ColumnarTable, counters: SwarmCounters | None
+    ) -> None:
+        self.fit_table = fit_table
+        self.holdout_X, self.holdout_labels = holdout.feature_matrix(), holdout.labels
+        self.counters = counters
+        self.splits = SplitCache(fit_table, max_leaf=dt_search_space().uppers[-1])
+        self.scored: dict[int, CutAccuracy] = {}
+
+    def __call__(self, point: tuple[int, ...]) -> float:
+        params = _hyperparams(point)
+        leaf = params.min_samples_leaf
+        if leaf not in self.scored:
+            self._keep(leaf, self._grow(leaf))
+        return self.scored[leaf].accuracy(params.max_depth, params.min_samples_split)
+
+    def prepare(self, points: Iterable[tuple[int, ...]]) -> None:
+        """Grow, over the fork workers, the trees of the valid ``points``'
+        leaf sizes that are not scored yet."""
+        leaves: set[int] = set()
+        for point in points:
+            try:
+                leaves.add(_hyperparams(point).min_samples_leaf)
+            except DataError:
+                pass  # the point raises again when it is scored
+        new = sorted(leaves - self.scored.keys())
+        for leaf, grown in zip(new, parallel_map(self._grow_and_hand_out, new)):
+            if grown is not None:
+                scores, searched = grown
+                self.splits.merge(searched)
+                self._keep(leaf, scores)
+
+    def _grow(self, leaf: int) -> CutAccuracy:
+        params = TreeHyperparams(min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+        tree = fit_tree(self.fit_table, params, splits=self.splits).root
+        return CutAccuracy(tree, self.holdout_X, self.holdout_labels)
+
+    def _grow_and_hand_out(
+        self, leaf: int
+    ) -> tuple[CutAccuracy, list[tuple[tuple, bytes]]] | None:
+        """A ``prepare`` task: the leaf size's scores and the staircases its
+        fit searched, or None when the fit raises a FlowgateError."""
+        mark = self.splits.mark()
+        try:
+            scores = self._grow(leaf)
+        except FlowgateError:  # the point path grows it again and scores -inf
+            return None
+        return scores, self.splits.added_since(mark)
+
+    def _keep(self, leaf: int, scores: CutAccuracy) -> None:
+        self.scored[leaf] = scores
+        if self.counters is not None:
+            self.counters.trees_grown += 1

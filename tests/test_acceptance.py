@@ -333,22 +333,27 @@ OVERLAP_DIGESTS = {
 def test_overlap_report_matches_its_pinned_digests(tmp_path, monkeypatch):
     # the gate-6 config with overlapping classes: its best point (9, 29, 21)
     # is not the default point, so the EPSO DT refit takes only part of its
-    # splits from the split cache it shares with the configured DT
-    monkeypatch.setenv("FLOWGATE_THREADS", "1")
-    manifest, _ = run_and_emit(_pipeline_config(cluster_separation=1.5), tmp_path)
-    changed = [
-        name
-        for name, digest in OVERLAP_DIGESTS.items()
-        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
-    ]
-    best = manifest.tuning.best_point
-    _verdict(
-        "overlap report pin",
-        not changed and tuple(best) == (9, 29, 21),
-        f"best point {tuple(best)} (pinned (9, 29, 21)); "
-        f"{len(OVERLAP_DIGESTS) - len(changed)} of {len(OVERLAP_DIGESTS)} files match "
-        "their pinned sha256" + (f"; changed: {changed}" if changed else ""),
-    )
+    # splits from the split cache it shares with the configured DT; at two
+    # workers the swarm grows each round's new trees in a forked worker too,
+    # on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLOWGATE_THREADS", threads)
+        out = tmp_path / threads
+        manifest, _ = run_and_emit(_pipeline_config(cluster_separation=1.5), out)
+        changed = [
+            name
+            for name, digest in OVERLAP_DIGESTS.items()
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+        ]
+        best = manifest.tuning.best_point
+        _verdict(
+            f"overlap report pin at FLOWGATE_THREADS={threads}",
+            not changed and tuple(best) == (9, 29, 21),
+            f"best point {tuple(best)} (pinned (9, 29, 21)); "
+            f"{len(OVERLAP_DIGESTS) - len(changed)} of {len(OVERLAP_DIGESTS)} files match "
+            "their pinned sha256" + (f"; changed: {changed}" if changed else ""),
+        )
 
 
 # -- external datasets (opt-in, hour-scale, never CI) ----------------------------

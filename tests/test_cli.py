@@ -264,6 +264,9 @@ def test_train_records_the_tuning_block_as_written(tmp_path, capsys):
         {"n_particles": "20"},
         {"inertia_start": "0.9"},
         {"inertia_decay": "no"},
+        {"velocity_fraction": float("nan")},
+        {"cognitive": float("inf")},
+        {"inertia_end": float("nan")},
     ],
 )
 def test_bad_tuning_setting_fails_at_config_load(tmp_path, capsys, monkeypatch, setting):

@@ -267,6 +267,11 @@ def test_tuning_defaults():
         {"n_iterations": True},
         {"cognitive": "2"},
         {"memoize": 1},
+        {"velocity_fraction": float("nan")},
+        {"cognitive": float("inf")},
+        {"social": float("-inf")},
+        {"inertia_start": float("inf")},
+        {"inertia_end": float("nan")},
     ],
 )
 def test_bad_tuning_settings_rejected(setting):

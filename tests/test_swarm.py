@@ -1,5 +1,7 @@
 """Integer-lattice particle swarm: convergence, caching, failure handling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -337,21 +339,58 @@ def _tracking(objective):
     return tracked, leaf_sizes
 
 
+def _four_cpus(monkeypatch):
+    """Four usable CPUs, so FLOWGATE_THREADS alone sets the worker count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+
+def _tuning_run(split, seed, counters=None):
+    """A seeded run of the swarm on ``dt_objective``: the objective and the
+    swarm's final state."""
+    objective = dt_objective(split, seed=seed, counters=counters)
+    config = EpsoConfig(n_particles=10, n_iterations=8)
+    state = init_swarm(
+        dt_search_space(), config, objective, counters, seed=seed, seed_point=DT_DEFAULT_POINT
+    )
+    for _ in range(config.n_iterations):
+        step(state, objective)
+    return objective, state
+
+
+def _valid_leaf_sizes(state):
+    """The leaf sizes of the points a run scored; an invalid point scores -inf."""
+    return {point[2] for point, fitness in state.cache.items() if fitness > -np.inf}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
     split = _toy_split(seed=5)
     config = EpsoConfig(n_particles=10, n_iterations=8)
+    # one worker: every fit runs here, where it is counted
+    monkeypatch.setenv("FLOWGATE_THREADS", "1")
     fits = _count_fits(monkeypatch)
-    runs = {}
-    for threads in ("4", "1"):
-        monkeypatch.setenv("FLOWGATE_THREADS", threads)
-        fits.clear()
-        objective, leaf_sizes = _tracking(dt_objective(split, seed=5))
-        runs[threads] = optimize(
-            dt_search_space(), config, objective, seed=5, seed_point=DT_DEFAULT_POINT
-        )
-        assert sorted(fits) == sorted(set(leaf_sizes))
+    serial = dt_objective(split, seed=5)
+    objective, leaf_sizes = _tracking(serial)
+    run = optimize(dt_search_space(), config, objective, seed=5, seed_point=DT_DEFAULT_POINT)
+    assert sorted(fits) == sorted(set(leaf_sizes))
+    # four workers: a fit in a forked worker counts in that worker alone, so
+    # count the trees the caller takes in, and compare its merged cache with
+    # the one-worker run's
+    _four_cpus(monkeypatch)
+    monkeypatch.setenv("FLOWGATE_THREADS", "4")
+    counters = SwarmCounters()
+    forked = dt_objective(split, seed=5, counters=counters)
     # best point, best fitness and trace
-    assert runs["4"] == runs["1"]
+    assert optimize(
+        dt_search_space(), config, forked, counters, seed=5, seed_point=DT_DEFAULT_POINT
+    ) == run
+    assert counters.trees_grown == len(set(leaf_sizes))
+    assert dict(forked.splits.added_since(0)) == dict(serial.splits.added_since(0))
+    _assert_no_child_left()
 
 
 def test_dt_objective_grows_each_tree_once_over_rotated_point_orders(monkeypatch):
@@ -387,8 +426,22 @@ def test_trees_sharing_a_split_cache_grow_once_and_count_once_over_rotated_point
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_a_tuning_run_searches_each_split_path_once(monkeypatch, threads):
     # one staircase per path serves every leaf size of the box, so no node
-    # is searched twice, whichever leaf sizes reach it and whatever
-    # FLOWGATE_THREADS says
+    # is searched twice in one process, whichever leaf sizes reach it
+    split = _toy_split(seed=7, separation=1.5)
+    if threads == "4":
+        # forked workers may each search a path and their counts stay in
+        # them: the caller's merged cache holds the one-worker run's paths
+        # and bytes, and the caller counts one tree per valid leaf size
+        _four_cpus(monkeypatch)
+        monkeypatch.setenv("FLOWGATE_THREADS", "1")
+        serial, _ = _tuning_run(split, seed=7)
+        monkeypatch.setenv("FLOWGATE_THREADS", "4")
+        counters = SwarmCounters()
+        forked, state = _tuning_run(split, seed=7, counters=counters)
+        assert counters.trees_grown == len(_valid_leaf_sizes(state)) > 3
+        assert dict(forked.splits.added_since(0)) == dict(serial.splits.added_since(0))
+        _assert_no_child_left()
+        return
     monkeypatch.setenv("FLOWGATE_THREADS", threads)
     searches = []
     for name in ("_node_staircase", "_node_split"):
@@ -404,13 +457,42 @@ def test_a_tuning_run_searches_each_split_path_once(monkeypatch, threads):
         return lookup(self, path, leaf, counts, order)
 
     monkeypatch.setattr(tree_module.SplitCache, "split", recorded)
-    split = _toy_split(seed=7, separation=1.5)
     counters = SwarmCounters()
     objective = dt_objective(split, seed=7, counters=counters)
     config = EpsoConfig(n_particles=10, n_iterations=8)
     optimize(dt_search_space(), config, objective, counters, seed=7, seed_point=DT_DEFAULT_POINT)
     assert counters.trees_grown > 3
     assert len(searches) == len(paths) > 0
+
+
+def test_a_fit_that_raises_in_a_worker_scores_its_points_minus_inf(monkeypatch):
+    split = _toy_split(seed=5)
+    config = EpsoConfig(n_particles=10, n_iterations=8)
+    space = dt_search_space()
+    # the first round's second-smallest valid leaf size: at two workers the
+    # forked worker grows it
+    first = init_swarm(space, config, lambda point: 0.0, seed=5, seed_point=DT_DEFAULT_POINT)
+    failing = sorted({p[2] for p in first.pbest_points if p[2] <= p[1]})[1]
+
+    def brittle_fit(train, params, splits=None):
+        if params.min_samples_leaf == failing:
+            raise DataError("cannot grow this tree")
+        return fit_tree(train, params, splits=splits)
+
+    monkeypatch.setattr(flowgate.swarm, "fit_tree", brittle_fit)  # before any fork
+    _four_cpus(monkeypatch)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLOWGATE_THREADS", threads)
+        counters = SwarmCounters()
+        objective = dt_objective(split, seed=5, counters=counters)
+        result = optimize(space, config, objective, counters, seed=5, seed_point=DT_DEFAULT_POINT)
+        runs[threads] = result, counters
+        assert failing not in objective.scored
+        _assert_no_child_left()
+    # best point, best fitness, trace and counters
+    assert runs["2"] == runs["1"]
+    assert runs["1"][1].failed_points > 0
 
 
 def test_optimize_reports_its_counters():

@@ -1,5 +1,7 @@
 """Tree growth: impurity, exact split selection, stopping rules, pruning."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from flowgate.errors import DataError
 from flowgate.models.tree import (
     CutAccuracy,
     DecisionTreeModel,
+    SplitCache,
     Tree,
     TreeHyperparams,
     _prune,
@@ -136,6 +139,47 @@ def test_adjacent_doubles_do_not_hide_a_real_split():
     y = np.array([0, 0, 0, 1, 1, 1])
     assert oracle_best_split(X, y) == (1, 0.5, 0.25)
     assert best_split(np.arange(6), make_table(X, y)) == (1, 0.5, 0.25)
+
+
+def _exact_argmax(X, y):
+    """(feature, threshold) of the exactly best boundary over all rows, by
+    Fraction scores; ties go to the lowest feature, then threshold."""
+    counts = np.bincount(y)
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        values = X[order, f]
+        left = np.cumsum(np.eye(counts.size, dtype=np.int64)[y[order]], axis=0)
+        for j in np.flatnonzero(values[1:] != values[:-1]):
+            mid = (values[j] + values[j + 1]) / 2.0
+            nl = j + 1
+            l2 = sum(int(c) ** 2 for c in left[j])
+            r2 = sum(int(c) ** 2 for c in counts - left[j])
+            score = Fraction(l2, nl) + Fraction(r2, y.size - nl)
+            if best is None or score > best[0]:
+                best = (score, f, float(mid))
+    return best[1:]
+
+
+def test_one_minority_row_among_thousands_splits_at_the_exact_argmax():
+    # the lone minority row sits mid-range on every feature: each boundary
+    # scores n - 2 + 2/m, m the size of the minority row's side, so thousands
+    # of boundaries lie within 1e-9 of the best, relatively, and the
+    # mirrored features 1 and 2 tie exactly; the narrow near-tie window
+    # must still hold the exact argmax, for one leaf size and a staircase
+    rng = np.random.default_rng(11)
+    n = 20_001
+    grid = rng.integers(0, 40, size=n).astype(np.float64)
+    X = np.column_stack([rng.permutation(n).astype(np.float64), grid, 39.0 - grid])
+    y = np.zeros(n, dtype=np.int64)
+    minority = int(np.flatnonzero(X[:, 0] == n // 2)[0])
+    X[minority, 1:] = (20.0, 19.0)
+    y[minority] = 1
+    want = _exact_argmax(X, y)
+    table = make_table(X, y)
+    assert best_split(np.arange(n), table)[:2] == want
+    stump = fit_tree(table, TreeHyperparams(max_depth=1), splits=SplitCache(table, max_leaf=50))
+    assert (int(stump.root.feature[0]), float(stump.root.threshold[0])) == want
 
 
 @given(st.integers(0, 2**32 - 1))
