@@ -12,14 +12,12 @@ remain visible.
 from __future__ import annotations
 
 import calendar
-import codecs
 import csv
 import io
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Container, Iterable, Iterator, Sequence, TextIO
 
@@ -35,7 +33,7 @@ from .dataset import (
     validate_schema,
 )
 from .errors import DataError
-from .parallel import parallel_imap, worker_count
+from .parallel import parallel_imap
 from .profiles import DatasetProfile
 
 FIT_FULL_DATASET = "full_dataset"
@@ -221,15 +219,10 @@ class PrepOptions:
 # one block of tokens or text (about 5 MB at 80 columns), and the per-cell
 # work runs inside C calls.
 _BLOCK_ROWS = 1024
-# Bytes of data rows per chunk of a parallel load_csv: a worker allocates
-# about six times this while it parses one, and a file of one chunk is not
-# split.
+# Bytes of data rows per chunk of load_csv: a worker allocates about five
+# times this while it parses one (at most 4.8 MiB for a 1 MiB chunk of the
+# ingest-csv benchmark CSV, tracemalloc).
 _CHUNK_BYTES = 1 << 20
-
-
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """Successive lists of up to _BLOCK_ROWS rows from a csv reader."""
-    return iter(lambda: list(islice(reader, _BLOCK_ROWS)), [])
 
 
 def _parse_cell(token: str) -> float:
@@ -260,48 +253,10 @@ def _store(buffer: np.ndarray, at: int, values: np.ndarray) -> None:
     buffer[at : at + values.size] = values
 
 
-def _reread_tokens(path: Path, indexes: Sequence[int]) -> dict[int, list[str]]:
-    """The tokens of the given columns, from one more pass over the file."""
-    tokens: dict[int, list[str]] = {i: [] for i in indexes}
-    distinct: dict[int, dict[str, str]] = {i: {} for i in indexes}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for block in _blocks(reader):
-            for i, column in tokens.items():
-                _extend_shared(column, distinct[i], list(map(itemgetter(i), block)))
-            del block
-    return tokens
-
-
 def _extend_shared(column: list[str], distinct: dict[str, str], tokens: Sequence[str]) -> None:
     """Append tokens to a column, each as the first equal str the column saw,
     so a repeated token costs one pointer and not one more str."""
     column.extend(map(distinct.setdefault, tokens, tokens))
-
-
-def _records(handle: TextIO, path: Path) -> Iterator[list[str]]:
-    """The records of the open CSV file ``path``. Undecodable bytes and a
-    record the csv module refuses (a field over its size limit, say) raise
-    DataError naming the file, and for the latter the line."""
-    reader = csv.reader(handle)
-    try:
-        yield from reader
-    except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.end]
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _record_line(path: Path, record: int) -> int:
-    """1-based file line on which CSV record ``record`` starts (the header
-    is record 1); a quoted field can span lines, so records and lines differ."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for _ in islice(reader, record - 1):
-            pass
-        return reader.line_num + 1
 
 
 def _parse_rows(rows: list[list[str]], reals: Container[int]) -> Iterator[np.ndarray | Sequence[str]]:
@@ -312,6 +267,29 @@ def _parse_rows(rows: list[list[str]], reals: Container[int]) -> Iterator[np.nda
         yield column if values is None else values
 
 
+def _parts(
+    reader, path: Path, width: int, reals: Container[int]
+) -> Iterator[tuple[int, Iterator[np.ndarray | Sequence[str]]]]:
+    """The records that the csv reader ``reader`` reads from file ``path``,
+    in blocks of up to _BLOCK_ROWS: each block's row count and its columns
+    as ``_parse_rows`` gives them, read after the block before is released.
+    A record without ``width`` fields raises DataError naming the line on
+    which it starts, the reader's first line being line 1."""
+    while True:
+        line = reader.line_num  # the lines read before this block
+        block = list(islice(reader, _BLOCK_ROWS))
+        if not block:
+            return
+        if list(map(len, block)).count(width) != len(block):
+            k, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
+            # a record takes one line, plus one per line end in its quoted fields
+            text = ",".join(chain.from_iterable(block[:k]))
+            line += k + 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+            raise DataError(f"{path}: line {line}: expected {width} fields, found {len(row)}")
+        yield len(block), _parse_rows(block, reals)
+        del block  # the next block is read without this one
+
+
 class _Columns:
     """The columns of one load, filled by successive parts of its rows.
 
@@ -319,15 +297,22 @@ class _Columns:
     grows geometrically, in place, as rows arrive and which is cut to the row
     count at the end. Tokens are kept only for the label and for the columns
     the first part found categorical, equal tokens of a column sharing one
-    str. A column that first fails to parse in a later part gets its tokens
-    back from one more pass over the file, for that column only."""
+    str. A column that first fails to parse in a later part is demoted.
+    Columns made with ``keep`` hold the tokens of those columns only."""
 
-    def __init__(self, header: list[str], label: int) -> None:
+    def __init__(
+        self, header: list[str], path: Path, profile: DatasetProfile, keep: Sequence[int] | None
+    ) -> None:
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate header names")
+        if profile.label_column not in header:
+            raise DataError(f"{path}: label column {profile.label_column!r} not present")
         self.header = header
-        self.label = label
-        self.reals = {i: np.empty(_BLOCK_ROWS) for i in range(len(header)) if i != label}
-        self.tokens: dict[int, list[str]] = {label: []}
-        self.distinct: dict[int, dict[str, str]] = {label: {}}
+        self.label = header.index(profile.label_column)
+        reals = [i for i in range(len(header)) if i != self.label] if keep is None else []
+        self.reals = {i: np.empty(_BLOCK_ROWS) for i in reals}
+        self.tokens: dict[int, list[str]] = {i: [] for i in keep or [self.label]}
+        self.distinct: dict[int, dict[str, str]] = {i: {} for i in self.tokens}
         self.demoted: list[int] = []
         self.n_rows = 0
 
@@ -349,10 +334,7 @@ class _Columns:
                     self.demoted.append(i)
         self.n_rows += n_rows
 
-    def table(self, path: Path) -> RawTable:
-        del self.distinct
-        if self.demoted:
-            self.tokens.update(_reread_tokens(path, self.demoted))
+    def table(self) -> RawTable:
         schema: list[ColumnSchema] = []
         cells: list[np.ndarray] = []
         for idx, name in enumerate(self.header):
@@ -368,66 +350,48 @@ class _Columns:
         return RawTable(schema, cells)
 
 
-def _read_records(handle: TextIO, path: Path, profile: DatasetProfile) -> _Columns:
-    """The columns of the open CSV file ``path``, its records read in
-    blocks of _BLOCK_ROWS by one csv reader."""
-    reader = _records(handle, path)
+def _read_serial(
+    text: TextIO, path: Path, profile: DatasetProfile, keep: Sequence[int] | None
+) -> _Columns:
+    """The columns of the open CSV file ``path``, read from its start by one
+    csv reader. Bytes that are not UTF-8 raise DataError naming the file,
+    and a record the csv module refuses (a field over its size limit, say)
+    one naming the line the reader is on."""
+    reader = csv.reader(text)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file, expected a header row") from None
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate header names")
-    if profile.label_column not in header:
-        raise DataError(f"{path}: label column {profile.label_column!r} not present")
-    width = len(header)
-    columns = _Columns(header, header.index(profile.label_column))
-    record = 2
-    for block in _blocks(reader):
-        if list(map(len, block)).count(width) != len(block):
-            offset, row = next((k, r) for k, r in enumerate(block) if len(r) != width)
-            raise DataError(
-                f"{path}: line {_record_line(path, record + offset)}: "
-                f"expected {width} fields, found {len(row)}"
-            )
-        columns.add(len(block), _parse_rows(block, columns.reals))
-        record += len(block)
-        del block  # the next block is read without this one
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        columns = _Columns(header, path, profile, keep)
+        for part in _parts(reader, path, len(header), columns.reals):
+            columns.add(*part)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return columns
 
 
-def _chunk_records(lines: list[bytes]) -> list[list[str]] | None:
-    """The CSV records in ``lines``, each ending at "\\n", or None when they
-    hold a quote, which may open a field that a cut between chunks splits,
-    bytes that are not UTF-8 or a record the csv module refuses (such as
-    one with a bare "\\r", where a file reader would end the record)."""
-    if any(b'"' in line for line in lines):
-        return None
-    try:
-        return list(csv.reader([line.decode("utf-8") for line in lines]))
-    except (UnicodeDecodeError, csv.Error):
-        return None
+def _plain(line: bytes) -> bool:
+    """Whether ``line`` holds no quote, which may open a field that a cut
+    between chunks splits, and no "\\r" but one before its final "\\n":
+    a file reader also ends a line at a bare "\\r"."""
+    return b'"' not in line and line.count(b"\r") <= line.endswith(b"\r\n")
 
 
-def _parse_chunk(
-    path: Path, start: int, stop: int, width: int, reals: Container[int]
-) -> tuple[int, list[np.ndarray | Sequence[str]]] | None:
-    """The number of rows in bytes [start, stop) of the file and their
-    columns as ``_parse_rows`` gives them, or None when ``_chunk_records``
-    refuses the rows or one is ragged. The bytes are read line by line: read
-    whole, one buffer of the chunk's size per chunk raised the RSS rise of a
-    2-worker load of a 212,000 × 41 ``flowgate synth`` CSV from 79 to 91 MB."""
-    lines: list[bytes] = []
+def _chunk_lines(path: Path, start: int, stop: int) -> Iterator[str]:
+    """The lines in bytes [start, stop) of the file, read and decoded one at
+    a time; a line that is not ``_plain`` raises DataError. Read whole, one
+    buffer of the chunk's size per chunk raised the RSS rise of a 2-worker
+    load of a 212,000 × 41 ``flowgate synth`` CSV from 79 to 91 MB."""
     with path.open("rb") as handle:
         handle.seek(start)
         while start < stop and (line := handle.readline()):
-            lines.append(line)
+            if not _plain(line):
+                raise DataError(f"{path}: byte {start}: a quote or a bare carriage return")
             start += len(line)
-    rows = _chunk_records(lines)
-    del lines
-    if rows is None or list(map(len, rows)).count(width) != len(rows):
-        return None
-    return len(rows), list(_parse_rows(rows, reals))
+            yield line.decode("utf-8")
 
 
 def _chunk_bounds(handle: BinaryIO, start: int) -> list[int]:
@@ -445,39 +409,65 @@ def _chunk_bounds(handle: BinaryIO, start: int) -> list[int]:
     return bounds
 
 
-def _read_chunks(handle: BinaryIO, path: Path, profile: DatasetProfile) -> _Columns | None:
-    """The columns of the open CSV file ``path``, its data rows parsed in
-    chunks over worker processes; None when the record reader must read the
-    file: its header needs it or is not valid, it has one chunk, or a chunk
-    is refused."""
+def _read_chunks(
+    handle: BinaryIO, path: Path, profile: DatasetProfile, keep: Sequence[int] | None
+) -> _Columns | None:
+    """The columns of the open CSV file ``path``, its data rows read in
+    chunks: the caller parses the first, which sets the token columns, and
+    ``parallel_imap`` the others, each sending back the columns kept only.
+    None when ``_read_serial`` must read the file: its header line is longer
+    than a chunk or not ``_plain``, or a chunk is refused."""
     line = handle.readline(_CHUNK_BYTES)
-    records = _chunk_records([line.removeprefix(codecs.BOM_UTF8)])
-    if not line.endswith(b"\n") or records is None:
+    if not line.endswith(b"\n") or not _plain(line):
         return None
-    header = records[0]
-    if len(set(header)) != len(header) or profile.label_column not in header:
-        return None
-    bounds = _chunk_bounds(handle, len(line))
-    if len(bounds) < 3:
-        return None
-    width = len(header)
-    columns = _Columns(header, header.index(profile.label_column))
-    part = _parse_chunk(path, bounds[0], bounds[1], width, columns.reals)
-    if part is None:
-        return None
-    columns.add(*part)  # the first chunk sets the token columns
-    reals = set(columns.reals)
-    chunks = list(zip(bounds[1:-1], bounds[2:]))
+    try:
+        columns = _Columns(next(csv.reader([line.decode("utf-8-sig")])), path, profile, keep)
+        width = len(columns.header)
+        bounds = _chunk_bounds(handle, len(line))
+        chunks = list(zip(bounds, bounds[1:]))
 
-    def parse(chunk: tuple[int, int]) -> tuple[int, list[np.ndarray | Sequence[str]]] | None:
-        return _parse_chunk(path, *chunk, width, reals)
+        def parts(chunk: tuple[int, int], reals: Container[int]) -> Iterator[tuple[int, Iterator]]:
+            return _parts(csv.reader(_chunk_lines(path, *chunk)), path, width, reals)
 
-    with closing(parallel_imap(parse, chunks)) as parts:
-        for part in parts:
-            if part is None:
-                return None
+        for part in parts(chunks[0], columns.reals) if chunks else ():
             columns.add(*part)
+        reals, kept = set(columns.reals), set(columns.reals) | set(columns.tokens)
+
+        def parse(chunk: tuple[int, int]) -> list[tuple[int, list[np.ndarray | Sequence[str]]]]:
+            return [
+                (n_rows, [values if i in kept else () for i, values in enumerate(part)])
+                for n_rows, part in parts(chunk, reals)
+            ]
+
+        with closing(parallel_imap(parse, chunks[1:])) as parsed:
+            for result in parsed:
+                for part in result:
+                    columns.add(*part)
+    except (DataError, UnicodeDecodeError, csv.Error):
+        return None
     return columns
+
+
+def _read(
+    path: Path, profile: DatasetProfile, keep: Sequence[int] | None = None
+) -> tuple[_Columns, bool]:
+    """The columns of the CSV file ``path``, read by ``_read_chunks`` or
+    else by ``_read_serial``, and whether the file can seek."""
+    try:
+        handle = path.open("rb")
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with handle:
+        seekable = handle.seekable()
+        columns = _read_chunks(handle, path, profile, keep) if seekable else None
+        if columns is None:
+            if seekable:
+                handle.seek(0)
+            with io.TextIOWrapper(handle, encoding="utf-8-sig", newline="") as text:
+                columns = _read_serial(text, path, profile, keep)
+    return columns, seekable
 
 
 def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
@@ -493,51 +483,42 @@ def load_csv(path: str | Path, profile: DatasetProfile) -> RawTable:
     module's size limit one naming the line the reader was on. A path that
     is not a readable file, or a file that is not UTF-8, is a DataError too.
 
-    Rows are parsed column by column into ``_Columns``, by one of two
-    readers. The record reader runs one csv reader over the file in blocks
-    of _BLOCK_ROWS rows; it reads every file at one worker, and a file of one
-    chunk. With more workers (``parallel.worker_count``), the data rows of a
+    ``_parts`` parses every data record, in blocks of _BLOCK_ROWS read by
+    one csv reader, column by column into ``_Columns``. The data rows of a
     seekable file are cut into chunks of about _CHUNK_BYTES, each starting
-    just after a newline. The caller parses the first chunk, which sets the
-    token columns, and ``parallel_imap`` the others: each worker reads its
-    byte range, decodes it, parses it with the csv module and returns a
-    float64 array per real column and tokens per token column, which the
-    caller appends in order. A chunk is refused when it holds a quote (a
-    quoted field may span a cut), a ragged row, a record the csv module
-    refuses or bytes that are not UTF-8; so is a header line that is longer
-    than a chunk or holds a quote. Then the chunk results are dropped and the
-    record reader reads the file, returning the same table or raising its
-    error.
+    just after a newline; the caller parses the first, which sets the token
+    columns, and ``parallel_imap`` the others (a plain loop at one worker),
+    each reading its byte range line by line. A chunk is refused when a line
+    holds a quote (a quoted field may span a cut) or a "\\r" that does not
+    end it before its "\\n" (a file reader ends a line there too), bytes
+    that are not UTF-8, a ragged row or a record the csv module refuses; so
+    is a header line longer than a chunk or not plain in the same way. Then
+    one csv reader reads the whole file, as it reads a file that cannot
+    seek, and returns the same table or raises its error. A column demoted
+    after the first part (a ``tcp`` in the last row of a numeric column,
+    say) gets its tokens from a second read by the same route that keeps
+    only the demoted columns; in a file that cannot seek it is a DataError.
 
-    Memory: each block or chunk of str tokens is released before the next
-    is read, and equal tokens of a column share one str. So the load holds
-    the float64 columns (up to a quarter more while they grow), one pointer
-    per token cell plus each distinct token once, and one block, or the
-    chunk results being appended. Each worker holds one chunk: its bytes,
-    its lines, its rows of str tokens and its parsed columns, at most 6.4
-    MiB for a 1 MiB chunk of the ``ingest-csv`` benchmark CSV (tracemalloc),
-    plus one finished result in its pipe. No per-block
-    float chunks are left in the heap: on a 212,000 × 41 ``flowgate synth``
-    CSV (a 66 MB table) the process's RSS rises by 72 MB over a record-reader
-    load and peaks 78 MB above its start, where per-block chunks joined at
-    the end raised it by 135 MB.
+    Memory: each block of str tokens is released before the next is read,
+    and equal tokens of a column share one str. So the load holds the
+    float64 columns (up to a quarter more while they grow), one pointer per
+    token cell plus each distinct token once, and one chunk's results. On a
+    212,000 × 41 ``flowgate synth`` CSV (a 66 MB table) at one worker the
+    process's RSS rises by 76 MB over the load and peaks 89 MB above its
+    start, where per-block float chunks joined at the end raised it by 135
+    MB. A worker holds its chunk's parsed columns, one block of str tokens
+    and one line of its bytes, plus one finished result in its pipe.
     """
     path = Path(path)
-    try:
-        handle = path.open("rb")
-    except FileNotFoundError:
-        raise DataError(f"missing file: {path}") from None
-    except OSError as exc:  # a directory, say
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with handle:
-        columns = None
-        if worker_count() > 1 and handle.seekable():
-            columns = _read_chunks(handle, path, profile)
-            handle.seek(0)
-        if columns is None:
-            with io.TextIOWrapper(handle, encoding="utf-8-sig", newline="") as text:
-                columns = _read_records(text, path, profile)
-    return columns.table(path)
+    columns, seekable = _read(path, profile)
+    if columns.demoted:
+        if not seekable:
+            raise DataError(
+                f"{path}: column {columns.header[columns.demoted[0]]!r} is not numeric after "
+                "its first rows, and a file that cannot seek cannot be read again for its tokens"
+            )
+        columns.tokens.update(_read(path, profile, columns.demoted)[0].tokens)
+    return columns.table()
 
 
 # -- timestamp merge -----------------------------------------------------------

@@ -9,12 +9,13 @@ import itertools
 import json
 import os
 import tempfile
+import threading
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_prep
@@ -56,8 +57,9 @@ def _set_workers(mp, cap, chunk_bytes):
 
 
 _caps = st.sampled_from((1, 2, 4))
-# a header line longer than one chunk goes to the record reader, so the
-# chunks are no shorter than the longest header here (22 bytes)
+# a header line longer than one chunk sends the file to one csv reader, not
+# through chunks, so the chunks are no shorter than the longest header here
+# (22 bytes)
 _chunk_bytes = st.integers(24, 96)
 
 
@@ -169,28 +171,35 @@ def test_header_only_file(tmp_path):
 
 
 def test_column_demoted_in_its_third_block_rereads_its_tokens(tmp_path, monkeypatch):
-    rereads = []
-    reread = prep._reread_tokens
+    maps = []
+    imap = prep.parallel_imap
     monkeypatch.setattr(
-        prep, "_reread_tokens", lambda path, idx: rereads.append(list(idx)) or reread(path, idx)
+        prep, "parallel_imap", lambda fn, items: maps.append(list(items)) or imap(fn, items)
     )
+    monkeypatch.setattr(prep, "_BLOCK_ROWS", 2)
     path = tmp_path / "d.csv"
-    path.write_text(
-        "x,y,Label\n1,1e0,A\n2.50,2,B\n-0,3,A\n,4,B\ntcp,5,A\n6,6,B\n", encoding="utf-8"
-    )
-    # one worker reads records in blocks of 2 rows, the third of which holds
-    # "tcp"; two read chunks of about 10 bytes, two rows each, and the third
-    # holds it, while the record reader, in one block, would not re-read
-    for cap, block_rows in ((1, 2), (2, 4096)):
-        monkeypatch.setattr(prep, "_BLOCK_ROWS", block_rows)
-        _set_workers(monkeypatch, cap, 10)
-        rereads.clear()
-        raw = load_csv(path, PROFILE)
-        assert rereads == [[0]]
-        assert raw.kind_of("x") == KIND_CATEGORICAL
-        assert raw.column("x").tolist() == ["1", "2.50", "-0", "", "tcp", "6"]
-        assert raw.column("y").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        _assert_same_raw(raw, reference_prep.load_csv(path, PROFILE))
+    rows = ["x,y,Label", "1,1e0,A", "2.50,2,B", "-0,3,A", ",4,B", "tcp,5,A", "6,6,B"]
+    # x is demoted in the third block of 2 rows, which ends the third chunk
+    # of about 10 bytes or the one chunk of 4096. The second read, for x
+    # only, maps the same chunks as the first, the first one (parsed by the
+    # caller) aside, at any cap; with a quote both reads go to one csv reader
+    # and map nothing.
+    for label, chunk_bytes, want_maps in (
+        ("A", 10, [[(27, 39), (39, 53)]] * 2),
+        ("A", 4096, [[], []]),
+        ('"A"', 10, []),
+    ):
+        rows[1] = f"1,1e0,{label}"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for cap in (1, 2):
+            _set_workers(monkeypatch, cap, chunk_bytes)
+            maps.clear()
+            raw = load_csv(path, PROFILE)
+            assert maps == want_maps
+            assert raw.kind_of("x") == KIND_CATEGORICAL
+            assert raw.column("x").tolist() == ["1", "2.50", "-0", "", "tcp", "6"]
+            assert raw.column("y").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+            _assert_same_raw(raw, reference_prep.load_csv(path, PROFILE))
 
 
 @given(
@@ -225,6 +234,8 @@ def test_ragged_line_in_a_later_block_names_its_line(n_rows, block_rows, ragged,
         # but starts on line 4 of the file
         ('a,b,Label\n1,"x\ny",A\n3,C\n', 4),
         ('a,b,Label\n1,x,A\n2,"x\r\ny",B\n3,"p\nq\nr"\n4,z,A\n', 5),
+        # a bare "\r" in a quoted field ends a line too, and "\r\n" one
+        ('a,b,Label\r1,"x\ry\r\n",A\r\n3,C\n', 5),
     ],
 )
 def test_ragged_row_after_a_multiline_field_names_its_file_line(
@@ -290,6 +301,83 @@ def test_a_pipe_is_read_by_the_record_reader(tmp_path, monkeypatch):
     finally:
         os.close(read_end)
     _assert_same_raw(got, load_csv(path, PROFILE))
+
+
+def _load_fifo(tmp_path, data):
+    """load_csv's outcome on a named pipe into which a thread writes ``data``,
+    which the pipe's buffer holds whole."""
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        with fifo.open("wb") as pipe:  # waits for the reader to open it
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return _load_outcome(fifo)
+    finally:
+        writer.join(timeout=10)
+        fifo.unlink()
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_a_named_pipe_loads_as_the_same_bytes_in_a_file(tmp_path, monkeypatch, cap):
+    rows = [["a", "b", "Label"]] + [[str(i), str(i / 7), "AB"[i % 2]] for i in range(200)]
+    path = tmp_path / "f.csv"
+    _set_workers(monkeypatch, cap, 24)
+    _write_rows(path, rows)
+    _assert_same_raw(_load_fifo(tmp_path, path.read_bytes()), load_csv(path, PROFILE))
+    rows[150] = ["1", "2"]
+    _write_rows(path, rows)
+    got = _load_fifo(tmp_path, path.read_bytes())
+    assert got == f"{tmp_path / 'fifo.csv'}: line 151: expected 3 fields, found 2"
+    assert _load_outcome(path) == f"{path}: line 151: expected 3 fields, found 2"
+    # a column demoted after its first block needs a second read, which a
+    # pipe cannot give
+    rows[150] = ["tcp", "2", "A"]
+    _write_rows(path, rows)
+    monkeypatch.setattr(prep, "_BLOCK_ROWS", 16)
+    assert load_csv(path, PROFILE).kind_of("a") == KIND_CATEGORICAL
+    got = _load_fifo(tmp_path, path.read_bytes())
+    assert got.endswith("column 'a' is not numeric after its first rows, and a file that "
+                        "cannot seek cannot be read again for its tokens")
+
+
+_line_ends = st.sampled_from(("\r", "\n", "\r\n"))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-99, 99), st.sampled_from("AB"), _line_ends), max_size=40),
+    _line_ends,
+    st.booleans(),
+    _caps,
+    _chunk_bytes,
+)
+@example([(i, "A", "\r") for i in range(40)], "\r", False, 2, 24)
+@example([(i, "AB"[i % 2], ("\r", "\r\n", "\n")[i % 3]) for i in range(40)], "\n", False, 4, 24)
+@example([(i, "A", "\r" if i == 19 else "\n") for i in range(40)], "\n", True, 2, 32)
+@settings(max_examples=100, deadline=None)
+def test_cr_only_and_mixed_line_ends_read_as_the_reference(rows, header_end, blank, cap, chunk_bytes):
+    # the chunk cutter splits only after "\n", where a file reader also ends
+    # a line at a bare "\r": a row ending in "\r" and then an empty line
+    # "\r\n" is a ragged row
+    lines = [f"{i},{i / 7},{label}{end}" for i, label, end in rows]
+    if blank:
+        lines.insert(len(lines) // 2, "\r\n")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, cap, chunk_bytes)
+        path = Path(tmp) / "cr.csv"
+        path.write_bytes("".join(["a,b,Label", header_end, *lines]).encode("utf-8"))
+        got = _load_outcome(path)
+        try:
+            want = reference_prep.load_csv(path, PROFILE)
+        except DataError as exc:
+            assert got == str(exc)
+        else:
+            _assert_same_raw(got, want)
 
 
 @pytest.mark.parametrize("header", ["flow_id,a,Label", "Label,a,b", '"Label",a,b'])
