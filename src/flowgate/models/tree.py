@@ -2,8 +2,9 @@
 the classification tree, the forest and boosting, plus the gini split search.
 
 Split candidates are the midpoints of consecutive distinct sorted feature
-values; rows with value <= threshold route left. A midpoint that rounds up
-onto the upper value (two adjacent doubles) cannot split and is no candidate.
+values; rows with value <= threshold route left. A midpoint that does not
+keep the lower value left and the upper value right (it rounds up onto the
+upper of two adjacent doubles, or their sum overflows) is no candidate.
 The candidate maximizing the weighted impurity decrease wins; ties break to
 the lowest feature index, then the lowest threshold. The winner among
 near-tied candidates is decided with exact integer arithmetic so the choice
@@ -12,19 +13,50 @@ matches a brute-force enumeration bit for bit at any sample size.
 Cost: a fit sorts each feature once, with one stable argsort per feature,
 into one buffer the fit owns. Each node then holds, per feature, its rows in
 (value, row id) order, as one range of that buffer, and a split partitions
-the range stably in place with one go-left mask, so a node costs a stable
-partition and one O(n) scan per feature, never sorts values and never holds
-its rows beside its children's. The scan runs in chunks of bounded size
-(_SCAN_CELLS), so a fit allocates about its presort plus a few hundred KB at
-any table size; near-tied candidates are made one at a time. The gini scan
-keeps each side's sum of squared class counts as running int64
-sums: a row whose class already has r rows on the left adds 2r + 1 to the
-left sum, and the right sum follows from the left one and a running sum of
-the rows' class totals (r comes from a stable sort of the small class ids,
-a linear-time radix sort). While below 2**53, which holds for any node of
-fewer than about 9e7 rows, these integers equal the float square sums a
-per-class count matrix gives, so the near-tie window and the exact
-comparison see the same numbers and the search stays exact.
+the range stably in place with one go-left mask, so a node never sorts
+values and never holds its rows beside its children's. Its search reads
+each feature's sorted rows in chunks of bounded size (_SCAN_CELLS), so a fit
+allocates about its presort plus a few hundred KB at any table size, and
+near-tied candidates are made one at a time. A chunk scores only the
+boundaries that may be best (boundary points, below): one pass over the
+rows' class ids finds the ends of the class runs, and the class counts left
+of each kept boundary come from a running sum of the runs' lengths, so the
+work after that pass grows with the number of runs, not of rows. A chunk of
+at most _ALL_BOUNDARIES boundaries scores every one that can split, with
+class counts from a running one-hot sum: that few rows cost fewer numpy
+calls that way. The square sums of class counts are exact int64 integers.
+While below 2**53, which holds for any node of fewer than about 9e7 rows,
+they equal the float square sums a per-class count matrix gives, so the
+near-tie window and the exact comparison see the same numbers and the search
+stays exact.
+
+Boundary points: the best cut never lies strictly inside a run of rows of
+one class (Fayyad and Irani, Machine Learning 8, 1992, for entropy; Elomaa
+and Rousu, Machine Learning 36, 1999, for gini). Take a maximal run of class
+c in a node's sorted rows, and the boundaries from the one before its first
+row through the one after its last: stepping along them moves k = 0, 1, ...
+rows of class c to the left side and changes nothing else. With a rows and
+class counts L on the left and b rows and R on the right at k = 0, and p = a
+- L_c and q = b - R_c the rows of other classes on each side, (L_c + k)^2 /
+(a + k) = (a + k) - 2p + p^2 / (a + k), and likewise on the right, so the
+score L2 / nl + R2 / nr is
+
+    S(k) = n - 2p - 2q + A / (a + k) + B / (b - k),
+
+with A = p^2 + sum_{d != c} L_d^2 and B = q^2 + sum_{d != c} R_d^2. A node
+that is searched holds a class other than c (a pure node is a leaf), so p >
+0 or q > 0, and S is strictly convex in k. On any set of the run's
+boundaries, such as those that can split and are legal, S is then strictly
+below the larger of its values at the set's first and last member at every
+member in between: no boundary in between can be best or tie the best. So
+a chunk keeps, of each such range, the first and the last boundary that can
+split and is legal, and its exact winner, ties and strict-improvement test
+are those of a scan of every boundary; the near-tie window's proof
+(``_window_floor``) holds for any set of boundaries that holds the exact
+best. A staircase (below) asks for every leaf size 1..L at once, under which
+boundary j is legal when l - 1 <= j <= n - 1 - l, so it also keeps, for each
+such l, the first boundary that can split at or after l - 1 and the last at
+or before n - 1 - l.
 
 Split cache: a node's split depends only on its rows and the leaf size, so
 gini fits on one training set can share their node searches. Every such fit
@@ -191,8 +223,8 @@ def _presort(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _class_ids(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Labels in the smallest unsigned dtype holding every class id, on which
-    numpy's stable sort is a linear-time radix sort."""
+    """Labels in the smallest unsigned dtype holding every class id, which
+    the scans gather and compare a chunk of sorted rows at a time."""
     return y.astype(np.min_scalar_type(max(n_classes - 1, 0)))
 
 
@@ -207,22 +239,31 @@ class _Candidate(NamedTuple):
 # A node's split search scans chunks of up to this many sorted rows: several
 # whole features of a node of at most this many rows, with one set of numpy
 # calls for all of them, and one feature at a time, in pieces of this many
-# rows, of a bigger node. A scan holds about seven arrays of a chunk's size
-# at once, so at 2^13 cells (64 KB an array) its temporaries stay near half
-# a MB at any node size and a fit allocates little beyond its presort
-# buffer: on gate 6, 1.6x its training matrix for the configured tree
-# (2^14 gave 1.9x) and 1.8x for a tuning tree (2.3x).
+# rows, of a bigger node. A scan holds a few arrays of a chunk's size at once
+# (row ids, values, midpoints, class ids, run flags; the run counts of a
+# chunk whose class changes at most rows), so at 2^13 cells its temporaries
+# stay near half a MB at any node size and a fit allocates little beyond its
+# presort buffer: on gate 6, 1.59x its training matrix for the configured
+# tree and 1.59x for a tuning tree (2^14: 1.59x and 1.83x; 2^16: 2.17x and
+# 3.15x).
 _SCAN_CELLS = 1 << 13
+
+# A chunk of at most this many boundaries keeps every one that can split and
+# counts classes with a running one-hot sum: below this size, finding the
+# ends of the class runs costs more numpy calls than it saves.
+_ALL_BOUNDARIES = 1 << 10
 
 
 def _candidates(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The candidate thresholds between consecutive sorted ``values``, along
     the last axis: each boundary's midpoint, and whether it can split, which
-    holds where the midpoint lies below the upper value (equal values and
-    adjacent doubles cannot split)."""
-    upper = values[..., 1:]
-    mid = (values[..., :-1] + upper) / 2.0
-    return mid, mid < upper
+    holds where the midpoint keeps the lower value left and the upper value
+    right. Equal values and adjacent doubles cannot split, nor can two values
+    whose sum overflows: their midpoint is +inf, or -inf below both."""
+    lower, upper = values[..., :-1], values[..., 1:]
+    with np.errstate(over="ignore"):
+        mid = (lower + upper) / 2.0
+    return mid, (lower <= mid) & (mid < upper)
 
 
 def _gini_scans(
@@ -234,77 +275,146 @@ def _gini_scans(
     features: np.ndarray,
     lo: int,
     hi: int,
-) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Score, midpoint and left/right square sums of the class counts at the
-    boundaries lo..hi-1 of each feature in ``features``, chunk by chunk of
-    at most _SCAN_CELLS sorted rows: yields (the features scanned, the
-    chunk's first boundary, scores, midpoints, left sums, right sums), one
-    row per scanned feature and one column per boundary. Boundary j splits
-    off sorted rows 0..j; its score is -inf where it cannot split.
-    ``sum_sq`` is the square sum of the node's class ``counts``.
+    edge: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Feature, left size, score, midpoint and left/right square sums of the
+    class counts at the boundaries among lo..hi-1 of each feature in
+    ``features`` that may be best, chunk by chunk of at most _SCAN_CELLS
+    sorted rows: yields one array of each, with one entry per boundary kept
+    (by feature, then boundary), for each chunk that keeps any. Boundary j
+    splits off sorted rows 0..j; ``sum_sq`` is the square sum of the node's
+    class ``counts``. ``edge`` > 0 keeps the boundaries that may be best
+    under every leaf size 1..``edge`` (``_boundary_sums``).
     """
     n = order.shape[1]
     piece = min(n, _SCAN_CELLS)
     per_scan = max(1, _SCAN_CELLS // n)
+    # X's cells in memory order, and the steps between rows and columns: a
+    # flat gather is about twice as fast as a 2-D one
+    if not (X.flags.f_contiguous or X.flags.c_contiguous):
+        X = np.asfortranarray(X)  # a strided view: ravel would copy it in another layout
+    cells = X.ravel(order="K")
+    row_step, column_step = X.strides[0] // X.itemsize, X.strides[1] // X.itemsize
     for first in range(0, features.size, per_scan):
         scanned = features[first : first + per_scan]
+        columns = (scanned * column_step)[:, np.newaxis]
         below = None  # class counts of the sorted rows before the piece
         for start in range(0, hi, piece):
             stop = min(start + piece, n)
             begin, end = max(lo, start), min(hi, stop)  # the piece's boundaries
             # one row more: the upper value of the piece's last boundary
             rows = order[scanned, start : stop + 1]
-            classes = y[rows[:, : stop - start]]
-            values = X[rows[:, begin - start : end - start + 1], scanned[:, np.newaxis]]
-            del rows  # the chunk-sized arrays die as soon as they are used
-            # Square sums in exact integers. Adding a row whose class already
-            # has r rows on the left raises the left sum by 2r + 1; r is the
-            # row's place among its class in a stable class sort of the
-            # piece, after the rows of its class below the piece. The right
-            # sum is sum_c (N_c - L_c)^2 = sum N^2 - 2 sum_c N_c L_c + sum L^2,
-            # where sum_c N_c L_c runs over the rows as a sum of N of each
-            # class. A piece of a big node holds one feature.
-            if stop == n:
-                in_piece = counts if below is None else counts - below
-            else:
-                in_piece = np.bincount(classes[0], minlength=counts.size)
-            offset = in_piece.cumsum() - in_piece
-            if below is not None:
-                offset -= below
-            class_rank = np.arange(stop - start) - offset.repeat(in_piece)
-            sum_left_sq = np.empty_like(classes, dtype=np.int64)
-            np.put_along_axis(
-                sum_left_sq,
-                classes.argsort(axis=1, kind="stable"),
-                2 * class_rank + 1,
-                axis=1,
-            )
-            del class_rank
-            sum_left_sq.cumsum(axis=1, out=sum_left_sq)
-            cross = counts[classes]
-            del classes
-            cross.cumsum(axis=1, out=cross)
-            if below is not None:
-                sum_left_sq += int((below**2).sum())
-                cross += int((counts * below).sum())
+            classes = y.take(rows[:, : stop - start])
             if begin < end:
-                window = slice(begin - start, end - start)
+                at = rows[:, begin - start : end - start + 1]
+                values = cells.take(at + columns if row_step == 1 else at * row_step + columns)
                 mid, can_split = _candidates(values)
-                del values
-                sum_left = sum_left_sq[:, window]
-                sum_right = cross[:, window]
-                sum_right *= -2
-                sum_right += sum_sq
-                sum_right += sum_left
-                nl = np.arange(begin + 1, end + 1, dtype=np.float64)
-                scores = sum_left / nl
-                scores += sum_right / (float(n) - nl)
-                scores[~can_split] = -np.inf
-                del can_split, nl
-                yield scanned, begin, scores, mid, sum_left, sum_right
-                del scores, mid, sum_left, sum_right
-            del sum_left_sq, cross
-            below = in_piece if below is None else below + in_piece
+                del rows, at, values
+                limits = None
+                if edge:
+                    # the boundaries j < edge and j >= n - 1 - edge, in the piece
+                    limits = (edge - begin, n - 1 - edge - begin)
+                kept = _boundary_sums(classes, can_split, begin - start, limits, counts, below)
+                del can_split
+                if kept is not None:
+                    at, feature, left = kept
+                    n_left = at - feature * (end - begin) + (begin + 1)
+                    sum_left = np.einsum("ij,ij->i", left, left, dtype=np.int64)
+                    # sum_c (N_c - L_c)^2 = sum N^2 - 2 sum_c N_c L_c + sum L^2
+                    sum_right = sum_left - 2 * (left @ counts)
+                    sum_right += sum_sq
+                    del left
+                    scores = sum_left / n_left
+                    scores += sum_right / (n - n_left)
+                    yield scanned[feature], n_left, scores, mid.ravel()[at], sum_left, sum_right
+                    del at, feature, sum_left, sum_right, scores
+                del mid
+            if stop < n:  # a piece of a big node, which holds one feature
+                in_piece = np.bincount(classes[0], minlength=counts.size)
+                below = in_piece if below is None else below + in_piece
+
+
+def _boundary_sums(
+    classes: np.ndarray,
+    can_split: np.ndarray,
+    first: int,
+    limits: tuple[int, int] | None,
+    counts: np.ndarray,
+    below: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The boundaries of one chunk that may be best, with the class counts
+    left of them: (their flat places in ``can_split``, their features'
+    places in the chunk, one row of counts each), or None when none can
+    split.
+
+    ``classes`` holds the chunk's sorted class ids, one row per feature, and
+    ``can_split`` whether each of a window of boundaries can split, the first
+    of which follows a feature's row ``first``. The window is cut into
+    ranges at its ends and at each boundary between two runs of one class,
+    and with ``limits`` (a, b) at each window place below a and from b on;
+    the first and the last splittable boundary of each range are kept.
+    ``below`` holds the class counts of the rows before a one-feature piece
+    of a big node.
+    """
+    n_features, m = classes.shape
+    width = can_split.shape[1]
+    if below is None and can_split.size <= _ALL_BOUNDARIES:
+        at = can_split.ravel().nonzero()[0]
+        if at.size == 0:
+            return None
+        feature = at // width
+        running = np.eye(counts.size, dtype=np.int64).take(classes, axis=0)
+        np.add.accumulate(running, axis=1, out=running)
+        return at, feature, running.reshape(-1, counts.size).take(at + feature * (m - width) + first, axis=0)
+    flat = classes.ravel()
+    # the rows laid end to end, cut into parts of one class and one feature;
+    # the last entry closes the last part
+    part = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=part[1:-1])
+    part[::m] = True
+    # the places that end ranges: the window's ends, and the boundaries whose
+    # next row starts a part
+    limit = np.ones((n_features, width), dtype=bool)
+    limit[:, 1:-1] = part[:-1].reshape(n_features, m)[:, first + 2 : first + width]
+    if limits is not None:
+        limit[:, : max(limits[0], 0)] = True
+        limit[:, max(limits[1], 0) :] = True
+    limit = limit.ravel().nonzero()[0]
+    can_split = can_split.ravel()
+    at = limit[can_split[limit]]
+    if at.size < limit.size:
+        # the first splittable boundary at or after each limit that cannot
+        # split and the last at or before it; a miss marks the spare slot
+        splittable = can_split.nonzero()[0]
+        if splittable.size == 0:
+            return None
+        stuck = limit[~can_split[limit]]
+        keep = np.zeros(splittable.size + 1, dtype=bool)
+        keep[splittable.searchsorted(stuck)] = True
+        keep[splittable.searchsorted(stuck, side="right") - 1] = True
+        keep[splittable.searchsorted(at)] = True
+        at = splittable[keep[:-1]]
+        del splittable, stuck, keep
+    del limit
+    feature = at // width
+    after = at + feature * (m - width) + (first + 1)  # the row after each kept boundary, flat
+
+    # Class counts left of the kept boundaries from the lengths of the
+    # parts, cut also at those boundaries: a running sum of each part's
+    # length on its class, restarted at each feature (or from the rows below
+    # a piece).
+    part[after] = True
+    start = part.nonzero()[0]  # each part's first row, then the closing entry
+    del part
+    left = np.zeros((start.size - 1, counts.size), dtype=np.int32)  # a node holds < 2**31 rows
+    left[np.arange(start.size - 1), flat[start[:-1]]] = start[1:] - start[:-1]
+    if n_features > 1:
+        left[start.searchsorted(np.arange(m, flat.size, m))] -= counts
+    elif below is not None:
+        left[0] += below
+    np.add.accumulate(left, axis=0, out=left)
+    # at the parts that end at a kept boundary
+    return at, feature, left.take(start.searchsorted(after) - 1, axis=0)
 
 
 _WINDOW = 2.0**-40  # the near-tie window's width relative to the best float score
@@ -375,7 +485,8 @@ def _node_split(
 
     ``counts`` is the node's class-count vector and ``order[f]`` its rows
     sorted by (value of feature f, row id); ``y`` holds class ids as
-    ``_class_ids`` gives them.
+    ``_class_ids`` gives them. ``feature_ids`` may come in any order: ties
+    break on (feature, threshold) whatever order they are scanned in.
     """
     n = int(order.shape[1])
     # a boundary after sorted row i splits off rows 0..i; rows lo..hi-1 end
@@ -384,8 +495,8 @@ def _node_split(
     if lo >= hi:
         return None
     counts = counts.astype(np.int64)
-    sum_sq_parent = int((counts**2).sum())
-    scans = _gini_scans(X, y, counts, sum_sq_parent, order, np.sort(feature_ids), lo, hi)
+    sum_sq_parent = int(counts @ counts)
+    scans = _gini_scans(X, y, counts, sum_sq_parent, order, feature_ids, lo, hi)
     return _exact_best(_near_ties(scans), n, sum_sq_parent)
 
 
@@ -394,21 +505,18 @@ def _near_ties(scans: Iterable[tuple]) -> Iterator[_Candidate]:
     in the window of the best float score so far, as candidates. The
     window's floor only rises, so every boundary in the window of the
     node's best is among them. They are made one at a time, and a chunk is
-    dropped before the scan makes the next one: a node where many
-    boundaries nearly tie (say one row of a minority class among
-    thousands) never holds them all."""
+    dropped before the scan makes the next one."""
     node_best = -np.inf
-    for scanned, first, scores, mid, sum_left_sq, sum_right_sq in scans:
+    for features, n_left, scores, mid, sum_left_sq, sum_right_sq in scans:
         node_best = max(node_best, float(scores.max()))
-        if node_best > -np.inf:
-            for f, j in zip(*(scores >= _window_floor(node_best)).nonzero()):
-                yield _Candidate(
-                    feature=int(scanned[f]),
-                    threshold=float(mid[f, j]),
-                    n_left=first + int(j) + 1,
-                    sum_left_sq=int(sum_left_sq[f, j]),
-                    sum_right_sq=int(sum_right_sq[f, j]),
-                )
+        for i in np.flatnonzero(scores >= _window_floor(node_best)):
+            yield _Candidate(
+                feature=int(features[i]),
+                threshold=float(mid[i]),
+                n_left=int(n_left[i]),
+                sum_left_sq=int(sum_left_sq[i]),
+                sum_right_sq=int(sum_right_sq[i]),
+            )
         del scores, mid, sum_left_sq, sum_right_sq
 
 
@@ -419,41 +527,29 @@ def _stair_ties(chunk: tuple, n: int, max_leaf: int, node_best: np.ndarray) -> l
     sums). ``node_best`` is the float best under each leaf size of the
     node's chunks so far, and this chunk's raises it in place.
 
-    Boundary j splits off sorted rows 0..j, so its smaller side holds m =
-    min(j + 1, n - 1 - j) rows and it is legal under leaf sizes 1..m. The
-    chunk's float best under leaf size l is the best of its boundaries with
-    m >= l: a running maximum over m, from the largest m down, gives it for
-    every l at once (with m capped at ``max_leaf``, only the boundaries
-    near the node's two ends have m below the cap). A boundary with smaller
-    side m (capped) is legal only up to leaf size m, where the window floor
-    is lowest, so one that lies below the floor of the node's best there is
-    never a candidate and is dropped.
+    A boundary with left size nl has smaller side m = min(nl, n - nl) and is
+    legal under leaf sizes 1..m. The chunk's float best under leaf size l is
+    the best of its boundaries with m >= l: a running maximum over m, from
+    the largest m down, gives it for every l at once (with m capped at
+    ``max_leaf``). A boundary with smaller side m (capped) is legal only up
+    to leaf size m, where the window floor is lowest, so one that lies below
+    the floor of the node's best there is never a candidate and is dropped.
     """
-    scanned, first, scores, mid, sum_left_sq, sum_right_sq = chunk
-    width = scores.shape[1]
-    top = node_best.size  # largest leaf size with a legal boundary
-    side = np.arange(first + 1, first + width + 1)  # left sizes, then smaller sides
-    np.minimum(side, n - side, out=side)
+    features, n_left, scores, mid, sum_left_sq, sum_right_sq = chunk
+    side = np.minimum(n_left, n - n_left)
     np.minimum(side, max_leaf, out=side)
-    column_best = scores.max(axis=0)
-    # boundaries top-1..n-1-top have side top; the others lie at the ends
-    middle_lo = min(max(top - 1 - first, 0), width)
-    middle_hi = min(max(n - top - first, middle_lo), width)
-    best = np.full(top, -np.inf)  # best under leaf size l, at index l - 1
-    best[top - 1] = column_best[middle_lo:middle_hi].max(initial=-np.inf)
-    for ends in (slice(0, middle_lo), slice(middle_hi, width)):
-        np.maximum.at(best, side[ends] - 1, column_best[ends])
+    best = np.full(node_best.size, -np.inf)  # best under leaf size l, at index l - 1
+    np.maximum.at(best, side - 1, scores)
     np.maximum(node_best, np.maximum.accumulate(best[::-1])[::-1], out=node_best)
-    del column_best
-    f, j = (scores >= _window_floors(node_best)[side - 1]).nonzero()
+    keep = scores >= _window_floors(node_best)[side - 1]
     return [
-        scores[f, j],
-        side[j],
-        scanned[f],
-        mid[f, j],
-        first + 1 + j,
-        sum_left_sq[f, j],
-        sum_right_sq[f, j],
+        scores[keep],
+        side[keep],
+        features[keep],
+        mid[keep],
+        n_left[keep],
+        sum_left_sq[keep],
+        sum_right_sq[keep],
     ]
 
 
@@ -527,13 +623,16 @@ def _node_staircase(
     """
     n = int(order.shape[1])
     counts = counts.astype(np.int64)
-    sum_sq_parent = int((counts**2).sum())
+    sum_sq_parent = int(counts @ counts)
     node_best = np.full(min(max_leaf, n // 2), -np.inf)
     ties = []
     features = np.arange(order.shape[0])
-    for chunk in _gini_scans(X, y, counts, sum_sq_parent, order, features, 0, n - 1):
+    scans = _gini_scans(X, y, counts, sum_sq_parent, order, features, 0, n - 1, node_best.size)
+    for chunk in scans:
         ties.append(_stair_ties(chunk, n, max_leaf, node_best))
         del chunk  # let the scan free this chunk before it makes the next one
+    if not ties:  # no boundary can split
+        return [(max_leaf, -1, math.nan)]
     stairs = _Stairs(ties, node_best)
     del ties
 
@@ -548,32 +647,6 @@ def _node_staircase(
         steps.append((min(side, max_leaf), best.feature, best.threshold))
         leaf = side + 1
     return steps
-
-
-def best_split(
-    rows: np.ndarray,
-    table: ColumnarTable,
-    params: TreeHyperparams = TreeHyperparams(),
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over the given row ids of
-    ``table``: the root split of a one-level ``fit_tree`` on those rows
-    (``max_depth`` 1, split gate max(2, leaf)), whose decrease is taken from
-    the children's class counts. Returns None when no legal split strictly
-    improves impurity.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise DataError("cannot split an empty row set")
-    leaf = params.min_samples_leaf
-    stump = TreeHyperparams(max_depth=1, min_samples_split=max(2, leaf), min_samples_leaf=leaf)
-    tree = fit_tree(table.take_rows(rows), stump).root
-    if tree.feature[0] < 0:
-        return None
-    n = rows.size
-    parent, left, right = tree.value
-    nl, nr = int(left.sum()), int(right.sum())
-    decrease = gini_impurity(parent) - nl / n * gini_impurity(left) - nr / n * gini_impurity(right)
-    return int(tree.feature[0]), float(tree.threshold[0]), float(decrease)
 
 
 class SplitCache:
@@ -596,18 +669,21 @@ class SplitCache:
     and the caller ``merge``s them, so two workers may each search a path
     the caller did not hold when they forked.
 
-    The two modes stay because each wins where it is used. Measured in
-    alternated single-process runs at 1 worker (2-core machine, Python 3.11,
-    numpy 2.4):
+    The two modes were chosen on the scan of every boundary. Re-measured
+    with the boundary-point scan, in 3 rounds of single-process reports at 1
+    worker (2-core machine, Python 3.11, numpy 2.4; run order fixed within a
+    round, on a host where repeated runs varied by up to 2x):
     - the swarm's fits ask for many leaf sizes of one table. A one-leaf
-      tuning cache (presort still shared) made gate 6's ``tune`` 0.587-0.600 s
-      against the staircase's 0.469-0.481 s (4 pairs; 573 against 291
-      searches), tied on the overlap config (1.89-2.07 s against 1.85-1.93 s,
-      4 pairs) and took 41.97 s against 40.18 s on the hard config (1 pair);
+      tuning cache (presort still shared) made gate 6's ``tune`` 0.54-0.71 s
+      against the staircase's 0.65-0.73 s, and the overlap config's 1.84-2.38
+      s against 2.13-2.61 s (faster in 3 of 3 rounds there);
     - the configured DT and the tuned refit ask for one leaf size each. A
-      staircase cache for them made the overlap config's two fits 0.92-1.05 s
-      against 0.66-0.67 s (3 pairs); on gate 6 it made them 0.17-0.18 s
-      against 0.20-0.21 s.
+      staircase cache for them made the overlap config's configured DT
+      0.86-1.02 s against 0.64-0.76 s (its refit 0.046-0.048 s against
+      0.075-0.079 s); on gate 6 it made the two fits 0.12-0.21 s against
+      0.20-0.22 s.
+    So the configured DT keeps one search per leaf size, and the staircase
+    no longer clearly wins the tuning fits.
     """
 
     def __init__(self, train: ColumnarTable, max_leaf: int = 0) -> None:

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import settings
 
 from flowgate.dataset import KIND_LABEL, KIND_NUMERIC, ColumnSchema, ColumnarTable
+from flowgate.errors import DataError
+from flowgate.models.tree import TreeHyperparams, fit_tree, gini_impurity
 
 
 # GitHub Actions sets CI. Derandomized runs draw the same examples on every
@@ -322,6 +324,33 @@ def oracle_best_split(
     score, f, mid, _ = best
     decrease = (score - parent) / n
     return f, mid, float(decrease)
+
+
+def best_split(
+    rows: np.ndarray,
+    table: ColumnarTable,
+    params: TreeHyperparams = TreeHyperparams(),
+) -> tuple[int, float, float] | None:
+    """The library's best (feature, threshold, impurity decrease) over the
+    given row ids of ``table``: the root split of a one-level ``fit_tree`` on
+    those rows (``max_depth`` 1, split gate max(2, leaf)), whose decrease is
+    taken from the children's class counts. Returns None when no legal split
+    strictly improves impurity. Not an oracle: tests compare it with
+    ``oracle_best_split``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise DataError("cannot split an empty row set")
+    leaf = params.min_samples_leaf
+    stump = TreeHyperparams(max_depth=1, min_samples_split=max(2, leaf), min_samples_leaf=leaf)
+    tree = fit_tree(table.take_rows(rows), stump).root
+    if tree.feature[0] < 0:
+        return None
+    n = rows.size
+    parent, left, right = tree.value
+    nl, nr = int(left.sum()), int(right.sum())
+    decrease = gini_impurity(parent) - nl / n * gini_impurity(left) - nr / n * gini_impurity(right)
+    return int(tree.feature[0]), float(tree.threshold[0]), float(decrease)
 
 
 @pytest.fixture

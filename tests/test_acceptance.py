@@ -23,11 +23,12 @@ from flowgate.config import ExperimentConfig
 from flowgate.harness import TUNED_DT_NAME, build_source, run_and_emit, run_experiment
 from flowgate.metrics import confusion_matrix, evaluate
 from flowgate.models.baseline import majority_baseline
-from flowgate.models.tree import TreeHyperparams, best_split, fit_tree, predict_tree
+from flowgate.models.tree import TreeHyperparams, fit_tree, predict_tree
 from flowgate.prep import PrepOptions, preprocess_pipeline
 from flowgate.swarm import EpsoConfig, SearchSpace, optimize
 
 from conftest import (
+    best_split,
     conflict_free_table,
     make_table,
     oracle_best_split,

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowgate.errors import DataError
@@ -230,6 +230,163 @@ def test_staircase_matches_the_search_at_every_leaf_size(
             assert feature == -1, leaf
         else:
             assert (feature, threshold) == (best.feature, best.threshold), leaf
+
+
+# -- boundary points ------------------------------------------------------------
+# The scan keeps, of each range of boundaries that moves rows of one class, only
+# the first and the last that can split and are legal. These layouts put those
+# ends where a wrong range shows: class runs cut by ties and by the legality
+# edges, a majority class of 90% or more, a few rows of a minority class at one
+# end (so the best cut under a larger leaf size lies on a legality edge), equal
+# values of mixed classes, adjacent doubles, and values whose midpoints
+# overflow. Each search runs with both scans (counting every boundary of a
+# small chunk, and keeping the run ends: all_boundaries 0), and in one piece or
+# in pieces of 7 rows.
+
+HUGE = np.array([-1.7e308, -1.0, 0.0, 1.0, 1.5e308, 1.6e308, 1.7e308, np.finfo(np.float64).max])
+
+RUN_LAYOUTS = [
+    "runs", "majority", "low minority", "high minority",
+    "mixed blocks", "adjacent doubles", "huge",
+]
+
+
+def _run_set(seed, n, d, k, layout):
+    """(X, class ids, class count) of n rows and d features, laid out as
+    ``layout`` names; the classes are those of k draws, renumbered."""
+    rng = np.random.default_rng(seed)
+    # distinct values, or 2 to 40 levels, whose ties cut class runs
+    if rng.random() < 0.5 or layout.endswith("minority"):
+        X = rng.random((n, d))
+    else:
+        X = rng.integers(0, rng.integers(2, 41), size=(n, d)).astype(np.float64)
+    if layout == "runs":
+        # runs of one class along the first feature's order, of random lengths
+        lengths = rng.integers(1, max(2, n // 3), size=n)
+        y = np.repeat(rng.integers(0, k, size=n), lengths)[:n][np.argsort(np.argsort(X[:, 0]))]
+    elif layout == "majority":
+        y = np.zeros(n, dtype=np.int64)
+        y[rng.permutation(n)[: max(1, n // 10)]] = rng.integers(1, max(2, k), size=max(1, n // 10))
+    elif layout.endswith("minority"):
+        y = np.zeros(n, dtype=np.int64)
+        by_value = np.argsort(X[:, 0])
+        if layout == "high minority":
+            by_value = by_value[::-1]
+        y[by_value[: int(rng.integers(1, max(2, n // 8)))]] = 1
+    elif layout == "mixed blocks":
+        X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+        y = rng.integers(0, k, size=n)
+    elif layout == "adjacent doubles":
+        X = 1.0 + rng.integers(0, 4, size=(n, d)) * np.spacing(1.0)
+        y = rng.integers(0, k, size=n)
+    else:
+        X = rng.choice(HUGE, size=(n, d))
+        y = rng.integers(0, k, size=n)
+    y = np.unique(y, return_inverse=True)[1].ravel()
+    return X, y, int(y.max()) + 1
+
+
+def _scans(all_boundaries, scan_cells):
+    return mock.patch.multiple(
+        tree_module, _ALL_BOUNDARIES=all_boundaries, _SCAN_CELLS=scan_cells
+    )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 60),
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.sampled_from(RUN_LAYOUTS),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.sampled_from([0, tree_module._ALL_BOUNDARIES]),
+    st.sampled_from([7, tree_module._SCAN_CELLS]),
+)
+# ties that cut class runs, where the best cut is the last splittable
+# boundary before a class change, or the first after one
+@example(14, 30, 2, 4, "runs", 52156, False, 0, tree_module._SCAN_CELLS)
+@example(1, 29, 2, 4, "majority", 63939, True, 0, 7)
+# two equal values of -1.7e308, whose midpoint overflows to -inf
+@example(62, 50, 1, 3, "huge", 59850, True, 0, 7)
+@settings(max_examples=200, deadline=None)
+def test_the_search_over_run_ends_is_the_oracle_split(
+    seed, n, d, k, layout, leaf_draw, sample, all_boundaries, scan_cells
+):
+    # any leaf size up to n/2; with sample, a forest's sorted feature sample
+    X, y, k = _run_set(seed, n, d, k, layout)
+    leaf = 1 + leaf_draw % max(1, n // 2)
+    features = np.arange(d)
+    if sample and d > 1:
+        features = np.sort(np.random.default_rng(seed).choice(d, size=d - 1, replace=False))
+    ids = tree_module._class_ids(y, k)
+    with _scans(all_boundaries, scan_cells):
+        got = tree_module._node_split(X, ids, np.bincount(y, minlength=k), _presort(X), leaf, features)
+    want = oracle_best_split(X[:, features], y, min_samples_leaf=leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.feature, got.threshold) == (features[want[0]], want[1])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(2, 40), st.integers(100, 130)),
+    st.integers(1, 2),
+    st.integers(2, 4),
+    st.sampled_from(RUN_LAYOUTS),
+    st.lists(st.integers(1, 60), max_size=2),
+    st.sampled_from([0, tree_module._ALL_BOUNDARIES]),
+    st.sampled_from([7, tree_module._SCAN_CELLS]),
+)
+@example(7, 120, 1, 2, "low minority", [], 0, tree_module._SCAN_CELLS)
+@example(7, 120, 1, 2, "high minority", [], 0, tree_module._SCAN_CELLS)
+@example(8, 119, 2, 3, "runs", [49, 50], 0, 7)
+@settings(max_examples=120, deadline=None)
+def test_the_staircase_over_run_ends_matches_the_search_and_the_oracle(
+    seed, n, d, k, layout, oracle_leaves, all_boundaries, scan_cells
+):
+    # the tuning staircase's max_leaf, 50: the legality edges l - 1 and
+    # n - 1 - l of a node of over 100 rows cut through its class runs; the
+    # oracle checks the widest leaf size and a few drawn ones, the search
+    # every one
+    X, y, k = _run_set(seed, n, d, k, layout)
+    ids = tree_module._class_ids(y, k)
+    counts = np.bincount(y, minlength=k)
+    order = _presort(X)
+    with _scans(all_boundaries, scan_cells):
+        steps = tree_module._node_staircase(X, ids, counts, order, 50)
+    top = min(50, n // 2)
+    for leaf in range(1, top + 1):
+        high, feature, threshold = next(step for step in steps if leaf <= step[0])
+        best = tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
+        if best is None:
+            assert feature == -1, leaf
+        else:
+            assert (feature, threshold) == (best.feature, best.threshold), leaf
+        if leaf == top or leaf in oracle_leaves:
+            want = oracle_best_split(X, y, min_samples_leaf=leaf)
+            if want is None:
+                assert feature == -1, leaf
+            else:
+                assert (feature, threshold) == want[:2], leaf
+
+
+@pytest.mark.parametrize("scan_cells", [7, tree_module._SCAN_CELLS])
+def test_the_search_reads_every_matrix_layout_alike(scan_cells):
+    # the scan gathers values from the matrix's flat cells: row- and
+    # column-major matrices and a strided view must give the same split
+    X, y, k = _run_set(3, 90, 4, 3, "runs")
+    wide = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+    wide[::2, ::2] = X
+    ids = tree_module._class_ids(y, k)
+    counts = np.bincount(y, minlength=k)
+    order = _presort(X)
+    want = oracle_best_split(X, y, min_samples_leaf=3)
+    for layout in (X, np.asfortranarray(X), wide[::2, ::2]):
+        with _scans(0, scan_cells):
+            got = tree_module._node_split(layout, ids, counts, order, 3, np.arange(4))
+        assert (got.feature, got.threshold) == want[:2]
 
 
 def test_a_split_cache_from_another_training_set_is_rejected():

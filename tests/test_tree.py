@@ -16,13 +16,12 @@ from flowgate.models.tree import (
     TreeHyperparams,
     _prune,
     _route,
-    best_split,
     fit_tree,
     gini_impurity,
     predict_tree,
 )
 
-from conftest import conflict_free_table, make_table, oracle_best_split
+from conftest import best_split, conflict_free_table, make_table, oracle_best_split
 
 
 # -- impurity -----------------------------------------------------------------
