@@ -250,7 +250,12 @@ _SCAN_CELLS = 1 << 13
 
 # A chunk of at most this many boundaries keeps every one that can split and
 # counts classes with a running one-hot sum: below this size, finding the
-# ends of the class runs costs more numpy calls than it saves.
+# ends of the class runs costs more numpy calls than it saves. Timed at 1
+# worker (fits on the overlap config, on a 6k x 12 ensemble and on gate 6):
+# run ends on every chunk (0) made the overlap forest 18% and the ensemble
+# 11% slower, 2^12 tied 2^10, and one-hot sums on every chunk of a node
+# below 8,192 rows (2^14) made gate 6's configured and tuning trees 44-45%
+# slower.
 _ALL_BOUNDARIES = 1 << 10
 
 
@@ -289,15 +294,8 @@ def _gini_scans(
     n = order.shape[1]
     piece = min(n, _SCAN_CELLS)
     per_scan = max(1, _SCAN_CELLS // n)
-    # X's cells in memory order, and the steps between rows and columns: a
-    # flat gather is about twice as fast as a 2-D one
-    if not (X.flags.f_contiguous or X.flags.c_contiguous):
-        X = np.asfortranarray(X)  # a strided view: ravel would copy it in another layout
-    cells = X.ravel(order="K")
-    row_step, column_step = X.strides[0] // X.itemsize, X.strides[1] // X.itemsize
     for first in range(0, features.size, per_scan):
         scanned = features[first : first + per_scan]
-        columns = (scanned * column_step)[:, np.newaxis]
         below = None  # class counts of the sorted rows before the piece
         for start in range(0, hi, piece):
             stop = min(start + piece, n)
@@ -306,10 +304,9 @@ def _gini_scans(
             rows = order[scanned, start : stop + 1]
             classes = y.take(rows[:, : stop - start])
             if begin < end:
-                at = rows[:, begin - start : end - start + 1]
-                values = cells.take(at + columns if row_step == 1 else at * row_step + columns)
+                values = X[rows[:, begin - start : end - start + 1], scanned[:, np.newaxis]]
                 mid, can_split = _candidates(values)
-                del rows, at, values
+                del rows, values
                 limits = None
                 if edge:
                     # the boundaries j < edge and j >= n - 1 - edge, in the piece

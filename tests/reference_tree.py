@@ -4,10 +4,11 @@ replaced, kept as an independent copy to compare against.
 Every node sorts each feature of its rows with a stable argsort and scores
 the boundaries with a cumulative one-hot class-count matrix (gini) or
 cumulative gradient sums (boosting). Presorted growth must give the same
-trees bit for bit. The one deliberate difference is not reproduced here: this
-search lets a boundary whose midpoint rounds up onto the upper value (two
-adjacent doubles) set the best score although it cannot split, so the test
-data avoid adjacent doubles.
+trees bit for bit. A midpoint that does not keep the lower value left and the
+upper value right (two adjacent doubles, or two values whose sum overflows)
+splits nothing here either. The one deliberate difference is not reproduced:
+this search lets such a boundary set the best score although it cannot
+split, so the test data avoid adjacent doubles and overflowing sums.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def node_split(X, y, rows, n_classes, min_samples_leaf, feature_ids):
             lo = float(vs[i])
             hi = float(vs[i + 1])
             mid = (lo + hi) / 2.0
-            if not mid < hi:
+            if not lo <= mid < hi:
                 continue
             left_counts = cum[i]
             candidates.append(
@@ -214,7 +215,7 @@ def gradient_split(X, g, h, rows, lam):
             lo = float(vs[pos])
             hi = float(vs[pos + 1])
             mid = (lo + hi) / 2.0
-            if mid < hi:
+            if lo <= mid < hi:
                 best_gain = gain
                 best = (feature, mid)
     return best

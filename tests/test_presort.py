@@ -372,23 +372,6 @@ def test_the_staircase_over_run_ends_matches_the_search_and_the_oracle(
                 assert (feature, threshold) == want[:2], leaf
 
 
-@pytest.mark.parametrize("scan_cells", [7, tree_module._SCAN_CELLS])
-def test_the_search_reads_every_matrix_layout_alike(scan_cells):
-    # the scan gathers values from the matrix's flat cells: row- and
-    # column-major matrices and a strided view must give the same split
-    X, y, k = _run_set(3, 90, 4, 3, "runs")
-    wide = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
-    wide[::2, ::2] = X
-    ids = tree_module._class_ids(y, k)
-    counts = np.bincount(y, minlength=k)
-    order = _presort(X)
-    want = oracle_best_split(X, y, min_samples_leaf=3)
-    for layout in (X, np.asfortranarray(X), wide[::2, ::2]):
-        with _scans(0, scan_cells):
-            got = tree_module._node_split(layout, ids, counts, order, 3, np.arange(4))
-        assert (got.feature, got.threshold) == want[:2]
-
-
 def test_a_split_cache_from_another_training_set_is_rejected():
     # a cache is made for one table object: other contents and equal
     # copies are both another training set
