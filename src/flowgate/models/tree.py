@@ -53,10 +53,7 @@ a chunk keeps, of each such range, the first and the last boundary that can
 split and is legal, and its exact winner, ties and strict-improvement test
 are those of a scan of every boundary; the near-tie window's proof
 (``_window_floor``) holds for any set of boundaries that holds the exact
-best. A staircase (below) asks for every leaf size 1..L at once, under which
-boundary j is legal when l - 1 <= j <= n - 1 - l, so it also keeps, for each
-such l, the first boundary that can split at or after l - 1 and the last at
-or before n - 1 - l.
+best.
 
 Split cache: a node's split depends only on its rows and the leaf size, so
 gini fits on one training set can share their node searches. Every such fit
@@ -71,23 +68,17 @@ improves in the wider window, none does in the narrower one. So a search
 under l whose split has smaller side m holds for every leaf size in [l, m]
 (for every leaf size from l on when no split improves).
 
-A ``SplitCache`` made with a largest leaf size L (the tuning fits) makes one
-search per path in a process: a staircase (``_node_staircase``) scans the
-widest window once and walks the leaf size up from 1, each step taking the
-best split under its leaf size and the next step starting one past that
-split's smaller side. Of the scan it keeps only the boundaries some step can
-take as near-tie candidates, so a step costs a few list operations, not a
-pass over the scan. It also sorts its table once, for each fit to copy. A
-cache without L (the configured tree and its refit) holds no presort and keeps,
-per path, each one-leaf search with the leaf sizes [l, m] it holds for. A
-fit runs its own purity, depth and split-gate checks before it looks a node
-up, so the cache changes how much a fit searches, never the tree it grows.
+A ``SplitCache`` keeps, per path, each search with the leaf sizes [l, m] it
+holds for, and searches a node again only under a leaf size that none of
+them covers. A cache made with ``presort`` (the tuning fits) also sorts its
+table once, for each fit to copy. A fit runs its own purity, depth and
+split-gate checks before it looks a node up, so the cache changes how much a
+fit searches, never the tree it grows.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -280,7 +271,6 @@ def _gini_scans(
     features: np.ndarray,
     lo: int,
     hi: int,
-    edge: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Feature, left size, score, midpoint and left/right square sums of the
     class counts at the boundaries among lo..hi-1 of each feature in
@@ -288,8 +278,7 @@ def _gini_scans(
     sorted rows: yields one array of each, with one entry per boundary kept
     (by feature, then boundary), for each chunk that keeps any. Boundary j
     splits off sorted rows 0..j; ``sum_sq`` is the square sum of the node's
-    class ``counts``. ``edge`` > 0 keeps the boundaries that may be best
-    under every leaf size 1..``edge`` (``_boundary_sums``).
+    class ``counts``.
     """
     n = order.shape[1]
     piece = min(n, _SCAN_CELLS)
@@ -307,11 +296,7 @@ def _gini_scans(
                 values = X[rows[:, begin - start : end - start + 1], scanned[:, np.newaxis]]
                 mid, can_split = _candidates(values)
                 del rows, values
-                limits = None
-                if edge:
-                    # the boundaries j < edge and j >= n - 1 - edge, in the piece
-                    limits = (edge - begin, n - 1 - edge - begin)
-                kept = _boundary_sums(classes, can_split, begin - start, limits, counts, below)
+                kept = _boundary_sums(classes, can_split, begin - start, counts, below)
                 del can_split
                 if kept is not None:
                     at, feature, left = kept
@@ -335,7 +320,6 @@ def _boundary_sums(
     classes: np.ndarray,
     can_split: np.ndarray,
     first: int,
-    limits: tuple[int, int] | None,
     counts: np.ndarray,
     below: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -347,8 +331,7 @@ def _boundary_sums(
     ``classes`` holds the chunk's sorted class ids, one row per feature, and
     ``can_split`` whether each of a window of boundaries can split, the first
     of which follows a feature's row ``first``. The window is cut into
-    ranges at its ends and at each boundary between two runs of one class,
-    and with ``limits`` (a, b) at each window place below a and from b on;
+    ranges at its ends and at each boundary between two runs of one class;
     the first and the last splittable boundary of each range are kept.
     ``below`` holds the class counts of the rows before a one-feature piece
     of a big node.
@@ -373,9 +356,6 @@ def _boundary_sums(
     # next row starts a part
     limit = np.ones((n_features, width), dtype=bool)
     limit[:, 1:-1] = part[:-1].reshape(n_features, m)[:, first + 2 : first + width]
-    if limits is not None:
-        limit[:, : max(limits[0], 0)] = True
-        limit[:, max(limits[1], 0) :] = True
     limit = limit.ravel().nonzero()[0]
     can_split = can_split.ravel()
     at = limit[can_split[limit]]
@@ -435,12 +415,6 @@ def _window_floor(scan_best: float) -> float:
     tests/reference_tree.py keeps its own, wider window.
     """
     return scan_best - _WINDOW * max(1.0, scan_best)
-
-
-def _window_floors(best: np.ndarray) -> np.ndarray:
-    """``_window_floor`` of each float best, in the same float operations;
-    +inf where there is no best."""
-    return np.where(best > -np.inf, best - _WINDOW * np.maximum(1.0, best), np.inf)
 
 
 def _exact_best(candidates: Iterable[_Candidate], n: int, sum_sq_parent: int) -> _Candidate | None:
@@ -517,135 +491,6 @@ def _near_ties(scans: Iterable[tuple]) -> Iterator[_Candidate]:
         del scores, mid, sum_left_sq, sum_right_sq
 
 
-def _stair_ties(chunk: tuple, n: int, max_leaf: int, node_best: np.ndarray) -> list[np.ndarray]:
-    """The boundaries of one ``_gini_scans`` chunk of a node of n >= 2 rows
-    that a step of ``_node_staircase`` may take, as arrays (score, capped
-    smaller side, feature, threshold, left size, left and right square
-    sums). ``node_best`` is the float best under each leaf size of the
-    node's chunks so far, and this chunk's raises it in place.
-
-    A boundary with left size nl has smaller side m = min(nl, n - nl) and is
-    legal under leaf sizes 1..m. The chunk's float best under leaf size l is
-    the best of its boundaries with m >= l: a running maximum over m, from
-    the largest m down, gives it for every l at once (with m capped at
-    ``max_leaf``). A boundary with smaller side m (capped) is legal only up
-    to leaf size m, where the window floor is lowest, so one that lies below
-    the floor of the node's best there is never a candidate and is dropped.
-    """
-    features, n_left, scores, mid, sum_left_sq, sum_right_sq = chunk
-    side = np.minimum(n_left, n - n_left)
-    np.minimum(side, max_leaf, out=side)
-    best = np.full(node_best.size, -np.inf)  # best under leaf size l, at index l - 1
-    np.maximum.at(best, side - 1, scores)
-    np.maximum(node_best, np.maximum.accumulate(best[::-1])[::-1], out=node_best)
-    keep = scores >= _window_floors(node_best)[side - 1]
-    return [
-        scores[keep],
-        side[keep],
-        features[keep],
-        mid[keep],
-        n_left[keep],
-        sum_left_sq[keep],
-        sum_right_sq[keep],
-    ]
-
-
-class _Stairs:
-    """The near-tie candidates of a node's staircase under a rising leaf
-    size: the ``_stair_ties`` of all its chunks that lie within the window
-    of the node's best at their side, sorted by float score with their
-    capped smaller sides. A pointer skips the leading ones that the rising
-    leaf size has made illegal, so the first one left is the node's float
-    best under the leaf size.
-    """
-
-    __slots__ = ("scores", "sides", "candidates", "skip")
-
-    def __init__(self, ties: list[list[np.ndarray]], node_best: np.ndarray) -> None:
-        if len(ties) == 1:
-            scores, sides, *cells = ties[0]
-        else:
-            scores, sides, *cells = (np.concatenate(parts) for parts in zip(*ties))
-            # a boundary below the floor at its side lies below it under
-            # every smaller leaf size too, so no step takes it
-            keep = scores >= _window_floors(node_best)[sides - 1]
-            scores, sides, cells = scores[keep], sides[keep], [cell[keep] for cell in cells]
-        by_score = np.argsort(-scores, kind="stable")
-        self.scores = scores[by_score].tolist()
-        self.sides = sides[by_score].tolist()
-        # nearly every kept boundary is some step's candidate: build them all
-        # with a few whole-array conversions rather than cell by cell
-        columns = (cell[by_score].tolist() for cell in cells)
-        self.candidates = list(map(_Candidate._make, zip(*columns)))
-        self.skip = 0
-
-    def near(self, leaf: int) -> list[_Candidate]:
-        """The candidates ``_node_split`` takes under ``leaf``; leaf sizes
-        must not fall from call to call."""
-        scores, sides = self.scores, self.sides
-        i, size = self.skip, len(sides)
-        while i < size and sides[i] < leaf:
-            i += 1
-        self.skip = i
-        if i == size:
-            return []
-        floor = _window_floor(scores[i])
-        near = []
-        while i < size and scores[i] >= floor:
-            if sides[i] >= leaf:
-                near.append(self.candidates[i])
-            i += 1
-        return near
-
-
-def _node_staircase(
-    X: np.ndarray,
-    y: np.ndarray,
-    counts: np.ndarray,
-    order: np.ndarray,
-    max_leaf: int,
-) -> list[tuple[int, int, float]]:
-    """``_node_split`` of a node, over every feature, under every leaf size
-    1..``max_leaf`` from one scan, as steps (high, feature, threshold): a
-    step holds from one past the previous step's high (from 1) through its
-    high, and feature -1 means no split strictly improves. Steps cover every
-    leaf size up to ``max_leaf`` that leaves a legal boundary, and no high
-    exceeds ``max_leaf``.
-
-    A boundary whose smaller side holds m rows is legal for leaf sizes
-    1..m. Each step takes the near-tie candidates under its leaf size
-    (``_Stairs``) and selects among them as ``_node_split`` does. The
-    winner, with smaller side m, stays the winner through leaf size m (see
-    the module docstring), so the next step starts at m + 1.
-    """
-    n = int(order.shape[1])
-    counts = counts.astype(np.int64)
-    sum_sq_parent = int(counts @ counts)
-    node_best = np.full(min(max_leaf, n // 2), -np.inf)
-    ties = []
-    features = np.arange(order.shape[0])
-    scans = _gini_scans(X, y, counts, sum_sq_parent, order, features, 0, n - 1, node_best.size)
-    for chunk in scans:
-        ties.append(_stair_ties(chunk, n, max_leaf, node_best))
-        del chunk  # let the scan free this chunk before it makes the next one
-    if not ties:  # no boundary can split
-        return [(max_leaf, -1, math.nan)]
-    stairs = _Stairs(ties, node_best)
-    del ties
-
-    steps: list[tuple[int, int, float]] = []
-    leaf = 1
-    while 2 * leaf <= n and leaf <= max_leaf:
-        best = _exact_best(stairs.near(leaf), n, sum_sq_parent)
-        if best is None:
-            steps.append((max_leaf, -1, math.nan))
-            break
-        side = min(best.n_left, n - best.n_left)
-        steps.append((min(side, max_leaf), best.feature, best.threshold))
-        leaf = side + 1
-    return steps
-
-
 class SplitCache:
     """Node searches of gini fits on one training set, keyed by split path
     (see the module docstring). A cache is made for one ``train`` table, and
@@ -653,44 +498,39 @@ class SplitCache:
     as another training set. Forests never use a cache: they search sampled
     features.
 
-    A cache made with ``max_leaf`` L answers leaf sizes 1..L from one
-    staircase per path (``_node_staircase``), searched on the path's first
-    lookup, and stored as one bytes string of (high, feature + 1, threshold)
-    records in the narrowest integers that hold L and the feature count.
-    Larger leaf sizes, and every leaf size of a cache without L, take one
-    search per leaf size, recorded with the leaf sizes it holds for. A cache
-    with L owns ``order``, its table's ``_presort``, for its fits to copy
-    into their buffers; without L, ``order`` is None and fits sort their own.
-    A forked worker's fits fill the worker's copy of the cache: the worker
-    hands out the staircases searched since a ``mark`` (``added_since``)
-    and the caller ``merge``s them, so two workers may each search a path
-    the caller did not hold when they forked.
+    Each lookup that no held search covers makes one ``_node_split`` under
+    its leaf size and records it with the leaf sizes [l, m] it holds for. A
+    cache made with ``presort`` owns ``order``, its table's ``_presort``, for
+    its fits to copy into their buffers; without it, ``order`` is None and
+    fits sort their own rows. A forked worker's fits fill the worker's copy
+    of the cache, which ends with the worker.
 
-    The two modes were chosen on the scan of every boundary. Re-measured
-    with the boundary-point scan, in 3 rounds of single-process reports at 1
-    worker (2-core machine, Python 3.11, numpy 2.4; run order fixed within a
-    round, on a host where repeated runs varied by up to 2x):
-    - the swarm's fits ask for many leaf sizes of one table. A one-leaf
-      tuning cache (presort still shared) made gate 6's ``tune`` 0.54-0.71 s
-      against the staircase's 0.65-0.73 s, and the overlap config's 1.84-2.38
-      s against 2.13-2.61 s (faster in 3 of 3 rounds there);
-    - the configured DT and the tuned refit ask for one leaf size each. A
-      staircase cache for them made the overlap config's configured DT
-      0.86-1.02 s against 0.64-0.76 s (its refit 0.046-0.048 s against
-      0.075-0.079 s); on gate 6 it made the two fits 0.12-0.21 s against
-      0.20-0.22 s.
-    So the configured DT keeps one search per leaf size, and the staircase
-    no longer clearly wins the tuning fits.
+    This one mode replaced a staircase for the tuning fits, which scanned a
+    path's widest window once for every leaf size up to the box's 50, and a
+    hand-back of each worker's searches to the caller. Against them, with
+    byte-identical reports, on a 2-core machine (Python 3.11, numpy 2.4;
+    alternated runs, on a host where the unchanged configured DT of the
+    overlap config took 0.59-0.97 s from run to run):
+    - ``tune-gate6``'s wall time over 10 benchmark pairs: median 0.712 s
+      (quartiles 0.682-0.749) against 0.691 s (0.662-0.704); peak RSS 47.8
+      against 47.2 MB. Gate 6's report makes 526 searches where it made 77
+      and 214 staircases (the overlap config: 13,153 against 4,868 and
+      5,332);
+    - the overlap config's ``tune``, 3 rounds: 2.07-2.15 s against 1.78-2.37
+      s at 1 worker, 1.71-2.13 s against 1.24-1.62 s at 2 workers;
+    - the hard config's ``tune``, 2 rounds: 45.6 and 48.9 s against 43.7
+      and 46.2 s at 1 worker, 29.4 and 37.4 s against 31.3 and 31.9 s at 2;
+      peak RSS 174.3 against 167.6 MB.
+    Handing the workers' searches back made the overlap ``tune`` at 2
+    workers 1.26-1.76 s against 1.24-1.62 s, with 1.5 MB more RSS, so they
+    end with the worker.
     """
 
-    def __init__(self, train: ColumnarTable, max_leaf: int = 0) -> None:
-        self.train, self.max_leaf = train, max_leaf
+    def __init__(self, train: ColumnarTable, presort: bool = False) -> None:
+        self.train = train
         X = train.feature_matrix()
         self._X, self._class_ids = X, _class_ids(train.labels, train.n_classes)
-        self.order = _presort(X) if max_leaf else None
-        integer = np.min_scalar_type
-        self._record = struct.Struct(f"<{integer(max_leaf).char}{integer(X.shape[1]).char}d")
-        self._stairs: dict[tuple, bytes] = {}
+        self.order = _presort(X) if presort else None
         # path -> entries (leaf size searched under, largest leaf size it
         # holds for, feature or -1 when no split strictly improves, threshold)
         self._found: dict[tuple, tuple[tuple[int, float, int, float], ...]] = {}
@@ -702,23 +542,14 @@ class SplitCache:
         has class ``counts`` and presorted rows ``order`` (as ``_node_split``
         takes them). A node of fewer than 2 * ``leaf`` rows has no legal
         split."""
-        X, y = self._X, self._class_ids
         n = order.shape[1]
         if n < 2 * leaf:
             return None
-        if leaf <= self.max_leaf:
-            stairs = self._stairs.get(path)
-            if stairs is None:
-                steps = _node_staircase(X, y, counts, order, self.max_leaf)
-                stairs = b"".join(self._record.pack(h, f + 1, t) for h, f, t in steps)
-                self._stairs[path] = stairs
-            for high, code, threshold in self._record.iter_unpack(stairs):
-                if leaf <= high:
-                    return None if code == 0 else (code - 1, threshold)
         for low, high, feature, threshold in self._found.get(path, ()):
             if low <= leaf <= high:
                 return None if feature < 0 else (feature, threshold)
-        best = _node_split(X, y, counts, order, leaf, np.arange(X.shape[1]))
+        X = self._X
+        best = _node_split(X, self._class_ids, counts, order, leaf, np.arange(X.shape[1]))
         if best is None:
             entry, found = (leaf, math.inf, -1, math.nan), None
         else:
@@ -726,20 +557,6 @@ class SplitCache:
             entry = (leaf, min(best.n_left, n - best.n_left), *found)
         self._found[path] = self._found.get(path, ()) + (entry,)
         return found
-
-    def mark(self) -> int:
-        """A mark of the staircases held now, for ``added_since``."""
-        return len(self._stairs)
-
-    def added_since(self, mark: int) -> list[tuple[tuple, bytes]]:
-        """The (path, staircase) entries searched since ``mark``, in order."""
-        return list(self._stairs.items())[mark:]
-
-    def merge(self, added: Iterable[tuple[tuple, bytes]]) -> None:
-        """Take in another process's ``added_since`` entries; a path held
-        already keeps its staircase, which is the same bytes."""
-        for path, stairs in added:
-            self._stairs.setdefault(path, stairs)
 
 
 def _subtree_end(tree: Tree) -> np.ndarray:
@@ -907,7 +724,7 @@ def fit_tree(
     Growth stops at a node when it is pure, max_depth is reached, it holds
     fewer than min_samples_split rows, or no legal split strictly improves
     impurity. With ccp_alpha > 0 the fitted tree is post-pruned. Fits on one
-    training set can share node searches, and with ``max_leaf`` its presort:
+    training set can share node searches, and with ``presort`` its presort:
     pass as ``splits`` one ``SplitCache`` made for this ``train`` object
     (see the module docstring); a cache made for another, an equal copy
     included, raises. The fitted tree is the same either way.

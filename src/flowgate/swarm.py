@@ -334,20 +334,20 @@ class DtObjective:
     (max_depth, min_samples_split) of that leaf size is then scored from
     per-node holdout tallies (``models.tree.CutAccuracy``), and the score is
     exactly that of a tree fitted with the point's hyperparameters. The
-    trees share one ``SplitCache`` that knows the box's largest leaf size:
-    the first search at a split path finds the node's split for every leaf
-    size of ``dt_search_space`` in one scan (see ``models.tree``). The cache
-    sorts the tuning rows once; each fit copies that presort into the
-    buffer it partitions, so no fit's partitions outlive it.
+    trees share one ``SplitCache`` made with ``presort``: it sorts the
+    tuning rows once, each fit copies that presort into the buffer it
+    partitions, so no fit's partitions outlive it, and a node searched under
+    one leaf size answers every leaf size its split holds for (see
+    ``models.tree``).
 
     ``prepare`` grows the trees of a swarm round's new leaf sizes through
     ``parallel_map``, in ascending order, which balances the workers'
     shares: a smaller leaf size grows a bigger tree. Each task hands back
-    its ``CutAccuracy`` and the staircases its fit searched, which the
-    caller merges into its cache in item order, so no later round searches
-    those paths again; two workers of one round may each search a path. A
-    tree never depends on what the cache holds, so the scores are the same
-    for any FLOWGATE_THREADS. A leaf size whose fit raises a FlowgateError
+    only its ``CutAccuracy``: the searches a forked worker makes end with
+    it, so a later round may search those nodes again (handing them back
+    saved no time and took 1.5 MB more RSS on the overlap config at 2
+    workers; ``SplitCache`` has the numbers). A tree never depends on what
+    the cache holds, so the scores are the same for any FLOWGATE_THREADS. A leaf size whose fit raises a FlowgateError
     stays unscored: calling the objective on its points grows it again, in
     the caller, where it raises for each point. Each tree grown counts in
     ``counters.trees_grown`` when ``counters`` is given.
@@ -359,7 +359,7 @@ class DtObjective:
         self.fit_table = fit_table
         self.holdout_X, self.holdout_labels = holdout.feature_matrix(), holdout.labels
         self.counters = counters
-        self.splits = SplitCache(fit_table, max_leaf=dt_search_space().uppers[-1])
+        self.splits = SplitCache(fit_table, presort=True)
         self.scored: dict[int, CutAccuracy] = {}
 
     def __call__(self, point: tuple[int, ...]) -> float:
@@ -379,10 +379,8 @@ class DtObjective:
             except DataError:
                 pass  # the point raises again when it is scored
         new = sorted(leaves - self.scored.keys())
-        for leaf, grown in zip(new, parallel_map(self._grow_and_hand_out, new)):
-            if grown is not None:
-                scores, searched = grown
-                self.splits.merge(searched)
+        for leaf, scores in zip(new, parallel_map(self._try_grow, new)):
+            if scores is not None:
                 self._keep(leaf, scores)
 
     def _grow(self, leaf: int) -> CutAccuracy:
@@ -390,17 +388,13 @@ class DtObjective:
         tree = fit_tree(self.fit_table, params, splits=self.splits).root
         return CutAccuracy(tree, self.holdout_X, self.holdout_labels)
 
-    def _grow_and_hand_out(
-        self, leaf: int
-    ) -> tuple[CutAccuracy, list[tuple[tuple, bytes]]] | None:
-        """A ``prepare`` task: the leaf size's scores and the staircases its
-        fit searched, or None when the fit raises a FlowgateError."""
-        mark = self.splits.mark()
+    def _try_grow(self, leaf: int) -> CutAccuracy | None:
+        """A ``prepare`` task: the leaf size's scores, or None when the fit
+        raises a FlowgateError."""
         try:
-            scores = self._grow(leaf)
+            return self._grow(leaf)
         except FlowgateError:  # the point path grows it again and scores -inf
             return None
-        return scores, self.splits.added_since(mark)
 
     def _keep(self, leaf: int, scores: CutAccuracy) -> None:
         self.scored[leaf] = scores

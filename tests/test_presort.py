@@ -163,19 +163,18 @@ _FIT_SETTINGS = st.tuples(
     st.integers(1, 4),
     st.integers(1, 4),
     st.lists(_FIT_SETTINGS, min_size=2, max_size=6),
-    st.sampled_from([0, 1, 4, 9]),
+    st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, max_leaf):
+def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, presort):
     # each fit meets the searches of earlier fits with other leaf sizes,
     # gates, depths and pruning strengths, and must not depend on them;
-    # leaf sizes above the cache's max_leaf search one leaf size at a time;
-    # a cache with max_leaf holds the presort every fit copies, a cache
-    # without one leaves each fit to sort its own rows
+    # a cache with presort holds the presort every fit copies, a cache
+    # without it leaves each fit to sort its own rows
     X, y, k = _training_set(seed, n, d, k)
     table = make_table(X, y)
-    splits = SplitCache(table, max_leaf)
-    assert (splits.order is None) == (max_leaf == 0)
+    splits = SplitCache(table, presort)
+    assert (splits.order is None) == (not presort)
     for leaf, more_gate, depth, alpha in fits:
         params = TreeHyperparams(
             max_depth=depth,
@@ -189,21 +188,9 @@ def test_fits_sharing_a_split_cache_match_fresh_fits(seed, n, d, k, fits, max_le
         _assert_same_tree(got, tree_module._prune(want, alpha) if alpha > 0.0 else want)
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(2, 160),
-    st.integers(1, 4),
-    st.integers(2, 4),
-    st.integers(1, 40),
-    st.sampled_from(["pool", "adjacent doubles", "mirrored"]),
-    st.sampled_from([1, 7, 50, tree_module._SCAN_CELLS]),
-)
-@settings(max_examples=80, deadline=None)
-def test_staircase_matches_the_search_at_every_leaf_size(
-    seed, n, d, k, max_leaf, layout, scan_cells
-):
-    # scan_cells below the node size scans each feature in pieces, whose
-    # near ties the staircase and the search gather chunk by chunk
+def _layout_set(seed, n, d, k, layout):
+    """(X, labels, class count) of a ``_training_set`` draw, or laid out as
+    ``layout`` names."""
     X, y, k = _training_set(seed, n, d, k)
     rng = np.random.default_rng(seed)
     if layout == "adjacent doubles":
@@ -216,20 +203,41 @@ def test_staircase_matches_the_search_at_every_leaf_size(
         half = rng.integers(0, k, size=(n + 1) // 2)
         y = np.concatenate([half, half[: n // 2][::-1]])
         k = int(y.max()) + 1
+    return X, y, k
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 160),
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.sampled_from(["ascending", "descending", "shuffled"]),
+    st.sampled_from(["pool", "adjacent doubles", "mirrored"]),
+    st.sampled_from([7, tree_module._SCAN_CELLS]),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_split_cache_answers_leaf_sizes_in_any_order_as_fresh_searches(
+    seed, n, d, k, leaf_order, layout, scan_cells
+):
+    # one path asked for every leaf size 1..min(50, n // 2): each answer
+    # comes from a held search whose leaf sizes [l, m] cover it, or from a
+    # new search, and must be the fresh search's split either way; scan_cells
+    # below the node size scans each feature in pieces
+    X, y, k = _layout_set(seed, n, d, k, layout)
+    splits = SplitCache(make_table(X, y))
     ids = tree_module._class_ids(y, k)
     counts = np.bincount(y, minlength=k)
     order = _presort(X)
+    leaves = list(range(1, min(50, n // 2) + 1))
+    if leaf_order == "descending":
+        leaves.reverse()
+    elif leaf_order == "shuffled":
+        np.random.default_rng(seed).shuffle(leaves)
     with mock.patch.object(tree_module, "_SCAN_CELLS", scan_cells):
-        steps = tree_module._node_staircase(X, ids, counts, order, max_leaf)
-    highs = [high for high, _, _ in steps]
-    assert highs == sorted(set(highs)) and highs[-1] <= max_leaf
-    for leaf in range(1, min(max_leaf, n // 2) + 1):
-        high, feature, threshold = next(step for step in steps if leaf <= step[0])
-        best = tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
-        if best is None:
-            assert feature == -1, leaf
-        else:
-            assert (feature, threshold) == (best.feature, best.threshold), leaf
+        for leaf in leaves:
+            got = splits.split((), leaf, counts, order)
+            best = tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
+            assert got == (None if best is None else (best.feature, best.threshold)), leaf
 
 
 # -- boundary points ------------------------------------------------------------
@@ -343,33 +351,35 @@ def test_the_search_over_run_ends_is_the_oracle_split(
 @example(7, 120, 1, 2, "high minority", [], 0, tree_module._SCAN_CELLS)
 @example(8, 119, 2, 3, "runs", [49, 50], 0, 7)
 @settings(max_examples=120, deadline=None)
-def test_the_staircase_over_run_ends_matches_the_search_and_the_oracle(
+def test_the_search_over_run_ends_nests_over_leaf_sizes_and_matches_the_oracle(
     seed, n, d, k, layout, oracle_leaves, all_boundaries, scan_cells
 ):
-    # the tuning staircase's max_leaf, 50: the legality edges l - 1 and
-    # n - 1 - l of a node of over 100 rows cut through its class runs; the
-    # oracle checks the widest leaf size and a few drawn ones, the search
-    # every one
+    # every leaf size 1..min(50, n // 2), the tuning box's: the legality
+    # edges l - 1 and n - 1 - l of a node of over 100 rows cut through its
+    # class runs. A split cache reuses a search under l for every leaf size
+    # through its split's smaller side m (for every larger leaf size when
+    # no split improves), so the searches under l + 1..m must agree with
+    # it; the oracle checks the widest leaf size and a few drawn ones
     X, y, k = _run_set(seed, n, d, k, layout)
     ids = tree_module._class_ids(y, k)
     counts = np.bincount(y, minlength=k)
     order = _presort(X)
-    with _scans(all_boundaries, scan_cells):
-        steps = tree_module._node_staircase(X, ids, counts, order, 50)
     top = min(50, n // 2)
-    for leaf in range(1, top + 1):
-        high, feature, threshold = next(step for step in steps if leaf <= step[0])
-        best = tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
-        if best is None:
-            assert feature == -1, leaf
-        else:
-            assert (feature, threshold) == (best.feature, best.threshold), leaf
+    with _scans(all_boundaries, scan_cells):
+        found = [
+            tree_module._node_split(X, ids, counts, order, leaf, np.arange(d))
+            for leaf in range(1, top + 1)
+        ]
+    splits = [None if best is None else (best.feature, best.threshold) for best in found]
+    for leaf, (best, split) in enumerate(zip(found, splits), start=1):
+        held = top
+        if best is not None:
+            held = min(best.n_left, n - best.n_left, top)
+            assert held >= leaf, leaf
+        assert splits[leaf - 1 : held] == [split] * (held - leaf + 1), leaf
         if leaf == top or leaf in oracle_leaves:
             want = oracle_best_split(X, y, min_samples_leaf=leaf)
-            if want is None:
-                assert feature == -1, leaf
-            else:
-                assert (feature, threshold) == want[:2], leaf
+            assert split == (None if want is None else want[:2]), leaf
 
 
 def test_a_split_cache_from_another_training_set_is_rejected():

@@ -101,15 +101,15 @@ def test_token_stages_code_long_tokens_without_a_string_copy(stage, budget):
 
 @pytest.mark.parametrize("tuning", [False, True], ids=["configured", "tuning"])
 def test_a_tree_fit_stays_near_its_training_matrix(tuning):
-    # measured 1.44x for a fit that sorts its own presort and 1.73x for a
-    # tuning fit, which copies its cache's presort and scans every leaf size:
-    # the presort buffer is 9/8 of the matrix here, and the scan chunks and
-    # partition moves are a few hundred KB
+    # measured 1.44x for a fit that sorts its own presort and 1.58x for a
+    # tuning fit, which copies its cache's presort and holds the cache's
+    # searches: the presort buffer is 9/8 of the matrix here, and the scan
+    # chunks and partition moves are a few hundred KB
     source, profile, _ = build_source(_synthetic_config(40_000))
     split, _ = preprocess_pipeline(source, profile, PrepOptions(seed=5))
     del source
     train = stratified_split(split.train, 0.5, 1).train if tuning else split.train
-    splits = SplitCache(train, max_leaf=50) if tuning else None
+    splits = SplitCache(train, presort=True) if tuning else None
     fit_tree(train.take_rows(np.arange(200)), TreeHyperparams())
     _, peak = _peak(fit_tree, train, TreeHyperparams(), splits=splits)
     matrix = train.feature_matrix().nbytes

@@ -378,8 +378,7 @@ def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
     run = optimize(dt_search_space(), config, objective, seed=5, seed_point=DT_DEFAULT_POINT)
     assert sorted(fits) == sorted(set(leaf_sizes))
     # four workers: a fit in a forked worker counts in that worker alone, so
-    # count the trees the caller takes in, and compare its merged cache with
-    # the one-worker run's
+    # count the trees the caller takes in
     _four_cpus(monkeypatch)
     monkeypatch.setenv("FLOWGATE_THREADS", "4")
     counters = SwarmCounters()
@@ -389,7 +388,6 @@ def test_dt_objective_grows_one_tree_per_leaf_size(monkeypatch):
         dt_search_space(), config, forked, counters, seed=5, seed_point=DT_DEFAULT_POINT
     ) == run
     assert counters.trees_grown == len(set(leaf_sizes))
-    assert dict(forked.splits.added_since(0)) == dict(serial.splits.added_since(0))
     _assert_no_child_left()
 
 
@@ -425,44 +423,47 @@ def test_trees_sharing_a_split_cache_grow_once_and_count_once_over_rotated_point
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_a_tuning_run_searches_each_split_path_once(monkeypatch, threads):
-    # one staircase per path serves every leaf size of the box, so no node
-    # is searched twice in one process, whichever leaf sizes reach it
+    # a search under leaf size l is held for every leaf size its split
+    # holds for, so no lookup searches a path again under a leaf size that a
+    # held search covers, whichever leaf sizes reach it
     split = _toy_split(seed=7, separation=1.5)
     if threads == "4":
-        # forked workers may each search a path and their counts stay in
-        # them: the caller's merged cache holds the one-worker run's paths
-        # and bytes, and the caller counts one tree per valid leaf size
+        # forked workers search into their own copies of the cache, which
+        # end with them: the caller counts one tree per valid leaf size, and
+        # the run scores every point as the one-worker run does
         _four_cpus(monkeypatch)
         monkeypatch.setenv("FLOWGATE_THREADS", "1")
-        serial, _ = _tuning_run(split, seed=7)
+        _, serial = _tuning_run(split, seed=7)
         monkeypatch.setenv("FLOWGATE_THREADS", "4")
         counters = SwarmCounters()
-        forked, state = _tuning_run(split, seed=7, counters=counters)
+        _, state = _tuning_run(split, seed=7, counters=counters)
         assert counters.trees_grown == len(_valid_leaf_sizes(state)) > 3
-        assert dict(forked.splits.added_since(0)) == dict(serial.splits.added_since(0))
+        assert (state.cache, state.trace) == (serial.cache, serial.trace)
         _assert_no_child_left()
         return
     monkeypatch.setenv("FLOWGATE_THREADS", threads)
     searches = []
-    for name in ("_node_staircase", "_node_split"):
-        search = getattr(tree_module, name)
-        counted = lambda *args, search=search: searches.append(1) or search(*args)
-        monkeypatch.setattr(tree_module, name, counted)
-    paths = set()
+    search = tree_module._node_split
+    monkeypatch.setattr(
+        tree_module, "_node_split", lambda *args: searches.append(1) or search(*args)
+    )
     lookup = tree_module.SplitCache.split
 
-    def recorded(self, path, leaf, counts, order):
-        if order.shape[1] >= 2 * leaf:  # smaller nodes have no legal split
-            paths.add(path)
-        return lookup(self, path, leaf, counts, order)
+    def checked(self, path, leaf, counts, order):
+        held = any(low <= leaf <= high for low, high, _, _ in self._found.get(path, ()))
+        before = len(searches)
+        found = lookup(self, path, leaf, counts, order)
+        assert not (held and len(searches) > before), (path, leaf)
+        return found
 
-    monkeypatch.setattr(tree_module.SplitCache, "split", recorded)
+    monkeypatch.setattr(tree_module.SplitCache, "split", checked)
     counters = SwarmCounters()
     objective = dt_objective(split, seed=7, counters=counters)
     config = EpsoConfig(n_particles=10, n_iterations=8)
     optimize(dt_search_space(), config, objective, counters, seed=7, seed_point=DT_DEFAULT_POINT)
     assert counters.trees_grown > 3
-    assert len(searches) == len(paths) > 0
+    entries = sum(len(held) for held in objective.splits._found.values())
+    assert len(searches) == entries > 0
 
 
 def test_a_fit_that_raises_in_a_worker_scores_its_points_minus_inf(monkeypatch):

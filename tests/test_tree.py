@@ -165,7 +165,7 @@ def test_one_minority_row_among_thousands_splits_at_the_exact_argmax():
     # scores n - 2 + 2/m, m the size of the minority row's side, so thousands
     # of boundaries lie within 1e-9 of the best, relatively, and the
     # mirrored features 1 and 2 tie exactly; the narrow near-tie window
-    # must still hold the exact argmax, for one leaf size and a staircase
+    # must still hold the exact argmax, also in a fit through a split cache
     rng = np.random.default_rng(11)
     n = 20_001
     grid = rng.integers(0, 40, size=n).astype(np.float64)
@@ -177,7 +177,7 @@ def test_one_minority_row_among_thousands_splits_at_the_exact_argmax():
     want = _exact_argmax(X, y)
     table = make_table(X, y)
     assert best_split(np.arange(n), table)[:2] == want
-    stump = fit_tree(table, TreeHyperparams(max_depth=1), splits=SplitCache(table, max_leaf=50))
+    stump = fit_tree(table, TreeHyperparams(max_depth=1), splits=SplitCache(table, presort=True))
     assert (int(stump.root.feature[0]), float(stump.root.threshold[0])) == want
 
 
